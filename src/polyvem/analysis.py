@@ -6,8 +6,9 @@ The error quantities are the computable surrogates
     E1h^2 = sum_K || grad u - P0_{k-1} grad u_h ||_{0,K}^2
 
 evaluated with a quadrature rule two orders finer than the one used for
-assembly, so the measurement error stays well below the discretization
-error being measured.
+assembly, mapped onto each element's stored triangulation, so the
+measurement error stays well below the discretization error being
+measured.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .mesh import (
 from .forms import constant_coefficient_scales
 from .problems import SobolevProblem, get_problem
 from .projectors import polynomial_dimension
-from .quadrature import polygon_rule
+from .quadrature import map_to_triangle, triangle_rule
 from .system import GlobalSystem, TimeStepperConfig, assemble, run_time_loop
 
 __all__ = [
@@ -139,11 +140,11 @@ def compute_errors(
     nk1 = polynomial_dimension(k - 1)
     dofmap = system.dofmap
 
+    rule = triangle_rule(order)
     e0_sq = 0.0
     e1_sq = 0.0
     for ci, el in enumerate(system.elements):
-        rule = polygon_rule(el.geom.coords, order)
-        pts, w = rule.points, rule.weights
+        pts, w = map_to_triangle(rule, el.triangles)
         vals = el.basis.eval(pts)
         ud = u[dofmap.cell_dofs(ci)]
 

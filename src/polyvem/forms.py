@@ -18,6 +18,12 @@ the functionals v -> form(w, v).
 The skew-symmetrized convection form keeps the discrete operator
 dissipative regardless of quadrature, and sigma absorbs the divergence
 term of the convection field.
+
+The forms integrate variable coefficients with the element's rule of
+degree 2k+2.  The load (f, pi0 phi_i) uses the element's own rule of
+degree 2k: pi0 phi_i lies in P_k, so that rule is exact for every f in
+P_k, and the source, which is evaluated at every time step, is evaluated
+at fewer points.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ __all__ = [
     "constant_coefficient_scales",
     "build_stabilizations",
     "build_local_forms",
-    "build_local_load",
     "load_map_block",
 ]
 
@@ -166,12 +171,7 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
 
 
 def load_map_block(element: LocalElement) -> np.ndarray:
-    """Matrix taking source values at the cell quad points to the local
+    """Matrix taking source values at the cell's load points to the local
     load vector (f, pi0 phi_i); reusable across time steps."""
-    return element.pi0_star.T @ (element.monomial_values.T * element.quad_weights)
-
-
-def build_local_load(element: LocalElement, problem, t: float) -> np.ndarray:
-    pts = element.quad_points
-    f_vals = np.asarray(problem.f(pts[:, 0], pts[:, 1], t), dtype=float)
-    return load_map_block(element) @ f_vals
+    values = element.basis.eval(element.load_points)
+    return element.pi0_star.T @ (values.T * element.load_weights)

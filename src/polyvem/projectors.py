@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import CellGeometry
-from .quadrature import edge_gauss_lobatto, gauss_lobatto, lobatto_interior_params, polygon_rule
+from .quadrature import (
+    edge_gauss_lobatto,
+    gauss_lobatto,
+    lobatto_interior_params,
+    map_to_triangle,
+    polygon_rule,
+    triangle_rule,
+)
 
 __all__ = [
     "VemError",
@@ -162,7 +169,9 @@ class LocalElement:
     """All computable local operators of one cell.
 
     Matrices act on local dof vectors (length ``layout.size``); projector
-    coefficient matrices return expansions in ``basis``.
+    coefficient matrices return expansions in ``basis``.  The forms rule
+    (``quad_points``, degree 2k+2 by default) and the load rule
+    (``load_points``, degree 2k) are mapped onto the same ``triangles``.
     """
 
     k: int
@@ -170,8 +179,11 @@ class LocalElement:
     basis: ScaledMonomialBasis
     layout: DofLayout
     boundary_dof_points: np.ndarray  # (num_vertices * k, 2)
+    triangles: np.ndarray  # (T, 3, 2) triangulation of the cell
     quad_points: np.ndarray
     quad_weights: np.ndarray
+    load_points: np.ndarray
+    load_weights: np.ndarray
     monomial_values: np.ndarray  # basis at quad points
     mass_monomials: np.ndarray  # H: int m_i m_j
     dof_matrix: np.ndarray  # D: dof_i(m_j)
@@ -212,6 +224,8 @@ def build_element(geom: CellGeometry, k: int, quad_order: int | None = None) -> 
     area = geom.area
 
     rule = polygon_rule(geom.coords, quad_order if quad_order is not None else 2 * k + 2)
+    # (f, pi0 phi) has pi0 phi in P_k: degree 2k is exact for every f in P_k
+    load_points, load_weights = map_to_triangle(triangle_rule(2 * k), rule.triangles)
     vk = basis.eval(rule.points)
     mass = vk.T @ (rule.weights[:, None] * vk)
     mass = 0.5 * (mass + mass.T)
@@ -313,8 +327,11 @@ def build_element(geom: CellGeometry, k: int, quad_order: int | None = None) -> 
         basis=basis,
         layout=layout,
         boundary_dof_points=bpts,
+        triangles=rule.triangles,
         quad_points=rule.points,
         quad_weights=rule.weights,
+        load_points=load_points,
+        load_weights=load_weights,
         monomial_values=vk,
         mass_monomials=mass,
         dof_matrix=dmat,

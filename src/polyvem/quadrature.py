@@ -2,8 +2,11 @@
 
 Triangle rules are collapsed (Duffy-type) tensor Gauss-Legendre rules, so
 any requested order is available without tabulated constants.  Polygon
-rules triangulate the cell (centroid fan for convex cells, ear clipping
-for cells with reflex vertices) and map the triangle rule to each piece.
+rules triangulate the cell (a fan of m-2 triangles from vertex 0 for
+convex cells, ear clipping for cells with reflex vertices) and map the
+triangle rule to each piece.  A triangulation can be kept and reused:
+mapping several rules onto the same triangles costs no second
+triangulation.
 Edge rules are Gauss-Lobatto: their nodes double as the edge degrees of
 freedom of the order-k virtual space, which makes boundary integrals of
 traces diagonal in the edge DOFs.
@@ -16,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
+
+from .mesh import signed_area
 
 
 class QuadratureError(Exception):
@@ -75,18 +80,17 @@ def triangle_rule(order: int) -> TriangleRule:
 
 
 def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
-    """Map a reference rule to the physical triangle ``tri`` (3x2 array).
+    """Map a reference rule to the physical triangle ``tri`` (3x2 array), or
+    to each triangle of a stack ``tri`` of shape (T, 3, 2).
 
-    Returns (points, weights) with weights summing to the triangle area.
-    Orientation does not matter; the absolute area is used.
+    Returns (points, weights), the points of a stack triangle by triangle,
+    with weights summing to the covered area.  Orientation does not matter;
+    the absolute area is used.
     """
     tri = np.asarray(tri, dtype=float)
-    area = 0.5 * abs(
-        (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-        - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1])
-    )
+    area = np.abs(_signed_areas(tri))
     pts = rule.points @ tri
-    return pts, rule.weights * area
+    return pts.reshape(-1, 2), (area[..., None] * rule.weights).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +98,11 @@ def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _signed_area(coords: np.ndarray) -> float:
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _area_centroid(coords: np.ndarray):
-    x, y = coords[:, 0], coords[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * cross.sum()
-    cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * area)
-    cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * area)
-    return area, np.array([cx, cy])
+def _signed_areas(tris: np.ndarray) -> np.ndarray:
+    """Signed areas of a triangle (3x2) or of each triangle of a stack."""
+    e1 = tris[..., 1, :] - tris[..., 0, :]
+    e2 = tris[..., 2, :] - tris[..., 0, :]
+    return 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
 
 
 def _turn_crosses(coords: np.ndarray) -> np.ndarray:
@@ -114,11 +111,12 @@ def _turn_crosses(coords: np.ndarray) -> np.ndarray:
     return prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
 
 
-def triangulate_polygon(coords: np.ndarray) -> list[np.ndarray]:
-    """Split a simple CCW polygon into triangles (as 3x2 coordinate arrays).
+def triangulate_polygon(coords: np.ndarray) -> np.ndarray:
+    """Split a simple CCW polygon into triangles, shape (T, 3, 2).
 
-    Convex polygons (collinear vertices allowed) get a fan from the area
-    centroid; polygons with a reflex vertex are ear-clipped.
+    Convex polygons (collinear vertices allowed) get a fan from vertex 0:
+    m-2 triangles, less the zero-area ones a straight run through vertex 0
+    would leave.  Polygons with a reflex vertex are ear-clipped.
     """
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
@@ -128,20 +126,17 @@ def triangulate_polygon(coords: np.ndarray) -> list[np.ndarray]:
     if scale <= 0.0:
         raise QuadratureError("degenerate polygon: zero extent")
     tol = 1e-12 * scale * scale
-    poly_area = _signed_area(coords)
+    poly_area = signed_area(coords)
     if poly_area <= tol:
         raise QuadratureError("polygon is not CCW or has (near-)zero area")
     crosses = _turn_crosses(coords)
     if np.all(crosses >= -tol):
-        _, centroid = _area_centroid(coords)
-        tris = []
-        for i in range(n):
-            tri = np.array([centroid, coords[i], coords[(i + 1) % n]])
-            if _signed_area(tri) > tol:
-                tris.append(tri)
+        apex = np.broadcast_to(coords[0], (n - 2, 2))
+        fan = np.stack([apex, coords[1:-1], coords[2:]], axis=1)
+        tris = fan[_signed_areas(fan) > tol]
     else:
         tris = _ear_clip(coords, tol)
-    covered = sum(_signed_area(t) for t in tris)
+    covered = float(_signed_areas(tris).sum())
     if abs(covered - poly_area) > 1e-9 * max(poly_area, scale * scale):
         raise QuadratureError(
             "triangulation failure: triangle areas do not cover the polygon "
@@ -158,7 +153,7 @@ def _point_in_triangle(p: np.ndarray, a, b, c, tol: float) -> bool:
     return d1 > tol and d2 > tol and d3 > tol
 
 
-def _ear_clip(coords: np.ndarray, tol: float) -> list[np.ndarray]:
+def _ear_clip(coords: np.ndarray, tol: float) -> np.ndarray:
     idx = list(range(len(coords)))
     tris: list[np.ndarray] = []
     guard = 0
@@ -196,9 +191,9 @@ def _ear_clip(coords: np.ndarray, tol: float) -> list[np.ndarray]:
         if not clipped:
             raise QuadratureError("triangulation failure: no ear found (tangled polygon?)")
     last = coords[idx]
-    if _signed_area(last) > tol:
+    if signed_area(last) > tol:
         tris.append(np.array(last))
-    return tris
+    return np.array(tris).reshape(-1, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +205,22 @@ def _ear_clip(coords: np.ndarray, tol: float) -> list[np.ndarray]:
 class PolygonRule:
     """Physical-space rule over one polygonal cell.
 
-    weights carry the area measure: sum(weights) == |K|.
+    weights carry the area measure: sum(weights) == |K|.  ``triangles`` is
+    the triangulation the rule was mapped onto, kept so that other rules
+    can be mapped onto the same pieces (``map_to_triangle``).
     """
 
     order: int
     points: np.ndarray  # (n, 2)
     weights: np.ndarray  # (n,)
+    triangles: np.ndarray  # (T, 3, 2)
 
 
 def polygon_rule(coords: np.ndarray, order: int) -> PolygonRule:
     """Rule over the simple CCW polygon ``coords``, exact up to ``order``."""
-    base = triangle_rule(order)
-    pts = []
-    wts = []
-    for tri in triangulate_polygon(coords):
-        p, w = map_to_triangle(base, tri)
-        pts.append(p)
-        wts.append(w)
-    return PolygonRule(order=order, points=np.vstack(pts), weights=np.concatenate(wts))
+    tris = triangulate_polygon(coords)
+    pts, wts = map_to_triangle(triangle_rule(order), tris)
+    return PolygonRule(order=order, points=pts, weights=wts, triangles=tris)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ with boundary values moved to the right-hand side.  The system matrix is
 time-independent and factorized once per run; every solve must meet a
 relative-residual contract (default 1e-12), enforced with iterative
 refinement.
+
+F(t_n) is ``load_map @ f(quad_points, t_n)``: ``quad_points`` are the
+points of each element's load rule, of degree 2k, which is exact for
+(f, pi0 phi_i) whenever f is in P_k; the forms keep their rule of degree
+2k+2 for the variable coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from scipy.sparse.linalg import splu
 
 from .forms import build_local_forms, check_coefficients, load_map_block
 from .mesh import PolyMesh
-from .projectors import LocalElement, build_element, interpolate, polynomial_dimension
+from .projectors import (
+    SUPPORTED_ORDERS,
+    LocalElement,
+    build_element,
+    interpolate,
+    polynomial_dimension,
+)
 from .quadrature import lobatto_interior_params
 
 __all__ = [
@@ -165,7 +176,7 @@ class GlobalSystem:
     a: sp.csr_matrix
     b: sp.csr_matrix
     load_map: sp.csr_matrix  # size x n_quad
-    quad_points: np.ndarray  # (n_quad, 2)
+    quad_points: np.ndarray  # (n_quad, 2) load-rule points of every cell
     coefficient_notes: list[str] = field(default_factory=list)
 
     @property
@@ -209,7 +220,7 @@ def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSyste
         lrows.append(br.ravel())
         lcols.append(bc.ravel())
         lvals.append(block.ravel())
-        quad_blocks.append(el.quad_points)
+        quad_blocks.append(el.load_points)
         offset += nq
 
     rows = np.concatenate(rows)
@@ -226,7 +237,9 @@ def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSyste
         shape=(n, offset),
     ).tocsr()
 
-    notes = check_coefficients(problem, quad_points) if check else []
+    notes = []
+    if check:  # sample the coefficients where the forms evaluate them
+        notes = check_coefficients(problem, np.vstack([el.quad_points for el in elements]))
 
     return GlobalSystem(
         mesh=mesh,
@@ -437,6 +450,7 @@ def run_time_loop(
     lhs_full = (g_mat + tau * h_mat).tocsr()
     solver = LinearSolver(lhs_full[np.ix_(act, act)], tol=config.tol)
     coupling = lhs_full[np.ix_(act, bdry)]
+    g_act = g_mat[act]  # row slice: each row keeps its summation order
     load_act = system.load_map[act]
     xq = system.quad_points
 
@@ -448,7 +462,7 @@ def run_time_loop(
         t_n = step * tau
         f_vals = np.asarray(system.problem.f(xq[:, 0], xq[:, 1], t_n), dtype=float)
         g_bdry = dirichlet_values(system, t_n)
-        rhs = (g_mat @ u)[act] + tau * (load_act @ f_vals) - coupling @ g_bdry
+        rhs = g_act @ u + tau * (load_act @ f_vals) - coupling @ g_bdry
         u_act = solver.solve(rhs)
         u = u.copy()
         u[act] = u_act
@@ -499,31 +513,61 @@ def write_solution(path, system: GlobalSystem, result: TimeResult) -> None:
 
 
 def solution_from_string(text: str):
-    """Parse a snapshot; returns (k, t, dof vector, per-cell coefficient rows)."""
+    """Parse a snapshot; returns (k, t, dof vector, per-cell coefficient rows).
+
+    Every malformed line raises a ``ValueError`` that names it: a bad or
+    missing preamble field, dof value or cell count, a cell row whose
+    length is not dim P_k, and too few or too many rows.
+    """
     lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
 
     def err(lineno, msg):
         return ValueError(f"line {lineno + 1}: {msg}")
 
+    def field(lineno, key, kind):
+        if lineno >= len(lines):
+            raise err(lineno, f"unexpected end of file, expected '{key} <value>'")
+        parts = lines[lineno].split()
+        if len(parts) != 2 or parts[0] != key:
+            raise err(lineno, f"expected '{key} <value>'")
+        try:
+            return kind(parts[1])
+        except ValueError:
+            raise err(lineno, f"bad {key} value {parts[1]!r}") from None
+
+    def values(lineno, count):
+        tokens = lines[lineno].split()
+        if len(tokens) != count:
+            raise err(lineno, f"expected {count} value(s), found {len(tokens)}")
+        try:
+            return [float(v) for v in tokens]
+        except ValueError:
+            raise err(lineno, "bad number in value line") from None
+
     if not lines or lines[0].strip() != "solution 1":
         raise err(0, "expected header 'solution 1'")
-    try:
-        k = int(lines[1].split()[1])
-        t = float(lines[2].split()[1])
-        n = int(lines[3].split()[1])
-    except (IndexError, ValueError):
-        raise err(1, "bad snapshot preamble") from None
-    if len(lines) < 4 + n + 1:
-        raise err(len(lines) - 1, "unexpected end of file in dof block")
-    u = np.array([float(lines[4 + i]) for i in range(n)])
+    k = field(1, "k", int)
+    if k not in SUPPORTED_ORDERS:
+        raise err(1, f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
+    t = field(2, "time", float)
+    n = field(3, "dofs", int)
+    if n < 0:
+        raise err(3, f"negative dof count {n}")
     pos = 4 + n
-    head = lines[pos].split()
-    if len(head) != 2 or head[0] != "cells":
-        raise err(pos, "expected 'cells <count>'")
-    nc = int(head[1])
-    coeffs = []
-    for i in range(nc):
-        coeffs.append(np.array([float(v) for v in lines[pos + 1 + i].split()]))
+    if len(lines) <= pos:
+        raise err(len(lines), "unexpected end of file in dof block")
+    u = np.array([values(4 + i, 1)[0] for i in range(n)])
+    nc = field(pos, "cells", int)
+    if nc < 0:
+        raise err(pos, f"negative cell count {nc}")
+    if len(lines) < pos + 1 + nc:
+        raise err(len(lines), f"unexpected end of file in cell block ({nc} rows expected)")
+    if len(lines) > pos + 1 + nc:
+        raise err(pos + 1 + nc, f"extra line after the {nc} cell rows")
+    width = polynomial_dimension(k)
+    coeffs = [np.array(values(pos + 1 + i, width)) for i in range(nc)]
     return k, t, u, coeffs
 
 

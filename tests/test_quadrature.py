@@ -119,6 +119,43 @@ class TestPolygonRules:
                     )
                     assert abs(one - two) < 1e-11
 
+    def test_convex_cells_fan_into_m_minus_2_triangles(self):
+        hexagon = np.array(
+            [[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 2.0 * np.pi, 7)[:-1]]
+        )
+        mesh = generate_voronoi_mesh(16, 2, seed=3)
+        cells = [UNIT_SQUARE, hexagon] + [
+            mesh.cell_geometry(ci).coords for ci in range(mesh.num_cells)
+        ]
+        for coords in cells:
+            tris = Q.triangulate_polygon(coords)
+            assert tris.shape == (len(coords) - 2, 3, 2)
+            areas = [greens_theorem_monomial_integral(t, 0, 0) for t in tris]
+            assert min(areas) > 0.0
+            assert sum(areas) == pytest.approx(
+                greens_theorem_monomial_integral(coords, 0, 0), rel=1e-13
+            )
+
+    def test_hanging_vertex_at_fan_apex(self):
+        # vertex 0 sits on a straight run (a hanging node of a refined
+        # neighbour); the fan from it must still cover the cell
+        coords = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        tris = Q.triangulate_polygon(coords)
+        assert len(tris) == 3
+        rule = Q.polygon_rule(coords, 4)
+        for a in range(5):
+            for b in range(5 - a):
+                got = float(rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
+                assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
+
+    def test_rules_share_the_stored_triangulation(self):
+        coords = generate_concave_mesh(1).cell_geometry(1).coords
+        rule = Q.polygon_rule(coords, 6)
+        np.testing.assert_array_equal(rule.triangles, Q.triangulate_polygon(coords))
+        pts, w = Q.map_to_triangle(Q.triangle_rule(6), rule.triangles)
+        np.testing.assert_array_equal(pts, rule.points)
+        np.testing.assert_array_equal(w, rule.weights)
+
     def test_tangled_polygon_raises(self):
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(Q.QuadratureError):

@@ -5,7 +5,10 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyvem import system as system_module
 from polyvem.forms import build_local_forms
 from polyvem.mesh import (
     PolyMesh,
@@ -173,6 +176,23 @@ class TestAssembly:
         system = assemble(mesh, 2, get_problem("variable"))
         b = system.b.toarray()
         assert np.max(np.abs(b + b.T)) <= 1e-12
+
+    def test_coefficients_checked_at_form_points(self, monkeypatch):
+        """The definiteness check samples every point where the forms
+        evaluate mu, eps and sigma, not the sparser load points."""
+        seen = []
+        check = system_module.check_coefficients
+
+        def spy(problem, points):
+            seen.append(points)
+            return check(problem, points)
+
+        monkeypatch.setattr(system_module, "check_coefficients", spy)
+        system = assemble(generate_voronoi_mesh(16, seed=2), 2, get_problem("convection"))
+        form_points = np.vstack([el.quad_points for el in system.elements])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], form_points)
+        assert len(form_points) > len(system.quad_points)
 
     def test_mass_operator_is_positive_definite(self):
         mesh = generate_voronoi_mesh(16, seed=2)
@@ -417,3 +437,83 @@ class TestSnapshots:
         text = text.replace(f"dofs {len(result.u)}", "dofs 3", 1)
         with pytest.raises(ValueError):
             solution_from_string(text)
+
+    def _lines(self):
+        system, result = self._solved()
+        return solution_to_string(system, result).splitlines(), len(result.u)
+
+    def test_truncated_cell_block_rejected(self):
+        lines, _ = self._lines()
+        with pytest.raises(ValueError, match=r"line \d+: unexpected end of file in cell block"):
+            solution_from_string("\n".join(lines[:-2]))
+
+    def test_bad_dof_value_names_its_line(self):
+        lines, _ = self._lines()
+        lines[6] = "not-a-number"
+        with pytest.raises(ValueError, match="line 7: bad number"):
+            solution_from_string("\n".join(lines))
+
+    def test_bad_cell_count_names_its_line(self):
+        lines, n = self._lines()
+        lines[4 + n] = "cells many"
+        with pytest.raises(ValueError, match=f"line {5 + n}: bad cells value"):
+            solution_from_string("\n".join(lines))
+
+    def test_short_coefficient_row_rejected(self):
+        lines, n = self._lines()
+        lines[6 + n] = " ".join(lines[6 + n].split()[:-1])
+        with pytest.raises(ValueError, match=f"line {7 + n}: expected 6 value"):
+            solution_from_string("\n".join(lines))
+
+    def test_extra_row_rejected(self):
+        lines, _ = self._lines()
+        with pytest.raises(ValueError, match=f"line {len(lines) + 1}: extra line"):
+            solution_from_string("\n".join(lines + [lines[-1]]))
+
+    def test_unsupported_order_rejected(self):
+        lines, _ = self._lines()
+        lines[1] = "k 7"
+        with pytest.raises(ValueError, match="line 2: order k=7"):
+            solution_from_string("\n".join(lines))
+
+
+def _snapshot_text(k, t, u, rows):
+    """The snapshot format written by ``solution_to_string``."""
+    lines = ["solution 1", f"k {k}", f"time {t!r}", f"dofs {len(u)}"]
+    lines += [repr(v) for v in u]
+    lines.append(f"cells {len(rows)}")
+    lines += [" ".join(repr(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _snapshots(draw):
+    k = draw(st.sampled_from([1, 2, 3]))
+    u = draw(st.lists(_finite, max_size=12))
+    width = (k + 1) * (k + 2) // 2
+    rows = draw(st.lists(st.lists(_finite, min_size=width, max_size=width), max_size=5))
+    return k, draw(_finite), u, rows
+
+
+class TestSnapshotProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_snapshots())
+    def test_roundtrip_bitwise(self, snap):
+        k, t, u, rows = snap
+        got_k, got_t, got_u, got_rows = solution_from_string(_snapshot_text(k, t, u, rows))
+        assert (got_k, got_t) == (k, t)
+        assert np.array_equal(got_u, np.array(u, dtype=float))
+        assert len(got_rows) == len(rows)
+        for got, want in zip(got_rows, rows):
+            assert np.array_equal(got, np.array(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_snapshots(), st.data())
+    def test_every_truncation_rejected_with_line_number(self, snap, data):
+        lines = _snapshot_text(*snap).splitlines()
+        cut = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        with pytest.raises(ValueError, match=r"^line \d+: "):
+            solution_from_string("\n".join(lines[:cut]))
