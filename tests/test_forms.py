@@ -12,8 +12,8 @@ from polyvem.mesh import (
     generate_voronoi_mesh,
 )
 from polyvem.projectors import build_element, polynomial_dimension
-from polyvem.system import assemble
 from polyvem.quadrature import map_to_triangle, triangle_rule, triangulate_polygon
+from polyvem.system import assemble
 
 UNIT_SQUARE_GEOM = PolyMesh(
     [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]]
@@ -200,11 +200,13 @@ def _element_load(el, prob, t):
 
 def _oracle_pi0_values(el, order=10):
     """Points, weights and pi0 phi_i values (one column per dof) of an
-    order-``order`` rule on an independent triangulation of the cell."""
+    order-``order`` rule over the cell, far above the load rule's 2k."""
     pts, w = map_to_triangle(triangle_rule(order), triangulate_polygon(el.geom.coords))
     return pts, w, el.basis.eval(pts) @ el.pi0_star
 
 
+# the fan from vertex 0 meets the hanging vertex 1 on a straight run and
+# drops the zero-area piece
 HANGING_NODE_CELL = PolyMesh(
     [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2, 3, 4]]
 ).cell_geometry(0)
