@@ -98,15 +98,18 @@ def check_coefficients(problem, points: np.ndarray) -> list[str]:
     return notes
 
 
-def constant_coefficient_scales(problem, centroid: np.ndarray):
+def constant_coefficient_scales(problem, centroids: np.ndarray):
     """Cell-centroid scalar surrogates (mu_K, eps_K, sigma_K) used to scale
-    the stabilization terms."""
-    x = np.array([centroid[0]])
-    y = np.array([centroid[1]])
-    mu = np.asarray(problem.mu(x, y), dtype=float)[0]
-    eps = np.asarray(problem.eps(x, y), dtype=float)[0]
-    sigma = float(np.asarray(problem.sigma(x, y))[0])
-    return 0.5 * np.trace(mu), 0.5 * np.trace(eps), max(sigma, 0.0)
+    the stabilization terms: three arrays over the (n, 2) centroids."""
+    x, y = centroids[:, 0], centroids[:, 1]
+    mu = np.asarray(problem.mu(x, y), dtype=float)
+    eps = np.asarray(problem.eps(x, y), dtype=float)
+    sigma = np.asarray(problem.sigma(x, y), dtype=float)
+    return (
+        0.5 * (mu[:, 0, 0] + mu[:, 1, 1]),
+        0.5 * (eps[:, 0, 0] + eps[:, 1, 1]),
+        np.maximum(sigma, 0.0),
+    )
 
 
 def build_stabilizations(element: LocalElement, mu_k: float, eps_k: float, sigma_k: float):
@@ -144,7 +147,9 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
     beta = np.asarray(problem.beta(x, y), dtype=float)
     sigma = np.asarray(problem.sigma(x, y), dtype=float)
 
-    mu_k, eps_k, sigma_k = constant_coefficient_scales(problem, element.geom.centroid)
+    [mu_k], [eps_k], [sigma_k] = constant_coefficient_scales(
+        problem, element.geom.centroid[None]
+    )
     s1, s2, s3 = build_stabilizations(element, mu_k, eps_k, sigma_k)
 
     m1 = pi0.T @ element.mass_monomials @ pi0 + s1

@@ -27,7 +27,6 @@ __all__ = [
     "PolyMesh",
     "CellGeometry",
     "MeshQualityReport",
-    "compute_cell_geometry",
     "compute_quality",
     "generate_distorted_square_mesh",
     "generate_voronoi_mesh",
@@ -178,8 +177,7 @@ class PolyMesh:
             self.edge_cells[i, : len(owners)] = owners
         self.boundary_edges = self.edge_cells[:, 1] == -1
         self.boundary_vertices = np.zeros(nv, dtype=bool)
-        for e in np.nonzero(self.boundary_edges)[0]:
-            self.boundary_vertices[self.edges[e]] = True
+        self.boundary_vertices[self.edges[self.boundary_edges]] = True
 
         self._geometry = [
             _build_cell_geometry(loop, self.vertices[loop], ci)
@@ -217,20 +215,12 @@ class PolyMesh:
         higher vertex index (the canonical orientation).
         """
         loop = self.cells[cell_index]
-        ids = np.empty(len(loop), dtype=np.int64)
-        forward = np.empty(len(loop), dtype=bool)
-        for i, (a, b) in enumerate(zip(loop, np.roll(loop, -1))):
-            ids[i] = self.edge_id(int(a), int(b))
-            forward[i] = a < b
-        return ids, forward
+        nxt = np.roll(loop, -1)
+        ids = np.array([self.edge_id(a, b) for a, b in zip(loop, nxt)], dtype=np.int64)
+        return ids, loop < nxt
 
     def total_area(self) -> float:
         return float(sum(g.area for g in self._geometry))
-
-
-def compute_cell_geometry(mesh: PolyMesh, cell_index: int) -> CellGeometry:
-    """Exact shoelace area/centroid, diameter, edge lengths and normals."""
-    return mesh.cell_geometry(cell_index)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +640,15 @@ def write_mesh(path, mesh: PolyMesh) -> None:
 
 
 def mesh_from_string(text: str) -> PolyMesh:
+    """Parse the text written by ``mesh_to_string``.
+
+    Malformed input raises a ``MeshError`` that names its line: a bad
+    header, a bad, negative or overlong count, a bad vertex or cell line,
+    and any line after the cell block (trailing blank lines are allowed).
+    """
     lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
 
     def parse_error(lineno, msg):
         return MeshError(f"line {lineno + 1}: {msg}")
@@ -665,6 +663,8 @@ def mesh_from_string(text: str) -> PolyMesh:
         nv = int(head[1])
     except ValueError:
         raise parse_error(ln, "bad vertex count") from None
+    if nv < 0:
+        raise parse_error(ln, f"negative vertex count {nv}")
     ln += 1
     if ln + nv > len(lines):
         raise parse_error(len(lines) - 1, "unexpected end of file in vertex block")
@@ -685,9 +685,13 @@ def mesh_from_string(text: str) -> PolyMesh:
         nc = int(head[1])
     except ValueError:
         raise parse_error(ln, "bad cell count") from None
+    if nc < 0:
+        raise parse_error(ln, f"negative cell count {nc}")
     ln += 1
     if ln + nc > len(lines):
         raise parse_error(len(lines) - 1, "unexpected end of file in cell block")
+    if ln + nc < len(lines):
+        raise parse_error(ln + nc, f"extra line after the {nc} cell rows")
     cells = []
     for i in range(nc):
         parts = lines[ln + i].split()
@@ -705,5 +709,7 @@ def mesh_from_string(text: str) -> PolyMesh:
 
 
 def read_mesh(path) -> PolyMesh:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate, which no field of the
+    # format accepts, so the parser reports it with its line number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return mesh_from_string(fh.read())

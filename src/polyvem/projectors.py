@@ -16,6 +16,16 @@ All computable operators are assembled from these dofs:
 
 each as a (dim P x N) matrix acting on dof vectors.  Monomials are scaled
 by the cell centroid and diameter so all matrices stay well conditioned.
+
+The nodes of the (k+1)-point Gauss-Lobatto rule on each edge are exactly
+the boundary dofs: the two end vertices and the edge's k-1 interior
+points.  ``DofLayout.edge_nodes`` is the (m, k+1) array of these local dof
+indices, edge by edge in node order (vertex e, the k-1 interior dofs of
+edge e, vertex e+1).  Scattering each edge's Lobatto weights times its
+outward normal through that array gives one weighted normal per boundary
+dof, a vertex summing the contributions of its two edges, so every
+boundary integral the projections need is a weighted sum of the basis at
+the boundary dof points.
 """
 
 from __future__ import annotations
@@ -26,9 +36,8 @@ import numpy as np
 
 from .mesh import CellGeometry
 from .quadrature import (
-    edge_gauss_lobatto,
     gauss_lobatto,
-    lobatto_interior_params,
+    lobatto_edge_points,
     map_to_triangle,
     polygon_rule,
     triangle_rule,
@@ -87,24 +96,13 @@ class ScaledMonomialBasis:
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Vandermonde matrix (npoints x dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (pts[:, 0] - self.center[0]) / self.diameter
-        eta = (pts[:, 1] - self.center[1]) / self.diameter
-        cols = [xi ** int(a) * eta ** int(b) for a, b in self.exponents]
-        return np.column_stack(cols)
+        scaled = (pts - self.center) / self.diameter
+        return np.prod(scaled[:, None, :] ** self.exponents, axis=2)
 
     def eval_gradient(self, points: np.ndarray):
         """(d/dx, d/dy) of each monomial at the points; two (npts x dim) arrays."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (pts[:, 0] - self.center[0]) / self.diameter
-        eta = (pts[:, 1] - self.center[1]) / self.diameter
-        gx = np.zeros((len(pts), self.dim))
-        gy = np.zeros((len(pts), self.dim))
-        for j, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                gx[:, j] = a / self.diameter * xi ** int(a - 1) * eta ** int(b)
-            if b > 0:
-                gy[:, j] = b / self.diameter * xi ** int(a) * eta ** int(b - 1)
-        return gx, gy
+        vals = self.eval(points)
+        return vals @ self.derivative_map(0), vals @ self.derivative_map(1)
 
     def derivative_map(self, axis: int) -> np.ndarray:
         """Matrix C with d(m_j)/dx_axis = sum_i C[i, j] m_i (same basis)."""
@@ -118,14 +116,8 @@ class ScaledMonomialBasis:
 
     def laplacian_map(self) -> np.ndarray:
         """Matrix C with Laplacian(m_j) = sum_i C[i, j] m_i."""
-        c = np.zeros((self.dim, self.dim))
-        h2 = self.diameter**2
-        for j, (a, b) in enumerate(self.exponents):
-            if a >= 2:
-                c[self.index(a - 2, b), j] += a * (a - 1) / h2
-            if b >= 2:
-                c[self.index(a, b - 2), j] += b * (b - 1) / h2
-        return c
+        cx, cy = self.derivative_map(0), self.derivative_map(1)
+        return cx @ cx + cy @ cy
 
 
 @dataclass(frozen=True)
@@ -136,10 +128,6 @@ class DofLayout:
     num_vertices: int
 
     @property
-    def num_edge_dofs(self) -> int:
-        return self.num_vertices * (self.k - 1)
-
-    @property
     def num_moments(self) -> int:
         return polynomial_dimension(self.k - 2)
 
@@ -147,21 +135,17 @@ class DofLayout:
     def size(self) -> int:
         return self.num_vertices * self.k + self.num_moments
 
-    def vertex_dof(self, i: int) -> int:
-        return i
-
-    def edge_dof(self, edge: int, j: int) -> int:
-        return self.num_vertices + edge * (self.k - 1) + j
-
-    def edge_dofs(self, edge: int) -> list[int]:
-        return [self.edge_dof(edge, j) for j in range(self.k - 1)]
-
     @property
     def moment_offset(self) -> int:
         return self.num_vertices * self.k
 
-    def moment_dof(self, alpha: int) -> int:
-        return self.moment_offset + alpha
+    @property
+    def edge_nodes(self) -> np.ndarray:
+        """(m, k+1) local dofs at the Lobatto nodes of each edge, in node
+        order: vertex e, the k-1 interior dofs of edge e, vertex e+1."""
+        m, k = self.num_vertices, self.k
+        interior = np.arange(m, m * k).reshape(m, k - 1)
+        return np.column_stack([np.arange(m), interior, (np.arange(m) + 1) % m])
 
 
 @dataclass
@@ -170,8 +154,8 @@ class LocalElement:
 
     Matrices act on local dof vectors (length ``layout.size``); projector
     coefficient matrices return expansions in ``basis``.  The forms rule
-    (``quad_points``, degree 2k+2 by default) and the load rule
-    (``load_points``, degree 2k) are mapped onto the same ``triangles``.
+    (``quad_points``, degree 2k+2) and the load rule (``load_points``,
+    degree 2k) are mapped onto the same ``triangles``.
     """
 
     k: int
@@ -198,19 +182,7 @@ class LocalElement:
         return self.layout.size
 
 
-def _boundary_dof_points(geom: CellGeometry, k: int, layout: DofLayout) -> np.ndarray:
-    pts = np.zeros((layout.num_vertices * k, 2))
-    pts[: layout.num_vertices] = geom.coords
-    params = lobatto_interior_params(k)
-    m = layout.num_vertices
-    for e in range(m):
-        a, b = geom.coords[e], geom.coords[(e + 1) % m]
-        for j, t in enumerate(params):
-            pts[layout.edge_dof(e, j)] = a + t * (b - a)
-    return pts
-
-
-def build_element(geom: CellGeometry, k: int, quad_order: int | None = None) -> LocalElement:
+def build_element(geom: CellGeometry, k: int) -> LocalElement:
     """Assemble dof, projection and stabilization operators for one cell."""
     if k not in SUPPORTED_ORDERS:
         raise VemError(f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
@@ -219,11 +191,12 @@ def build_element(geom: CellGeometry, k: int, quad_order: int | None = None) -> 
     layout = DofLayout(k=k, num_vertices=m)
     nk = basis.dim
     nk1 = polynomial_dimension(k - 1)
-    nk2 = polynomial_dimension(k - 2)
+    nk2 = layout.num_moments
+    nb = layout.moment_offset  # boundary dofs come first, moments after them
     n_dofs = layout.size
     area = geom.area
 
-    rule = polygon_rule(geom.coords, quad_order if quad_order is not None else 2 * k + 2)
+    rule = polygon_rule(geom.coords, 2 * k + 2)
     # (f, pi0 phi) has pi0 phi in P_k: degree 2k is exact for every f in P_k
     load_points, load_weights = map_to_triangle(triangle_rule(2 * k), rule.triangles)
     vk = basis.eval(rule.points)
@@ -236,88 +209,60 @@ def build_element(geom: CellGeometry, k: int, quad_order: int | None = None) -> 
             "cell geometry is numerically unusable"
         )
 
-    bpts = _boundary_dof_points(geom, k, layout)
+    edge_points = lobatto_edge_points(geom.coords, np.roll(geom.coords, -1, axis=0), k)
+    bpts = np.concatenate([geom.coords, edge_points.reshape(-1, 2)])
+    vb = basis.eval(bpts)
+    gx, gy = basis.eval_gradient(bpts)
+
+    # Lobatto weight times outward normal per boundary dof: the (k+1)-node
+    # rule is exact to degree 2k-1, enough for w * (grad m . n) and
+    # w * m_beta on each straight edge
+    _, ref_weights = gauss_lobatto(k + 1)
+    edge_weights = ref_weights * (geom.edge_lengths[:, None] / 2.0)  # (m, k+1)
+    wn = np.zeros((nb, 2))
+    np.add.at(wn, layout.edge_nodes, edge_weights[..., None] * geom.normals[:, None])
 
     # D: dofs applied to monomials
     dmat = np.zeros((n_dofs, nk))
-    dmat[: m * k] = basis.eval(bpts)
-    if nk2:
-        dmat[layout.moment_offset :] = mass[:nk2, :] / area
+    dmat[:nb] = vb
+    dmat[nb:] = mass[:nk2] / area
 
-    # per-edge Gauss-Lobatto nodes coincide with boundary dofs: the rule
-    # with k+1 nodes is exact to degree 2k-1, enough for w * (grad m . n)
-    # and w * m_beta on each straight edge
-    ref_nodes, _ = gauss_lobatto(k + 1)
-    edge_rules = []
-    for e in range(m):
-        a, b = geom.coords[e], geom.coords[(e + 1) % m]
-        er = edge_gauss_lobatto(a, b, k + 1)
-        node_dofs = (
-            [layout.vertex_dof(e)] + layout.edge_dofs(e) + [layout.vertex_dof((e + 1) % m)]
-        )
-        edge_rules.append((er, node_dofs, geom.normals[e]))
-
-    # B: rows = integration-by-parts functionals of grad-projection
+    # B: integration-by-parts functionals of the grad-projection, the
+    # boundary flux of each monomial less the moments of its Laplacian
     bmat = np.zeros((nk, n_dofs))
-    lap = basis.laplacian_map()
-    for er, node_dofs, normal in edge_rules:
-        gx, gy = basis.eval_gradient(er.points)
-        flux = gx * normal[0] + gy * normal[1]  # (k+1) x nk
-        for row in range(1, nk):
-            for node, dof in enumerate(node_dofs):
-                bmat[row, dof] += er.weights[node] * flux[node, row]
-    if nk2:
-        for row in range(1, nk):
-            for gamma in range(nk):
-                c = lap[gamma, row]
-                if c != 0.0:
-                    bmat[row, layout.moment_dof(gamma)] -= c * area
+    bmat[1:, :nb] = (gx[:, 1:] * wn[:, :1] + gy[:, 1:] * wn[:, 1:]).T
+    bmat[1:, nb:] = -area * basis.laplacian_map()[:nk2, 1:].T
     # projection-fixing row: vertex average (k=1) or cell mean (k>1)
     if k == 1:
         bmat[0, :m] = 1.0 / m
     else:
-        bmat[0] = 0.0
-        bmat[0, layout.moment_dof(0)] = 1.0
+        bmat[0, nb] = 1.0
 
     gmat = bmat @ dmat
     pi_grad_star = np.linalg.solve(gmat, bmat)
 
-    # L2 projection onto P_k
+    # L2 projection onto P_k: moments give (v, m_alpha) up to degree k-2;
+    # above it, (v, m_alpha) is (pi_grad v, m_alpha - p_alpha) + (v, p_alpha)
+    # with p_alpha the L2 projection of m_alpha onto P_{k-2}
     if k == 1:
         pi0_star = pi_grad_star.copy()
     else:
+        p = np.linalg.solve(mass[:nk2, :nk2], mass[:nk2, nk2:])
+        q = np.eye(nk)[:, nk2:]
+        q[:nk2] -= p
         cmat = np.zeros((nk, n_dofs))
-        for alpha in range(nk2):
-            cmat[alpha, layout.moment_dof(alpha)] = area
-        h22 = mass[:nk2, :nk2]
-        for alpha in range(nk2, nk):
-            p = np.linalg.solve(h22, mass[:nk2, alpha])
-            q = np.zeros(nk)
-            q[alpha] = 1.0
-            q[:nk2] -= p
-            cmat[alpha] = (mass @ q) @ pi_grad_star
-            for gamma in range(nk2):
-                cmat[alpha, layout.moment_dof(gamma)] += area * p[gamma]
+        cmat[:nk2, nb:] = area * np.eye(nk2)
+        cmat[nk2:] = (mass @ q).T @ pi_grad_star
+        cmat[nk2:, nb:] += area * p.T
         pi0_star = np.linalg.solve(mass, cmat)
 
-    # L2 projection of each gradient component onto P_{k-1}
-    basis_k1_mass = mass[:nk1, :nk1]
-    pi0_grad = []
-    for axis in range(2):
-        rhs = np.zeros((nk1, n_dofs))
-        dmap = basis.derivative_map(axis)[:nk2, :nk1] if nk2 else None
-        for er, node_dofs, normal in edge_rules:
-            vals = basis.eval(er.points)[:, :nk1]
-            for beta in range(nk1):
-                for node, dof in enumerate(node_dofs):
-                    rhs[beta, dof] += er.weights[node] * vals[node, beta] * normal[axis]
-        if nk2:
-            for beta in range(nk1):
-                for gamma in range(nk2):
-                    c = dmap[gamma, beta]
-                    if c != 0.0:
-                        rhs[beta, layout.moment_dof(gamma)] -= c * area
-        pi0_grad.append(np.linalg.solve(basis_k1_mass, rhs))
+    # L2 projection of each gradient component onto P_{k-1}: the boundary
+    # term (v, m_beta n_axis) less the moments of d(m_beta)/dx_axis
+    rhs = np.zeros((2, nk1, n_dofs))
+    rhs[:, :, :nb] = np.einsum("ib,id->dbi", vb[:, :nk1], wn)
+    dmaps = np.stack([basis.derivative_map(0), basis.derivative_map(1)])
+    rhs[:, :, nb:] = -area * dmaps[:, :nk2, :nk1].transpose(0, 2, 1)
+    pi0_grad = np.linalg.solve(mass[:nk1, :nk1], rhs)
 
     stab_q = np.eye(n_dofs) - dmat @ pi0_star
 
@@ -341,18 +286,6 @@ def build_element(geom: CellGeometry, k: int, quad_order: int | None = None) -> 
         pi0_grad_star=(pi0_grad[0], pi0_grad[1]),
         stab_q=stab_q,
     )
-
-
-def grad_projection_gram(element: LocalElement) -> np.ndarray:
-    """G with first row replaced: gradient Gram matrix of the monomials."""
-    basis = element.basis
-    cx, cy = basis.derivative_map(0), basis.derivative_map(1)
-    g = cx.T @ element.mass_monomials @ cx + cy.T @ element.mass_monomials @ cy
-    if element.k == 1:
-        g[0] = element.dof_matrix[: element.layout.num_vertices].mean(axis=0)
-    else:
-        g[0] = element.mass_monomials[0] / element.geom.area
-    return g
 
 
 def interpolate(element: LocalElement, fn) -> np.ndarray:

@@ -7,9 +7,10 @@ convex cells, ear clipping for cells with reflex vertices) and map the
 triangle rule to each piece.  A triangulation can be kept and reused:
 mapping several rules onto the same triangles costs no second
 triangulation.
-Edge rules are Gauss-Lobatto: their nodes double as the edge degrees of
-freedom of the order-k virtual space, which makes boundary integrals of
-traces diagonal in the edge DOFs.
+The reference Gauss-Lobatto rule on [-1, 1] serves the cell edges: the
+nodes of its (k+1)-point rule, mapped onto an edge, are the vertex and
+edge degrees of freedom of the order-k virtual space, which makes
+boundary integrals of traces diagonal in those dofs.
 """
 
 from __future__ import annotations
@@ -224,20 +225,8 @@ def polygon_rule(coords: np.ndarray, order: int) -> PolygonRule:
 
 
 # ---------------------------------------------------------------------------
-# edge rules (Gauss-Lobatto)
+# Gauss-Lobatto rules
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeRule:
-    """Gauss-Lobatto rule along a physical edge.
-
-    Nodes include both endpoints; exact for polynomials of degree
-    <= 2*npoints - 3 along the edge.
-    """
-
-    points: np.ndarray  # (n, 2)
-    weights: np.ndarray  # (n,)
 
 
 @lru_cache(maxsize=None)
@@ -257,21 +246,9 @@ def gauss_lobatto(npoints: int):
     return nodes, weights
 
 
-def edge_gauss_lobatto(a, b, npoints: int) -> EdgeRule:
-    """Gauss-Lobatto rule on the segment from ``a`` to ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.hypot(*(b - a)))
-    if length <= 1e-14:
-        raise QuadratureError("zero-length edge")
-    nodes, weights = gauss_lobatto(npoints)
-    pts = a[None, :] + 0.5 * (nodes[:, None] + 1.0) * (b - a)[None, :]
-    return EdgeRule(points=pts, weights=weights * (length / 2.0))
-
-
-def lobatto_interior_params(k: int) -> np.ndarray:
-    """Parameters in (0,1) of the k-1 interior Lobatto nodes of a (k+1)-point rule."""
-    if k < 2:
-        return np.empty(0)
+def lobatto_edge_points(starts: np.ndarray, ends: np.ndarray, k: int) -> np.ndarray:
+    """(n, k-1, 2) interior nodes of the (k+1)-point Lobatto rule on each
+    segment from ``starts[i]`` to ``ends[i]``: the edge dofs of order k."""
     nodes, _ = gauss_lobatto(k + 1)
-    return (nodes[1:-1] + 1.0) / 2.0
+    t = (nodes[1:-1] + 1.0) / 2.0
+    return starts[:, None] + t[:, None] * (ends - starts)[:, None]

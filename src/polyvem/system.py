@@ -38,7 +38,7 @@ from .projectors import (
     interpolate,
     polynomial_dimension,
 )
-from .quadrature import lobatto_interior_params
+from .quadrature import lobatto_edge_points
 
 __all__ = [
     "SolverError",
@@ -117,36 +117,22 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     size = cell_offset + nm * nc
     boundary_mask = np.zeros(size, dtype=bool)
     boundary_mask[:nv] = mesh.boundary_vertices
-    for e in np.nonzero(mesh.boundary_edges)[0]:
-        start = edge_offset + per_edge * e
-        boundary_mask[start : start + per_edge] = True
+    boundary_mask[edge_offset:cell_offset] = np.repeat(mesh.boundary_edges, per_edge)
 
-    params = lobatto_interior_params(k)
-    dof_points = np.zeros((cell_offset, 2))
-    dof_points[:nv] = mesh.vertices
-    for e in range(ne):
-        a, b = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
-        for j, t in enumerate(params):
-            dof_points[edge_offset + per_edge * e + j] = a + t * (b - a)
+    ends = mesh.vertices[mesh.edges]
+    edge_points = lobatto_edge_points(ends[:, 0], ends[:, 1], k)
+    dof_points = np.concatenate([mesh.vertices, edge_points.reshape(-1, 2)])
 
+    along = np.arange(per_edge)
     cell_dof_lists = []
-    for ci in range(nc):
-        loop = mesh.cells[ci]
-        m = len(loop)
-        dofs = np.empty(m * k + nm, dtype=np.int64)
-        dofs[:m] = loop
-        if per_edge:
-            edge_ids, forward = mesh.cell_edge_ids(ci)
-            for pos in range(m):
-                base = edge_offset + per_edge * edge_ids[pos]
-                for j in range(per_edge):
-                    # interior Lobatto points are symmetric, so a reversed
-                    # traversal just flips the index
-                    gj = j if forward[pos] else per_edge - 1 - j
-                    dofs[m + pos * per_edge + j] = base + gj
-        if nm:
-            dofs[m * k :] = cell_offset + nm * ci + np.arange(nm)
-        cell_dof_lists.append(dofs)
+    for ci, loop in enumerate(mesh.cells):
+        edge_ids, forward = mesh.cell_edge_ids(ci)
+        # interior Lobatto points are symmetric, so a reversed traversal
+        # just flips the index
+        local = np.where(forward[:, None], along, per_edge - 1 - along)
+        edge_dofs = edge_offset + per_edge * edge_ids[:, None] + local
+        moments = cell_offset + nm * ci + np.arange(nm)
+        cell_dof_lists.append(np.concatenate([loop, edge_dofs.ravel(), moments]))
 
     return GlobalDofMap(
         k=k,
@@ -269,36 +255,28 @@ def dirichlet_values(system: GlobalSystem, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_operator(matrix):
-    if sp.issparse(matrix):
-        return matrix.tocsr()
-    return np.asarray(matrix, dtype=float)
+#: Refinement steps a solve may take before the contract counts as failed.
+MAX_REFINE = 3
 
 
 class LinearSolver:
-    """Direct factorization with iterative refinement and a residual contract.
+    """Sparse LU factorization with iterative refinement and a residual
+    contract.
 
-    The factorization is computed once; ``solve`` may be called any number
-    of times (the time loop reuses it for every step).  Residuals inside the
+    Any input, dense or sparse, is converted to a sparse matrix and
+    factored once with SuperLU; ``solve`` may be called any number of times
+    (the time loop reuses it for every step).  Residuals inside the
     refinement loop are evaluated in extended precision: plain double
     refinement stalls at a relative residual of roughly n*eps, which for
     systems beyond ~10^4 unknowns sits above the 1e-12 contract.
     """
 
-    def __init__(self, matrix, tol: float = 1e-12, max_refine: int = 3):
-        self.matrix = _as_operator(matrix)
+    def __init__(self, matrix, tol: float = 1e-12):
+        self.matrix = sp.csr_matrix(matrix, dtype=float)
         self.tol = tol
-        self.max_refine = max_refine
         self._matrix_hp = self.matrix.astype(np.longdouble)
         try:
-            if sp.issparse(self.matrix):
-                self._lu = splu(self.matrix.tocsc())
-                self._apply = self._lu.solve
-            else:
-                import scipy.linalg as sla
-
-                self._fac = sla.lu_factor(self.matrix)
-                self._apply = lambda r: sla.lu_solve(self._fac, r)
+            self._apply = splu(self.matrix.tocsc()).solve
         except RuntimeError as exc:  # splu reports exact singularity this way
             raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -319,7 +297,7 @@ class LinearSolver:
                 raise SolverError("linear solve produced non-finite residual")
             return res, float(np.linalg.norm(res) / norm_b)
 
-        for _ in range(self.max_refine):
+        for _ in range(MAX_REFINE):
             res, res_norm = residual_norm(x_hp)
             if res_norm <= self.tol:
                 return np.asarray(x_hp, dtype=float)
@@ -572,5 +550,7 @@ def solution_from_string(text: str):
 
 
 def read_solution(path):
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate, which no field of the
+    # format accepts, so the parser reports it with its line number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return solution_from_string(fh.read())

@@ -28,12 +28,13 @@ def small_cell_geom(n=5, index=12, seed=2):
 class TestCoefficientChecks:
     def test_variable_problem_centroid_scales(self):
         prob = PR.get_problem("variable")
-        mu_k, eps_k, sigma_k = F.constant_coefficient_scales(
-            prob, UNIT_SQUARE_GEOM.centroid
-        )
-        assert mu_k == pytest.approx(2.0)
-        assert eps_k == pytest.approx(0.75)
-        assert sigma_k == 0.0  # sigma(centroid) = 0, clamped at zero
+        centroids = np.array([UNIT_SQUARE_GEOM.centroid, [0.75, 0.75], [0.25, 0.25]])
+        mu_k, eps_k, sigma_k = F.constant_coefficient_scales(prob, centroids)
+        assert mu_k == pytest.approx([2.0, 2.5, 1.5])
+        assert eps_k == pytest.approx([0.75, 1.3125, 0.3125])
+        # sigma = x + y - 1: zero at the unit-square centroid, clamped at zero
+        # where it is negative
+        assert sigma_k.tolist() == [0.0, 0.5, 0.0]
 
     def test_indefinite_diffusion_rejected(self):
         bad = PR.SobolevProblem(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvem import mesh as M
 
@@ -65,6 +67,12 @@ class TestPolyMeshBasics:
     def test_validation_errors(self, vertices, cells, fragment):
         with pytest.raises(M.MeshError, match=fragment.replace("(", r"\(")):
             M.PolyMesh(vertices, cells)
+
+    def test_zero_length_edge_raises(self):
+        # vertices 2 and 3 are distinct indices at one point
+        vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(M.MeshError, match="cell 0 has a zero-length edge"):
+            M.PolyMesh(vertices, [[0, 1, 2, 3, 4]])
 
 
 class TestDistortedFamily:
@@ -271,6 +279,62 @@ class TestMeshIO:
         text = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 2 1\n"
         with pytest.raises(M.MeshError, match="invalid mesh"):
             M.mesh_from_string(text)
+
+    TRIANGLE = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 1 2\n"
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(M.MeshError, match="^line 2: negative vertex count -1"):
+            M.mesh_from_string("polymesh 1\nvertices -1\ncells 0\n")
+
+    def test_negative_cell_count_rejected(self):
+        text = self.TRIANGLE.replace("cells 1\n3 0 1 2\n", "cells -2\n")
+        with pytest.raises(M.MeshError, match="^line 6: negative cell count -2"):
+            M.mesh_from_string(text)
+
+    def test_extra_line_rejected(self):
+        assert M.mesh_from_string(self.TRIANGLE + "\n  \n").num_cells == 1
+        with pytest.raises(M.MeshError, match="^line 8: extra line after the 1 cell rows"):
+            M.mesh_from_string(self.TRIANGLE + "3 0 1 2\n")
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_bytes(self.TRIANGLE.replace("1.0 0.0", "1.0\xe9 0.0").encode("latin-1"))
+        with pytest.raises(M.MeshError, match="^line 4: bad coordinate"):
+            M.read_mesh(path)
+
+
+@st.composite
+def _meshes(draw):
+    """Distorted grids, some cells refined (hanging nodes), then scaled and
+    shifted so the coordinates are arbitrary doubles."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    mesh = M.generate_distorted_square_mesh(
+        n, draw(st.floats(0.0, 0.3)), seed=draw(st.integers(0, 1000))
+    )
+    marked = draw(st.lists(st.integers(0, mesh.num_cells - 1), max_size=3, unique=True))
+    mesh = M.refine_cells(mesh, marked)
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    shift = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
+    return M.PolyMesh(mesh.vertices * scale + shift, mesh.cells)
+
+
+class TestMeshProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_meshes())
+    def test_roundtrip_bitwise(self, mesh):
+        text = M.mesh_to_string(mesh)
+        back = M.mesh_from_string(text)
+        np.testing.assert_array_equal(back.vertices, mesh.vertices)
+        assert [c.tolist() for c in back.cells] == [c.tolist() for c in mesh.cells]
+        assert M.mesh_to_string(back) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(_meshes(), st.data())
+    def test_every_truncation_rejected_with_line_number(self, mesh, data):
+        lines = M.mesh_to_string(mesh).splitlines()
+        cut = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        with pytest.raises(M.MeshError, match=r"^line \d+: "):
+            M.mesh_from_string("\n".join(lines[:cut]))
 
 
 class TestQuality:

@@ -5,6 +5,7 @@ import pytest
 
 from polyvem.mesh import PolyMesh, generate_concave_mesh, generate_voronoi_mesh
 from polyvem import projectors as P
+from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule
 
 
 def make_geometries():
@@ -15,10 +16,29 @@ def make_geometries():
         "hexagon": hexmesh.cell_geometry(0),
         "concave": generate_concave_mesh(1).cell_geometry(0),
         "voronoi": generate_voronoi_mesh(16, 2, seed=3).cell_geometry(5),
+        # collinear mid-edge vertex: two edges' boundary sums meet at vertex 1
+        "hanging": PolyMesh(
+            [[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3, 4]]
+        ).cell_geometry(0),
     }
 
 
 GEOMETRIES = make_geometries()
+
+
+# volume-quadrature reference for B D = G: it uses the monomial mass matrix,
+# not the boundary sums that build B, so the comparison checks the
+# integration by parts
+def grad_projection_gram(element: P.LocalElement) -> np.ndarray:
+    """G with first row replaced: gradient Gram matrix of the monomials."""
+    basis = element.basis
+    cx, cy = basis.derivative_map(0), basis.derivative_map(1)
+    g = cx.T @ element.mass_monomials @ cx + cy.T @ element.mass_monomials @ cy
+    if element.k == 1:
+        g[0] = element.dof_matrix[: element.layout.num_vertices].mean(axis=0)
+    else:
+        g[0] = element.mass_monomials[0] / element.geom.area
+    return g
 
 
 @pytest.fixture(params=list(GEOMETRIES), ids=list(GEOMETRIES))
@@ -49,6 +69,29 @@ class TestBasis:
         np.testing.assert_allclose(vals @ basis.derivative_map(0), gx, atol=1e-12)
         np.testing.assert_allclose(vals @ basis.derivative_map(1), gy, atol=1e-12)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_eval_matches_closed_form(self, degree):
+        """Values and gradients against symbolic differentiation, for every
+        exponent, at the centroid itself (xi = eta = 0) and elsewhere."""
+        import sympy as sym
+
+        center, h = np.array([0.2, -0.1]), 0.7
+        basis = P.ScaledMonomialBasis(degree, center, h)
+        pts = np.array([center, [0.5, 0.3], [-0.2, 0.4], [0.2, 0.6], [0.9, -0.1]])
+        vals = basis.eval(pts)
+        gx, gy = basis.eval_gradient(pts)
+        x, y = sym.symbols("x y")
+        for j, (a, b) in enumerate(basis.exponents):
+            mono = ((x - center[0]) / h) ** int(a) * ((y - center[1]) / h) ** int(b)
+            for got, expr in ((vals, mono), (gx, mono.diff(x)), (gy, mono.diff(y))):
+                want = [float(expr.subs({x: px, y: py})) for px, py in pts]
+                np.testing.assert_allclose(got[:, j], want, rtol=1e-13, atol=1e-14)
+        # at the centroid only the constant has a value and only the two
+        # linear monomials have a gradient
+        assert vals[0].tolist() == [1.0] + [0.0] * (basis.dim - 1)
+        assert gx[0].tolist() == [0.0, 1.0 / h] + [0.0] * (basis.dim - 2)
+        assert gy[0].tolist() == [0.0, 0.0, 1.0 / h] + [0.0] * (basis.dim - 3)
+
     def test_laplacian_map(self):
         basis = P.ScaledMonomialBasis(2, np.array([0.0, 0.0]), 2.0)
         lap = basis.laplacian_map()
@@ -69,10 +112,24 @@ class TestDofCounts:
         el = P.build_element(GEOMETRIES["square"], 3)
         lay = el.layout
         assert lay.num_vertices == 4
-        assert lay.num_edge_dofs == 8
         assert lay.num_moments == 3
-        assert lay.edge_dofs(0) == [4, 5]
-        assert lay.moment_dof(0) == 12
+        assert lay.moment_offset == 12
+        # each edge: its first vertex, its two interior dofs, its last vertex
+        assert lay.edge_nodes.tolist() == [
+            [0, 4, 5, 1], [1, 6, 7, 2], [2, 8, 9, 3], [3, 10, 11, 0],
+        ]
+        assert P.DofLayout(k=1, num_vertices=3).edge_nodes.tolist() == [[0, 1], [1, 2], [2, 0]]
+
+    def test_edge_nodes_are_boundary_lobatto_points(self, geom, k):
+        """The dof points through the edge-node array are the (k+1)-point
+        Gauss-Lobatto nodes of every edge, in order."""
+        el = P.build_element(geom, k)
+        nodes, _ = gauss_lobatto(k + 1)
+        a = geom.coords
+        b = np.roll(geom.coords, -1, axis=0)
+        want = a[:, None] + 0.5 * (nodes[:, None] + 1.0) * (b - a)[:, None]
+        got = el.boundary_dof_points[el.layout.edge_nodes]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_unsupported_order_raises(self):
         with pytest.raises(P.VemError, match="not supported"):
@@ -87,7 +144,7 @@ class TestProjectionIdentities:
         reproduce the gradient Gram matrix computed by volume quadrature."""
         el = P.build_element(geom, k)
         lhs = el.b_matrix @ el.dof_matrix
-        rhs = P.grad_projection_gram(el)
+        rhs = grad_projection_gram(el)
         scale = max(1.0, np.abs(rhs).max())
         assert np.abs(lhs - rhs).max() / scale < 1e-10
 
@@ -169,13 +226,12 @@ class TestInterpolation:
             mesh = generate_distorted_square_mesh(n, 0.2, seed=1)
             total = 0.0
             for ci in range(mesh.num_cells):
-                el = P.build_element(mesh.cell_geometry(ci), k, quad_order=2 * k + 4)
+                el = P.build_element(mesh.cell_geometry(ci), k)
+                pts, w = map_to_triangle(triangle_rule(2 * k + 4), el.triangles)
                 dofs = P.interpolate(el, u)
                 coeffs = el.pi0_star @ dofs
-                diff = el.monomial_values @ coeffs - u(
-                    el.quad_points[:, 0], el.quad_points[:, 1]
-                )
-                total += float(el.quad_weights @ diff**2)
+                diff = el.basis.eval(pts) @ coeffs - u(pts[:, 0], pts[:, 1])
+                total += float(w @ diff**2)
             errors.append(np.sqrt(total))
             sizes.append(mesh.h)
         # the coarsest pair is preasymptotic; judge the finest pair

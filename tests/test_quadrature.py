@@ -180,24 +180,25 @@ class TestGaussLobatto:
 
     @pytest.mark.parametrize("npts", [2, 3, 4, 5, 6])
     def test_edge_rule_exactness_degree(self, npts):
-        # n-point Lobatto is exact through degree 2n - 3
+        # n-point Lobatto is exact through degree 2n - 3; on an edge the
+        # nodes sit at parameter (x + 1)/2 with weights |e|/2 * w
         a, b = np.array([0.3, -0.2]), np.array([1.1, 0.9])
         length = float(np.hypot(*(b - a)))
-        rule = Q.edge_gauss_lobatto(a, b, npts)
-        assert rule.weights.sum() == pytest.approx(length, rel=1e-14)
+        x, w = Q.gauss_lobatto(npts)
+        weights = w * (length / 2.0)
+        assert weights.sum() == pytest.approx(length, rel=1e-14)
         for deg in range(2 * npts - 2):
-            t = ((rule.points - a) @ (b - a)) / length**2
-            got = float(rule.weights @ t**deg)
+            got = float(weights @ ((x + 1.0) / 2.0) ** deg)
             assert got == pytest.approx(length / (deg + 1), rel=1e-13)
 
     def test_interior_params_in_unit_interval(self):
-        assert Q.lobatto_interior_params(1).size == 0
-        np.testing.assert_allclose(Q.lobatto_interior_params(2), [0.5], atol=1e-15)
-        p3 = Q.lobatto_interior_params(3)
-        np.testing.assert_allclose(
-            p3, [(1 - 1 / np.sqrt(5)) / 2, (1 + 1 / np.sqrt(5)) / 2], atol=1e-15
-        )
+        # on the unit segment along x the edge points are the parameters
+        def params(k):
+            return Q.lobatto_edge_points(np.zeros((1, 2)), np.array([[1.0, 0.0]]), k)[0]
 
-    def test_degenerate_edge_raises(self):
-        with pytest.raises(Q.QuadratureError):
-            Q.edge_gauss_lobatto(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 3)
+        assert params(1).shape == (0, 2)
+        np.testing.assert_allclose(params(2), [[0.5, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(
+            params(3)[:, 0], [(1 - 1 / np.sqrt(5)) / 2, (1 + 1 / np.sqrt(5)) / 2], atol=1e-15
+        )
+        assert not params(3)[:, 1].any()

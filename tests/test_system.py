@@ -476,6 +476,14 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="line 2: order k=7"):
             solution_from_string("\n".join(lines))
 
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        lines, _ = self._lines()
+        lines[5] = lines[5] + "\xe9"
+        path = tmp_path / "state.sol"
+        path.write_bytes("\n".join(lines).encode("latin-1"))
+        with pytest.raises(ValueError, match="^line 6: bad number"):
+            read_solution(path)
+
 
 def _snapshot_text(k, t, u, rows):
     """The snapshot format written by ``solution_to_string``."""
