@@ -8,7 +8,8 @@ The error quantities are the computable surrogates
 evaluated with a quadrature rule two orders finer than the one used for
 assembly, mapped onto each element's stored triangulation, so the
 measurement error stays well below the discretization error being
-measured.
+measured.  Both run group by group: one basis evaluation and one
+exact-solution call per element group.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .mesh import (
 from .forms import constant_coefficient_scales
 from .problems import SobolevProblem, get_problem
 from .projectors import polynomial_dimension
-from .quadrature import map_to_triangle, triangle_rule
+from .quadrature import at_points, map_to_triangle, triangle_rule
 from .system import GlobalSystem, TimeStepperConfig, assemble, run_time_loop
 
 __all__ = [
@@ -141,20 +142,20 @@ def compute_errors(
     rule = triangle_rule(2 * k + 4)
     e0_sq = 0.0
     e1_sq = 0.0
-    for ci, el in enumerate(system.elements):
-        pts, w = map_to_triangle(rule, el.triangles)
-        vals = el.basis.eval(pts)
-        ud = u[dofmap.cell_dofs(ci)]
+    for group in system.groups:
+        pts, w = map_to_triangle(rule, group.triangles)
+        vals = group.basis.eval(pts)
+        ud = u[dofmap.group_dofs(group.geom.index)][..., None]
 
-        u_h = vals[:, :nk] @ (el.pi0_star @ ud)
-        g_x = vals[:, :nk1] @ (el.pi0_grad_star[0] @ ud)
-        g_y = vals[:, :nk1] @ (el.pi0_grad_star[1] @ ud)
+        u_h = (vals[..., :nk] @ (group.pi0_star @ ud))[..., 0]
+        grad_coeffs = (group.pi0_grad_star @ ud[:, None])[..., 0]  # (G, 2, nk1)
+        grad_h = np.einsum("gqi,gdi->gqd", vals[..., :nk1], grad_coeffs)
 
-        u_e = np.asarray(problem.u_exact(pts[:, 0], pts[:, 1], t), dtype=float)
-        g_e = np.asarray(problem.grad_u_exact(pts[:, 0], pts[:, 1], t), dtype=float)
+        u_e = at_points(problem.u_exact, pts, t)
+        g_e = at_points(problem.grad_u_exact, pts, t)
 
-        e0_sq += w @ (u_e - u_h) ** 2
-        e1_sq += w @ ((g_e[:, 0] - g_x) ** 2 + (g_e[:, 1] - g_y) ** 2)
+        e0_sq += np.sum(w * (u_e - u_h) ** 2)
+        e1_sq += np.sum(w[..., None] * (g_e - grad_h) ** 2)
 
     return ErrorPair(
         h=system.mesh.h,
@@ -215,12 +216,7 @@ def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
 
 
 def _solve_level(problem, family, k, level, tau, t_end, seed):
-    mesh = family_mesh(family, level, seed=seed)
-    t0 = time.perf_counter()
-    system = assemble(mesh, k, problem)
-    result = run_time_loop(system, TimeStepperConfig(tau=tau, t_end=t_end))
-    seconds = time.perf_counter() - t0
-    pair = compute_errors(system, result.u, result.t, seconds=seconds)
+    _, _, pair = _solve_on_mesh(family_mesh(family, level, seed=seed), k, problem, tau, t_end)
     logger.info(
         "%s/%s k=%d level=%d: h=%.4e E0h=%.4e E1h=%.4e (%.2fs)",
         problem.name,
@@ -230,7 +226,7 @@ def _solve_level(problem, family, k, level, tau, t_end, seed):
         pair.h,
         pair.e0,
         pair.e1,
-        seconds,
+        pair.seconds,
     )
     return pair
 
@@ -276,21 +272,19 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
     the discrete energy the projections cannot see.  Both terms vanish when
     the discrete solution restricted to K is a polynomial of degree <= k.
     """
-    dofmap = system.dofmap
     out = np.empty(system.mesh.num_cells)
-    _, eps_k, sigma_k = constant_coefficient_scales(
-        system.problem, np.array([el.geom.centroid for el in system.elements])
-    )
-    for ci, el in enumerate(system.elements):
-        ud = u[dofmap.cell_dofs(ci)]
-        diff = el.pi0_star @ ud - el.pi_grad_star @ ud
-        proj_gap_sq = float(diff @ (el.mass_monomials @ diff))
+    for group in system.groups:
+        cells = group.geom.index
+        _, eps_k, sigma_k = constant_coefficient_scales(system.problem, group.geom.centroid)
+        ud = u[system.dofmap.group_dofs(cells)][..., None]
+        diff = group.pi0_star @ ud - group.pi_grad_star @ ud
+        proj_gap_sq = (np.swapaxes(diff, 1, 2) @ group.mass_monomials @ diff)[:, 0, 0]
         # S3 energy via the dof-space residual vector Q u, not the assembled
         # Q^T Q matrix: the matrix form cannot cancel below rounding noise,
         # which would mask the indicator's zero on polynomial solutions.
-        q_u = el.stab_q @ ud
-        stab_sq = (eps_k[ci] + sigma_k[ci] * el.geom.area) * float(q_u @ q_u)
-        out[ci] = math.sqrt(max(proj_gap_sq, 0.0)) + math.sqrt(max(stab_sq, 0.0))
+        q_u = (group.stab_q @ ud)[..., 0]
+        stab_sq = (eps_k + sigma_k * group.geom.area) * np.einsum("gn,gn->g", q_u, q_u)
+        out[cells] = np.sqrt(np.maximum(proj_gap_sq, 0.0)) + np.sqrt(np.maximum(stab_sq, 0.0))
     return out
 
 

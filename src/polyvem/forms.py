@@ -19,6 +19,10 @@ The skew-symmetrized convection form keeps the discrete operator
 dissipative regardless of quadrature, and sigma absorbs the divergence
 term of the convection field.
 
+The forms of a group of elements (see ``projectors``) are built at once,
+with one coefficient call per group and one batched product over the
+points per weighted mass matrix: each form is a (G, N, N) stack.
+
 The forms integrate variable coefficients with the element's rule of
 degree 2k+2.  The load (f, pi0 phi_i) uses the element's own rule of
 degree 2k: pi0 phi_i lies in P_k, so that rule is exact for every f in
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projectors import LocalElement, polynomial_dimension
+from .quadrature import at_points
 
 logger = logging.getLogger(__name__)
 
@@ -112,71 +117,71 @@ def constant_coefficient_scales(problem, centroids: np.ndarray):
     )
 
 
-def build_stabilizations(element: LocalElement, mu_k: float, eps_k: float, sigma_k: float):
-    """dofi-dofi stabilizations (S1, S2, S3) scaled to match each form."""
+def build_stabilizations(element: LocalElement, mu_k, eps_k, sigma_k):
+    """dofi-dofi stabilizations (S1, S2, S3) of a group, scaled to match each
+    form; the scales are numbers or arrays over the group's cells."""
     q = element.stab_q
-    base = q.T @ q
-    area = element.geom.area
-    return area * base, mu_k * base, (eps_k + sigma_k * area) * base
+    base = np.swapaxes(q, 1, 2) @ q
+    scales = (element.geom.area, mu_k, eps_k + sigma_k * element.geom.area)
+    return tuple(np.reshape(c, (-1, 1, 1)) * base for c in scales)
 
 
 @dataclass
 class LocalForms:
+    """The four form matrices of a group, (G, N, N) each."""
+
     m1: np.ndarray
     m2: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
 
-def _weighted_mass(values_i: np.ndarray, values_j: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return values_i.T @ (weights[:, None] * values_j)
+def _weighted_mass(values_i: np.ndarray, weights: np.ndarray, values_j: np.ndarray) -> np.ndarray:
+    """sum_q w_q v_i(x_q) v_j(x_q) for each cell of a group: one batched
+    product contracting (G, nq, a) and (G, nq, b) values over the points."""
+    return np.swapaxes(values_i, 1, 2) @ (weights[..., None] * values_j)
 
 
 def build_local_forms(element: LocalElement, problem) -> LocalForms:
-    """Assemble the four local form matrices of one cell."""
+    """Assemble the four local form matrices of each cell of a group."""
     pts, w = element.quad_points, element.quad_weights
-    x, y = pts[:, 0], pts[:, 1]
     nk1 = polynomial_dimension(element.k - 1)
     vk = element.monomial_values
-    vk1 = vk[:, :nk1]
+    vk1 = vk[..., :nk1]
     pi0 = element.pi0_star
-    pig = element.pi0_grad_star
+    pi0_t = np.swapaxes(pi0, 1, 2)
+    pig = np.moveaxis(element.pi0_grad_star, 1, 0)  # x and y components
+    pig_t = np.swapaxes(pig, 2, 3)
 
-    mu = np.asarray(problem.mu(x, y), dtype=float)
-    eps = np.asarray(problem.eps(x, y), dtype=float)
-    beta = np.asarray(problem.beta(x, y), dtype=float)
-    sigma = np.asarray(problem.sigma(x, y), dtype=float)
+    mu = at_points(problem.mu, pts)
+    eps = at_points(problem.eps, pts)
+    beta = at_points(problem.beta, pts)
+    sigma = at_points(problem.sigma, pts)
 
-    [mu_k], [eps_k], [sigma_k] = constant_coefficient_scales(
-        problem, element.geom.centroid[None]
-    )
+    mu_k, eps_k, sigma_k = constant_coefficient_scales(problem, element.geom.centroid)
     s1, s2, s3 = build_stabilizations(element, mu_k, eps_k, sigma_k)
 
-    m1 = pi0.T @ element.mass_monomials @ pi0 + s1
+    def gradient_form(coeff):
+        return sum(
+            pig_t[c] @ _weighted_mass(vk1, w * coeff[..., c, d], vk1) @ pig[d]
+            for c in range(2)
+            for d in range(2)
+        )
 
-    m2 = s2.copy()
-    a = pi0.T @ _weighted_mass(vk, vk, w * sigma) @ pi0 + s3
-    for c in range(2):
-        for d in range(2):
-            h_mu = _weighted_mass(vk1, vk1, w * mu[:, c, d])
-            h_eps = _weighted_mass(vk1, vk1, w * eps[:, c, d])
-            m2 += pig[c].T @ h_mu @ pig[d]
-            a += pig[c].T @ h_eps @ pig[d]
+    m1 = pi0_t @ element.mass_monomials @ pi0 + s1
+    m2 = gradient_form(mu) + s2
+    a = pi0_t @ _weighted_mass(vk, w * sigma, vk) @ pi0 + gradient_form(eps) + s3
+    x_conv = sum(pi0_t @ _weighted_mass(vk, w * beta[..., d], vk1) @ pig[d] for d in range(2))
 
-    x_conv = np.zeros_like(m1)
-    for d in range(2):
-        h_beta = _weighted_mass(vk, vk1, w * beta[:, d])
-        x_conv += pi0.T @ h_beta @ pig[d]
-    b = 0.5 * (x_conv - x_conv.T)
-
-    m1 = 0.5 * (m1 + m1.T)
-    m2 = 0.5 * (m2 + m2.T)
-    a = 0.5 * (a + a.T)
-    return LocalForms(m1=m1, m2=m2, a=a, b=b)
+    m1, m2, a = (0.5 * (mat + np.swapaxes(mat, 1, 2)) for mat in (m1, m2, a))
+    return LocalForms(m1=m1, m2=m2, a=a, b=0.5 * (x_conv - np.swapaxes(x_conv, 1, 2)))
 
 
 def load_map_block(element: LocalElement) -> np.ndarray:
-    """Matrix taking source values at the cell's load points to the local
-    load vector (f, pi0 phi_i); reusable across time steps."""
+    """(G, N, nl) stack of matrices taking source values at each cell's
+    load points to its local load vector (f, pi0 phi_i); reusable across
+    time steps."""
     values = element.basis.eval(element.load_points)
-    return element.pi0_star.T @ (values.T * element.load_weights)
+    return np.swapaxes(element.pi0_star, 1, 2) @ (
+        np.swapaxes(values, 1, 2) * element.load_weights[:, None, :]
+    )

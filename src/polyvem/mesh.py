@@ -17,7 +17,7 @@ the coarse neighbor's loop; no closure refinement is performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import Voronoi
@@ -41,7 +41,12 @@ __all__ = [
 
 
 class MeshError(Exception):
-    """Invalid mesh data or failed mesh generation."""
+    """Invalid mesh data or failed mesh generation; ``cell`` is the index of
+    the offending cell where there is one."""
+
+    def __init__(self, message: str, cell: int | None = None):
+        super().__init__(message)
+        self.cell = cell
 
 
 # ---------------------------------------------------------------------------
@@ -49,79 +54,54 @@ class MeshError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def signed_area(coords: np.ndarray) -> float:
-    """Shoelace signed area of a polygon given as an (m, 2) array."""
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+def polygon_geometry(coords: np.ndarray):
+    """Signed area, centroid, diameter, edge lengths and unit edge normals
+    of polygons stacked as (..., m, 2).  Edge i runs from vertex i to i+1
+    (mod m); its right-hand normal points outward on a CCW loop.  A zero
+    area or edge leaves a non-finite centroid or normal for callers to check.
+    """
+    nxt = np.roll(coords, -1, axis=-2)
+    x, y = coords[..., 0], coords[..., 1]
+    xn, yn = nxt[..., 0], nxt[..., 1]
+    cross = x * yn - xn * y
+    area = 0.5 * cross.sum(axis=-1)
+    tangents = nxt - coords
+    lengths = np.hypot(tangents[..., 0], tangents[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moments = np.stack([((x + xn) * cross).sum(axis=-1), ((y + yn) * cross).sum(axis=-1)], -1)
+        centroid = moments / (6.0 * area[..., None])
+        normals = np.stack([tangents[..., 1], -tangents[..., 0]], -1) / lengths[..., None]
+    diff = coords[..., :, None, :] - coords[..., None, :, :]
+    diameter = np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+    return area, centroid, diameter, lengths, normals
 
 
-def area_centroid(coords: np.ndarray):
-    """(signed area, area centroid) of a simple polygon."""
-    x, y = coords[:, 0], coords[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * float(cross.sum())
-    if abs(area) < 1e-300:
-        raise MeshError("degenerate polygon: zero area")
-    cx = float(((x + np.roll(x, -1)) * cross).sum() / (6.0 * area))
-    cy = float(((y + np.roll(y, -1)) * cross).sum() / (6.0 * area))
-    return area, np.array([cx, cy])
-
-
-def polygon_diameter(coords: np.ndarray) -> float:
-    """Maximum pairwise vertex distance."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
-
-
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    """True if open segments (p1,p2) and (p3,p4) properly intersect."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def stack_by_size(loops) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ascending positions in ``loops``, (G, m) stacked loops) per length m."""
+    sizes = np.array([len(loop) for loop in loops])
+    stacks = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+    return [(idx, np.array([loops[i] for i in idx], dtype=np.int64)) for idx in stacks]
 
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Derived geometric data of one cell.
-
-    ``normals`` are outward unit normals per edge; edge i runs from local
-    vertex i to i+1 (mod m).
+    """Derived geometric data of one cell, or of a stack of cells with one
+    vertex count (a leading axis on every field; indexing gives a cell or a
+    sub-stack, ``geom[None]`` a stack of one).  ``normals`` are outward unit
+    normals per edge; edge i runs from local vertex i to i+1 (mod m).
     """
 
+    index: np.ndarray  # mesh cell index
     vertex_ids: np.ndarray
     coords: np.ndarray
-    area: float
+    area: np.ndarray
     centroid: np.ndarray
-    diameter: float
+    diameter: np.ndarray
     edge_lengths: np.ndarray
     normals: np.ndarray
 
-
-def _build_cell_geometry(vertex_ids: np.ndarray, coords: np.ndarray, cell_index: int) -> CellGeometry:
-    area, centroid = area_centroid(coords)
-    if area <= 1e-14:
-        raise MeshError(f"cell {cell_index} is degenerate or not CCW (signed area {area:.3e})")
-    tangents = np.roll(coords, -1, axis=0) - coords
-    lengths = np.hypot(tangents[:, 0], tangents[:, 1])
-    if lengths.min() <= 1e-14:
-        raise MeshError(f"cell {cell_index} has a zero-length edge")
-    # right-hand normal of the CCW travel direction points outward
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
-    return CellGeometry(
-        vertex_ids=vertex_ids,
-        coords=coords,
-        area=area,
-        centroid=centroid,
-        diameter=polygon_diameter(coords),
-        edge_lengths=lengths,
-        normals=normals,
-    )
+    def __getitem__(self, index) -> CellGeometry:
+        return CellGeometry(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +128,62 @@ class PolyMesh:
         for ci, loop in enumerate(cells):
             arr = np.asarray(loop, dtype=np.int64)
             if arr.ndim != 1 or len(arr) < 3:
-                raise MeshError(f"cell {ci} needs at least 3 vertices")
+                raise MeshError(f"cell {ci} needs at least 3 vertices", cell=ci)
             if arr.min() < 0 or arr.max() >= nv:
-                raise MeshError(f"cell {ci} has a vertex index out of range")
+                raise MeshError(f"cell {ci} has a vertex index out of range", cell=ci)
             if len(np.unique(arr)) != len(arr):
-                raise MeshError(f"cell {ci} repeats a vertex in its loop")
+                raise MeshError(f"cell {ci} repeats a vertex in its loop", cell=ci)
             self.cells.append(arr)
 
-        edge_map: dict[tuple[int, int], list[int]] = {}
-        orientations: dict[tuple[int, int], list[bool]] = {}
-        for ci, loop in enumerate(self.cells):
-            for a, b in zip(loop, np.roll(loop, -1)):
-                key = (int(min(a, b)), int(max(a, b)))
-                edge_map.setdefault(key, []).append(ci)
-                orientations.setdefault(key, []).append(bool(a < b))
-        for key, owners in edge_map.items():
-            if len(owners) > 2:
-                raise MeshError(f"edge {key} is shared by more than two cells")
-            if len(owners) == 2 and orientations[key][0] == orientations[key][1]:
-                raise MeshError(f"edge {key} traversed twice in the same direction (winding error)")
+        if not self.cells:
+            raise MeshError("a mesh needs at least one cell")
 
-        keys = sorted(edge_map)
-        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        self._edge_index = {key: i for i, key in enumerate(keys)}
-        self.edge_cells = np.full((len(keys), 2), -1, dtype=np.int64)
-        for i, key in enumerate(keys):
-            owners = edge_map[key]
-            self.edge_cells[i, : len(owners)] = owners
+        # every loop edge as a (lower, higher) vertex key, sorted by key and
+        # owner: an edge has at most two owners, traversing it oppositely
+        stacks = stack_by_size(self.cells)
+        starts = np.concatenate([loops.ravel() for _, loops in stacks])
+        ends = np.concatenate([np.roll(loops, -1, axis=1).ravel() for _, loops in stacks])
+        owners = np.concatenate([np.repeat(idx, loops.shape[1]) for idx, loops in stacks])
+        keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
+        order = np.lexsort((owners, keys))
+        keys, owners, forward = keys[order], owners[order], (starts < ends)[order]
+        self._edge_keys, first, count = np.unique(keys, return_index=True, return_counts=True)
+        pairs = np.flatnonzero(count == 2)
+        twice = pairs[forward[first[pairs]] == forward[first[pairs] + 1]]
+        errors = [(owners[first[e] + 2], e, "is shared by more than two cells")
+                  for e in np.flatnonzero(count > 2)]
+        errors += [(owners[first[e] + 1], e, "traversed twice in the same direction "
+                    "(winding error)") for e in twice]
+        self.edges = np.column_stack([self._edge_keys // nv, self._edge_keys % nv])
+        if errors:
+            ci, e, what = min(errors)
+            raise MeshError(f"edge {tuple(self.edges[e].tolist())} {what}", cell=int(ci))
+        self.edge_cells = np.full((len(first), 2), -1, dtype=np.int64)
+        self.edge_cells[:, 0] = owners[first]
+        self.edge_cells[pairs, 1] = owners[first[pairs] + 1]
         self.boundary_edges = self.edge_cells[:, 1] == -1
         self.boundary_vertices = np.zeros(nv, dtype=bool)
         self.boundary_vertices[self.edges[self.boundary_edges]] = True
 
-        self._geometry = [
-            _build_cell_geometry(loop, self.vertices[loop], ci)
-            for ci, loop in enumerate(self.cells)
-        ]
+        # geometry per vertex count, one array pass per stack
+        self.cell_groups: list[CellGeometry] = []
+        self._slot = np.empty((len(self.cells), 2), dtype=np.int64)
+        bad = []
+        for idx, loops in stacks:
+            coords = self.vertices[loops]
+            area, centroid, diameter, lengths, normals = polygon_geometry(coords)
+            for pos in np.flatnonzero(area <= 1e-14):
+                bad.append((idx[pos], f"is degenerate or not CCW (signed area {area[pos]:.3e})"))
+            for pos in np.flatnonzero((area > 1e-14) & (lengths.min(axis=1) <= 1e-14)):
+                bad.append((idx[pos], "has a zero-length edge"))
+            self._slot[idx, 0] = len(self.cell_groups)
+            self._slot[idx, 1] = np.arange(len(idx))
+            self.cell_groups.append(
+                CellGeometry(idx, loops, coords, area, centroid, diameter, lengths, normals)
+            )
+        if bad:
+            ci, what = min(bad)
+            raise MeshError(f"cell {ci} {what}", cell=ci)
 
     # -- basic queries ------------------------------------------------------
 
@@ -200,27 +201,29 @@ class PolyMesh:
 
     @property
     def h(self) -> float:
-        return max(g.diameter for g in self._geometry)
+        return float(max(g.diameter.max() for g in self.cell_groups))
 
     def cell_geometry(self, cell_index: int) -> CellGeometry:
-        return self._geometry[cell_index]
+        group, pos = self._slot[cell_index]
+        return self.cell_groups[group][pos]
 
-    def edge_id(self, a: int, b: int) -> int:
-        return self._edge_index[(int(min(a, b)), int(max(a, b)))]
+    def edge_id(self, a, b):
+        """Index of the edge joining vertices a and b (arrays broadcast)."""
+        key = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
+        ids = np.minimum(np.searchsorted(self._edge_keys, key), self.num_edges - 1)
+        if not np.all(self._edge_keys[ids] == key):
+            raise KeyError(f"no edge joins vertices {a} and {b}")
+        return ids
 
-    def cell_edge_ids(self, cell_index: int):
-        """(edge ids, forward flags) along the CCW loop of one cell.
-
-        forward means the loop traverses the edge from its lower to its
-        higher vertex index (the canonical orientation).
-        """
-        loop = self.cells[cell_index]
-        nxt = np.roll(loop, -1)
-        ids = np.array([self.edge_id(a, b) for a, b in zip(loop, nxt)], dtype=np.int64)
-        return ids, loop < nxt
+    def cell_edge_ids(self, loops: np.ndarray):
+        """(edge ids, forward flags) along CCW vertex loops stacked as
+        (..., m), such as ``vertex_ids``; forward means the loop runs from
+        the edge's lower to its higher vertex index."""
+        nxt = np.roll(loops, -1, axis=-1)
+        return self.edge_id(loops, nxt), loops < nxt
 
     def total_area(self) -> float:
-        return float(sum(g.area for g in self._geometry))
+        return float(sum(g.area.sum() for g in self.cell_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +270,12 @@ def _kernel_radius(geom: CellGeometry) -> float:
 
 
 def compute_quality(mesh: PolyMesh) -> MeshQualityReport:
-    min_edge_ratio = np.inf
-    min_kernel_ratio = np.inf
-    for ci in range(mesh.num_cells):
-        g = mesh.cell_geometry(ci)
-        min_edge_ratio = min(min_edge_ratio, g.edge_lengths.min() / g.diameter)
-        min_kernel_ratio = min(min_kernel_ratio, _kernel_radius(g) / g.diameter)
+    cells = map(mesh.cell_geometry, range(mesh.num_cells))
+    edge_ratio = min((g.edge_lengths.min(axis=1) / g.diameter).min() for g in mesh.cell_groups)
     return MeshQualityReport(
         h=mesh.h,
-        min_edge_ratio=float(min_edge_ratio),
-        min_kernel_ratio=float(min_kernel_ratio),
+        min_edge_ratio=float(edge_ratio),
+        min_kernel_ratio=float(min(_kernel_radius(g) / g.diameter for g in cells)),
         num_vertices=mesh.num_vertices,
         num_cells=mesh.num_cells,
     )
@@ -287,14 +286,20 @@ def compute_quality(mesh: PolyMesh) -> MeshQualityReport:
 # ---------------------------------------------------------------------------
 
 
-def _quad_is_valid(q: np.ndarray) -> bool:
-    if signed_area(q) <= 1e-14:
-        return False
-    if _segments_cross(q[0], q[1], q[2], q[3]):
-        return False
-    if _segments_cross(q[1], q[2], q[3], q[0]):
-        return False
-    return True
+def _valid_quads(quads: np.ndarray) -> np.ndarray:
+    """Mask of the (n, 4, 2) quads with positive area and no crossing opposite sides."""
+
+    def orient(a, b, c):
+        u, v = b - a, c - a
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    def cross(p1, p2, p3, p4):  # open segments p1 p2 and p3 p4 properly intersect
+        return ((orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0)) & (
+            (orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0)
+        )
+
+    a, b, c, d = np.moveaxis(quads, 1, 0)
+    return (polygon_geometry(quads)[0] > 1e-14) & ~cross(a, b, c, d) & ~cross(b, c, d, a)
 
 
 def generate_distorted_square_mesh(n: int, distortion: float = 0.3, seed: int = 0) -> PolyMesh:
@@ -313,44 +318,27 @@ def generate_distorted_square_mesh(n: int, distortion: float = 0.3, seed: int = 
     gx, gy = np.meshgrid(side, side, indexing="xy")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    move_x = np.zeros(len(verts), dtype=bool)
-    move_y = np.zeros(len(verts), dtype=bool)
-    for j in range(n + 1):
-        for i in range(n + 1):
-            v = vid(i, j)
-            interior_i = 0 < i < n
-            interior_j = 0 < j < n
-            move_x[v] = interior_i
-            move_y[v] = interior_j
+    # vertex (i, j) is j * (n + 1) + i; it moves in x if 0 < i < n, in y if 0 < j < n
+    interior = (side > 0.0) & (side < 1.0)
+    move_x = np.tile(interior, n + 1)
+    move_y = np.repeat(interior, n + 1)
 
     amp = distortion / n
-    cells = [
-        np.array([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-        for j in range(n)
-        for i in range(n)
-    ]
+    corner = (np.arange(n * n) // n) * (n + 1) + np.arange(n * n) % n  # cell (i, j) is j * n + i
+    cells = np.column_stack([corner, corner + 1, corner + n + 2, corner + n + 1])
 
     offsets = rng.uniform(-amp, amp, size=(len(verts), 2)) if amp > 0 else np.zeros((len(verts), 2))
     offsets[~move_x, 0] = 0.0
     offsets[~move_y, 1] = 0.0
     pos = verts + offsets
 
-    vertex_cells: dict[int, list[int]] = {}
-    for ci, c in enumerate(cells):
-        for v in c:
-            vertex_cells.setdefault(int(v), []).append(ci)
-
     for attempt in range(101):
-        bad = [ci for ci, c in enumerate(cells) if not _quad_is_valid(pos[c])]
-        if not bad:
+        bad = ~_valid_quads(pos[cells])
+        if not bad.any():
             break
         if attempt == 100:
             raise MeshError("distortion produced a tangled cell; 100 retries exhausted")
-        redraw = sorted({int(v) for ci in bad for v in cells[ci]})
-        for v in redraw:
+        for v in np.unique(cells[bad]):
             off = rng.uniform(-amp, amp, size=2)
             pos[v, 0] = verts[v, 0] + (off[0] if move_x[v] else 0.0)
             pos[v, 1] = verts[v, 1] + (off[1] if move_y[v] else 0.0)
@@ -368,7 +356,8 @@ def _voronoi_cells_in_square(seeds: np.ndarray):
 
     Reflecting the seeds across all four sides makes every original
     region bounded, with its boundary lying exactly on the square sides.
-    Returns (global vertex coordinates, list of CCW index loops).
+    Returns (global vertex coordinates, list of CCW index loops, (n, 2)
+    cell centroids).
     """
     reflect = [
         seeds * [-1.0, 1.0],
@@ -377,16 +366,20 @@ def _voronoi_cells_in_square(seeds: np.ndarray):
         np.column_stack([seeds[:, 0], 2.0 - seeds[:, 1]]),
     ]
     vor = Voronoi(np.vstack([seeds] + reflect))
-    loops = []
-    for i in range(len(seeds)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshError("unbounded Voronoi region; seeds outside (0,1)^2?")
-        loop = np.array(region, dtype=np.int64)
-        if signed_area(vor.vertices[loop]) < 0:
-            loop = loop[::-1]
-        loops.append(loop)
-    return vor.vertices.copy(), loops
+    regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
+    if any(-1 in region or len(region) < 3 for region in regions):
+        raise MeshError("unbounded Voronoi region; seeds outside (0,1)^2?")
+    loops = [None] * len(seeds)
+    centroids = np.empty((len(seeds), 2))
+    for idx, stack in stack_by_size(regions):
+        flip = polygon_geometry(vor.vertices[stack])[0] < 0
+        stack[flip] = stack[flip, ::-1]
+        # summed along the CCW loops, the centroids do not depend on the
+        # orientation qhull reports
+        centroids[idx] = polygon_geometry(vor.vertices[stack])[1]
+        for i, loop in zip(idx, stack):
+            loops[i] = loop
+    return vor.vertices.copy(), loops, centroids
 
 
 _SNAP = 1e-9
@@ -398,27 +391,18 @@ def _compact_mesh(coords: np.ndarray, loops: list[np.ndarray]) -> PolyMesh:
     for axis in (0, 1):
         coords[np.abs(coords[:, axis]) < _SNAP, axis] = 0.0
         coords[np.abs(coords[:, axis] - 1.0) < _SNAP, axis] = 1.0
-    canonical: dict[tuple[int, int], int] = {}
+    # each vertex stands for itself or for the lowest used vertex it snaps to
+    used = np.unique(np.concatenate(loops))
+    keys = np.round(coords[used] / _SNAP).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     alias = np.arange(len(coords))
-    for v in sorted({int(i) for loop in loops for i in loop}):
-        key = (int(round(coords[v, 0] / _SNAP)), int(round(coords[v, 1] / _SNAP)))
-        if key in canonical:
-            alias[v] = canonical[key]
-        else:
-            canonical[key] = v
-    new_loops = []
-    for loop in loops:
-        mapped = alias[loop]
-        # drop repeats created by the merge (sliver edges shorter than snap)
-        keep = [v for i, v in enumerate(mapped) if v != mapped[(i + 1) % len(mapped)]]
-        if len(keep) < 3:
-            raise MeshError("cell collapsed while merging sliver edges")
-        new_loops.append(np.array(keep, dtype=np.int64))
-    used = sorted({int(v) for loop in new_loops for v in loop})
-    remap = {v: i for i, v in enumerate(used)}
-    verts = coords[used]
-    cells = [np.array([remap[int(v)] for v in loop], dtype=np.int64) for loop in new_loops]
-    return PolyMesh(verts, cells)
+    alias[used] = used[first[inverse.ravel()]]
+    # drop repeats created by the merge (sliver edges shorter than snap)
+    new_loops = [alias[loop][alias[loop] != alias[np.roll(loop, -1)]] for loop in loops]
+    if min(len(loop) for loop in new_loops) < 3:
+        raise MeshError("cell collapsed while merging sliver edges")
+    used = np.unique(np.concatenate(new_loops))
+    return PolyMesh(coords[used], [np.searchsorted(used, loop) for loop in new_loops])
 
 
 def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> PolyMesh:
@@ -438,9 +422,8 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
         for r in dup_rows[1::2]:  # jitter the second of each coincident pair
             seeds[r] += 1e-9 * (r + 1)
     for _ in range(lloyd_iterations):
-        coords, loops = _voronoi_cells_in_square(seeds)
-        seeds = np.array([area_centroid(coords[loop])[1] for loop in loops])
-    coords, loops = _voronoi_cells_in_square(seeds)
+        seeds = _voronoi_cells_in_square(seeds)[2]
+    coords, loops, _ = _voronoi_cells_in_square(seeds)
     return _compact_mesh(coords, loops)
 
 
@@ -493,28 +476,17 @@ def generate_concave_mesh(n: int) -> PolyMesh:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    p0, q1, q2, p3 = _ZIG
+    halves = np.array([[(0, 0), p0, q1, q2, p3, (0, 1)], [p0, (1, 0), (1, 1), p3, q2, q1]])
+    j, i = np.divmod(np.arange(n * n), n)
+    points = np.column_stack([i, j])[:, None, None] + halves  # left, right cell of each square
     # exact rational coordinates on a 24n grid avoid float-key mismatches
-    res = 24 * n
-    index: dict[tuple[int, int], int] = {}
-    verts: list[tuple[float, float]] = []
-
-    def vid(fx: float, fy: float) -> int:
-        key = (round(fx * 24), round(fy * 24))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append((key[0] / res, key[1] / res))
-        return index[key]
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            p0, q1, q2, p3 = [(i + fx, j + fy) for fx, fy in _ZIG]
-            a, b, c, d = (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)
-            left = [a, p0, q1, q2, p3, d]
-            right = [p0, b, c, p3, q2, q1]
-            cells.append(np.array([vid(*p) for p in left], dtype=np.int64))
-            cells.append(np.array([vid(*p) for p in right], dtype=np.int64))
-    return PolyMesh(np.array(verts, dtype=float), cells)
+    keys = np.round(points * 24).astype(np.int64).reshape(-1, 2)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # vertices numbered in order of first appearance
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return PolyMesh(keys[first[order]] / (24 * n), number[inverse.ravel()].reshape(-1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +615,10 @@ def mesh_from_string(text: str) -> PolyMesh:
     """Parse the text written by ``mesh_to_string``.
 
     Malformed input raises a ``MeshError`` that names its line: a bad
-    header, a bad, negative or overlong count, a bad vertex or cell line,
-    and any line after the cell block (trailing blank lines are allowed).
+    header, a bad, negative or overlong count, a bad or non-finite vertex,
+    a bad cell line, any line after the cell block (trailing blank lines
+    are allowed), and a cell that ``PolyMesh`` rejects, such as a
+    clockwise or degenerate one.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -677,6 +651,8 @@ def mesh_from_string(text: str) -> PolyMesh:
             verts[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise parse_error(ln + i, "bad coordinate") from None
+        if not np.isfinite(verts[i]).all():
+            raise parse_error(ln + i, "non-finite coordinate")
     ln += nv
     head = lines[ln].split() if ln < len(lines) else []
     if len(head) != 2 or head[0] != "cells":
@@ -705,7 +681,10 @@ def mesh_from_string(text: str) -> PolyMesh:
     try:
         return PolyMesh(verts, cells)
     except MeshError as exc:
-        raise MeshError(f"invalid mesh in file: {exc}") from exc
+        if exc.cell is None:
+            raise
+        # a content error names its cell, and so the line of that cell
+        raise parse_error(ln + exc.cell, f"invalid mesh: {exc}") from exc
 
 
 def read_mesh(path) -> PolyMesh:

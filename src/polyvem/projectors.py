@@ -17,6 +17,11 @@ All computable operators are assembled from these dofs:
 each as a (dim P x N) matrix acting on dof vectors.  Monomials are scaled
 by the cell centroid and diameter so all matrices stay well conditioned.
 
+Elements are built a group at a time: cells with the same vertex and
+triangle counts share every array shape, so D, B, G = BD, the projections
+and Q of a group's G cells are (G, ., .) stacks from one pass of array
+expressions and batched solves.  A single cell is a group of one.
+
 The nodes of the (k+1)-point Gauss-Lobatto rule on each edge are exactly
 the boundary dofs: the two end vertices and the edge's k-1 interior
 points.  ``DofLayout.edge_nodes`` is the (m, k+1) array of these local dof
@@ -30,16 +35,17 @@ the boundary dof points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .mesh import CellGeometry
 from .quadrature import (
+    at_points,
     gauss_lobatto,
     lobatto_edge_points,
     map_to_triangle,
-    polygon_rule,
     triangle_rule,
 )
 
@@ -67,20 +73,34 @@ def polynomial_dimension(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
+@lru_cache(maxsize=None)
+def _unit_derivative_maps(degree: int) -> np.ndarray:
+    """(2, dim, dim) derivative maps of the monomials of unit diameter: the
+    derivative of x^a y^b along x is a x^(a-1) y^b, along y b x^a y^(b-1)."""
+    basis = ScaledMonomialBasis(degree, np.zeros(2), 1.0)
+    maps = np.zeros((2, basis.dim, basis.dim))
+    for axis, lowered in enumerate(basis.exponents - np.eye(2, dtype=np.int64)[:, None]):
+        j = np.flatnonzero(lowered[:, axis] >= 0)
+        maps[axis, basis.index(*lowered[j].T), j] = basis.exponents[j, axis]
+    maps.flags.writeable = False
+    return maps
+
+
 class ScaledMonomialBasis:
     """Monomials ((x - x_K)/h_K)^a ((y - y_K)/h_K)^b up to a total degree.
 
     Ordering is graded by total degree and, within a degree, by descending
     first exponent, so the first dim P_{d} columns are exactly the basis
-    of P_{d} for every d <= degree (prefix property).
+    of P_{d} for every d <= degree (prefix property).  Center (..., 2) and
+    diameter (...) may be stacked over cells, adding their leading axes.
     """
 
-    def __init__(self, degree: int, center: np.ndarray, diameter: float):
+    def __init__(self, degree: int, center: np.ndarray, diameter):
         if degree < 0:
             raise VemError("degree must be non-negative")
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
-        self.diameter = float(diameter)
+        self.diameter = np.asarray(diameter, dtype=float)
         self.exponents = np.array(
             [(d - b, b) for d in range(degree + 1) for b in range(d + 1)], dtype=np.int64
         )
@@ -94,25 +114,21 @@ class ScaledMonomialBasis:
         return d * (d + 1) // 2 + b
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """Vandermonde matrix (npoints x dim)."""
+        """Vandermonde matrix (..., npoints, dim) at points (..., npoints, 2)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scaled = (pts - self.center) / self.diameter
-        return np.prod(scaled[:, None, :] ** self.exponents, axis=2)
+        scaled = (pts - self.center[..., None, :]) / self.diameter[..., None, None]
 
-    def eval_gradient(self, points: np.ndarray):
-        """(d/dx, d/dy) of each monomial at the points; two (npts x dim) arrays."""
-        vals = self.eval(points)
-        return vals @ self.derivative_map(0), vals @ self.derivative_map(1)
+        def powers(c):  # c^0, ..., c^degree by repeated products
+            out = np.ones(c.shape + (self.degree + 1,))
+            np.cumprod(np.broadcast_to(c[..., None], out[..., 1:].shape), axis=-1, out=out[..., 1:])
+            return out
+
+        exps = self.exponents
+        return powers(scaled[..., 0])[..., exps[:, 0]] * powers(scaled[..., 1])[..., exps[:, 1]]
 
     def derivative_map(self, axis: int) -> np.ndarray:
         """Matrix C with d(m_j)/dx_axis = sum_i C[i, j] m_i (same basis)."""
-        c = np.zeros((self.dim, self.dim))
-        for j, (a, b) in enumerate(self.exponents):
-            if axis == 0 and a > 0:
-                c[self.index(a - 1, b), j] = a / self.diameter
-            elif axis == 1 and b > 0:
-                c[self.index(a, b - 1), j] = b / self.diameter
-        return c
+        return _unit_derivative_maps(self.degree)[axis] / self.diameter[..., None, None]
 
     def laplacian_map(self) -> np.ndarray:
         """Matrix C with Laplacian(m_j) = sum_i C[i, j] m_i."""
@@ -150,8 +166,10 @@ class DofLayout:
 
 @dataclass
 class LocalElement:
-    """All computable local operators of one cell.
+    """All computable local operators of a group of cells.
 
+    Every array field (and ``geom``) has a leading axis over the group's
+    cells; ``group[i]`` is the view of cell i, with the shapes listed here.
     Matrices act on local dof vectors (length ``layout.size``); projector
     coefficient matrices return expansions in ``basis``.  The forms rule
     (``quad_points``, degree 2k+2) and the load rule (``load_points``,
@@ -160,7 +178,6 @@ class LocalElement:
 
     k: int
     geom: CellGeometry
-    basis: ScaledMonomialBasis
     layout: DofLayout
     boundary_dof_points: np.ndarray  # (num_vertices * k, 2)
     triangles: np.ndarray  # (T, 3, 2) triangulation of the cell
@@ -174,69 +191,83 @@ class LocalElement:
     b_matrix: np.ndarray  # boundary/volume functionals defining pi_grad
     pi_grad_star: np.ndarray  # dim P_k x N
     pi0_star: np.ndarray  # dim P_k x N
-    pi0_grad_star: tuple[np.ndarray, np.ndarray]  # dim P_{k-1} x N each
+    pi0_grad_star: np.ndarray  # 2 x dim P_{k-1} x N: x and y components
     stab_q: np.ndarray  # I - D @ pi0_star
+    condition: float  # condition number of mass_monomials
 
     @property
     def num_dofs(self) -> int:
         return self.layout.size
 
+    @property
+    def basis(self) -> ScaledMonomialBasis:
+        return ScaledMonomialBasis(self.k, self.geom.centroid, self.geom.diameter)
 
-def build_element(geom: CellGeometry, k: int) -> LocalElement:
-    """Assemble dof, projection and stabilization operators for one cell."""
+    def __getitem__(self, i) -> LocalElement:
+        stacked = [f.name for f in fields(self) if f.name not in ("k", "layout")]
+        return replace(self, **{name: getattr(self, name)[i] for name in stacked})
+
+
+def build_element(geom: CellGeometry, triangles: np.ndarray, k: int) -> LocalElement:
+    """Dof, projection and stabilization operators of the G cells stacked
+    in ``geom`` with (G, T, 3, 2) ``triangles``; a ``VemError`` names the
+    worst cell if a monomial mass matrix is too ill-conditioned."""
     if k not in SUPPORTED_ORDERS:
         raise VemError(f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
     basis = ScaledMonomialBasis(k, geom.centroid, geom.diameter)
-    m = len(geom.coords)
+    num_cells, m = geom.coords.shape[:2]
     layout = DofLayout(k=k, num_vertices=m)
     nk = basis.dim
     nk1 = polynomial_dimension(k - 1)
     nk2 = layout.num_moments
     nb = layout.moment_offset  # boundary dofs come first, moments after them
     n_dofs = layout.size
-    area = geom.area
+    area = geom.area[:, None, None]
 
-    rule = polygon_rule(geom.coords, 2 * k + 2)
+    quad_points, quad_weights = map_to_triangle(triangle_rule(2 * k + 2), triangles)
     # (f, pi0 phi) has pi0 phi in P_k: degree 2k is exact for every f in P_k
-    load_points, load_weights = map_to_triangle(triangle_rule(2 * k), rule.triangles)
-    vk = basis.eval(rule.points)
-    mass = vk.T @ (rule.weights[:, None] * vk)
-    mass = 0.5 * (mass + mass.T)
+    load_points, load_weights = map_to_triangle(triangle_rule(2 * k), triangles)
+    vk = basis.eval(quad_points)
+    mass = np.swapaxes(vk, 1, 2) @ (quad_weights[..., None] * vk)
+    mass = 0.5 * (mass + np.swapaxes(mass, 1, 2))
     cond = np.linalg.cond(mass)
-    if cond > 1e12:
+    worst = int(np.argmax(cond))
+    if not cond[worst] <= 1e12:
         raise VemError(
-            f"monomial mass matrix condition {cond:.2e} exceeds 1e12; "
-            "cell geometry is numerically unusable"
+            f"cell {geom.index[worst]}: monomial mass matrix condition {cond[worst]:.2e} "
+            "exceeds 1e12; cell geometry is numerically unusable"
         )
 
-    edge_points = lobatto_edge_points(geom.coords, np.roll(geom.coords, -1, axis=0), k)
-    bpts = np.concatenate([geom.coords, edge_points.reshape(-1, 2)])
+    edge_points = lobatto_edge_points(geom.coords, np.roll(geom.coords, -1, axis=1), k)
+    bpts = np.concatenate([geom.coords, edge_points.reshape(num_cells, -1, 2)], axis=1)
     vb = basis.eval(bpts)
-    gx, gy = basis.eval_gradient(bpts)
+    dmaps = np.stack([basis.derivative_map(0), basis.derivative_map(1)], axis=1)
+    gx, gy = vb @ dmaps[:, 0], vb @ dmaps[:, 1]  # gradients of the monomials
 
     # Lobatto weight times outward normal per boundary dof: the (k+1)-node
     # rule is exact to degree 2k-1, enough for w * (grad m . n) and
     # w * m_beta on each straight edge
     _, ref_weights = gauss_lobatto(k + 1)
-    edge_weights = ref_weights * (geom.edge_lengths[:, None] / 2.0)  # (m, k+1)
-    wn = np.zeros((nb, 2))
-    np.add.at(wn, layout.edge_nodes, edge_weights[..., None] * geom.normals[:, None])
+    edge_weights = ref_weights * (geom.edge_lengths[..., None] / 2.0)  # (G, m, k+1)
+    wn = np.zeros((num_cells, nb, 2))
+    weighted_normals = edge_weights[..., None] * geom.normals[:, :, None]
+    np.add.at(wn, (slice(None), layout.edge_nodes), weighted_normals)
 
     # D: dofs applied to monomials
-    dmat = np.zeros((n_dofs, nk))
-    dmat[:nb] = vb
-    dmat[nb:] = mass[:nk2] / area
+    dmat = np.zeros((num_cells, n_dofs, nk))
+    dmat[:, :nb] = vb
+    dmat[:, nb:] = mass[:, :nk2] / area
 
     # B: integration-by-parts functionals of the grad-projection, the
     # boundary flux of each monomial less the moments of its Laplacian
-    bmat = np.zeros((nk, n_dofs))
-    bmat[1:, :nb] = (gx[:, 1:] * wn[:, :1] + gy[:, 1:] * wn[:, 1:]).T
-    bmat[1:, nb:] = -area * basis.laplacian_map()[:nk2, 1:].T
+    bmat = np.zeros((num_cells, nk, n_dofs))
+    bmat[:, 1:, :nb] = np.swapaxes(gx[..., 1:] * wn[..., :1] + gy[..., 1:] * wn[..., 1:], 1, 2)
+    bmat[:, 1:, nb:] = -area * np.swapaxes(basis.laplacian_map()[:, :nk2, 1:], 1, 2)
     # projection-fixing row: vertex average (k=1) or cell mean (k>1)
     if k == 1:
-        bmat[0, :m] = 1.0 / m
+        bmat[:, 0, :m] = 1.0 / m
     else:
-        bmat[0, nb] = 1.0
+        bmat[:, 0, nb] = 1.0
 
     gmat = bmat @ dmat
     pi_grad_star = np.linalg.solve(gmat, bmat)
@@ -247,34 +278,32 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
     if k == 1:
         pi0_star = pi_grad_star.copy()
     else:
-        p = np.linalg.solve(mass[:nk2, :nk2], mass[:nk2, nk2:])
-        q = np.eye(nk)[:, nk2:]
-        q[:nk2] -= p
-        cmat = np.zeros((nk, n_dofs))
-        cmat[:nk2, nb:] = area * np.eye(nk2)
-        cmat[nk2:] = (mass @ q).T @ pi_grad_star
-        cmat[nk2:, nb:] += area * p.T
+        p = np.linalg.solve(mass[:, :nk2, :nk2], mass[:, :nk2, nk2:])
+        q = np.tile(np.eye(nk)[:, nk2:], (num_cells, 1, 1))
+        q[:, :nk2] -= p
+        cmat = np.zeros((num_cells, nk, n_dofs))
+        cmat[:, :nk2, nb:] = area * np.eye(nk2)
+        cmat[:, nk2:] = np.swapaxes(mass @ q, 1, 2) @ pi_grad_star
+        cmat[:, nk2:, nb:] += area * np.swapaxes(p, 1, 2)
         pi0_star = np.linalg.solve(mass, cmat)
 
     # L2 projection of each gradient component onto P_{k-1}: the boundary
     # term (v, m_beta n_axis) less the moments of d(m_beta)/dx_axis
-    rhs = np.zeros((2, nk1, n_dofs))
-    rhs[:, :, :nb] = np.einsum("ib,id->dbi", vb[:, :nk1], wn)
-    dmaps = np.stack([basis.derivative_map(0), basis.derivative_map(1)])
-    rhs[:, :, nb:] = -area * dmaps[:, :nk2, :nk1].transpose(0, 2, 1)
-    pi0_grad = np.linalg.solve(mass[:nk1, :nk1], rhs)
+    rhs = np.zeros((num_cells, 2, nk1, n_dofs))
+    rhs[..., :nb] = np.einsum("gib,gid->gdbi", vb[..., :nk1], wn)
+    rhs[..., nb:] = -area[..., None] * np.swapaxes(dmaps[..., :nk2, :nk1], 2, 3)
+    pi0_grad = np.linalg.solve(mass[:, None, :nk1, :nk1], rhs)
 
     stab_q = np.eye(n_dofs) - dmat @ pi0_star
 
     return LocalElement(
         k=k,
         geom=geom,
-        basis=basis,
         layout=layout,
         boundary_dof_points=bpts,
-        triangles=rule.triangles,
-        quad_points=rule.points,
-        quad_weights=rule.weights,
+        triangles=triangles,
+        quad_points=quad_points,
+        quad_weights=quad_weights,
         load_points=load_points,
         load_weights=load_weights,
         monomial_values=vk,
@@ -283,21 +312,19 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
         b_matrix=bmat,
         pi_grad_star=pi_grad_star,
         pi0_star=pi0_star,
-        pi0_grad_star=(pi0_grad[0], pi0_grad[1]),
+        pi0_grad_star=pi0_grad,
         stab_q=stab_q,
+        condition=cond,
     )
 
 
 def interpolate(element: LocalElement, fn) -> np.ndarray:
-    """Dof vector of a smooth function: point values plus scaled moments."""
-    dofs = np.zeros(element.num_dofs)
+    """(G, N) dof vectors of a smooth function on the cells of a group:
+    point values plus scaled moments."""
     pts = element.boundary_dof_points
-    dofs[: len(pts)] = fn(pts[:, 0], pts[:, 1])
-    nm = element.layout.num_moments
-    if nm:
-        vals = fn(element.quad_points[:, 0], element.quad_points[:, 1])
-        weighted = element.quad_weights * vals
-        dofs[element.layout.moment_offset :] = (
-            element.monomial_values[:, :nm].T @ weighted
-        ) / element.geom.area
+    dofs = np.zeros((len(pts), element.num_dofs))
+    dofs[:, : pts.shape[1]] = at_points(fn, pts)
+    weighted = element.quad_weights * at_points(fn, element.quad_points)
+    moments = weighted[:, None, :] @ element.monomial_values[..., : element.layout.num_moments]
+    dofs[:, element.layout.moment_offset :] = moments[:, 0] / element.geom.area[:, None]
     return dofs

@@ -4,8 +4,10 @@ Triangle rules are collapsed (Duffy-type) tensor Gauss-Legendre rules, so
 any requested order is available without tabulated constants.  Polygon
 rules triangulate the cell (a fan of m-2 triangles from vertex 0 for
 convex cells, ear clipping for cells with reflex vertices) and map the
-triangle rule to each piece.  A triangulation can be kept and reused:
-mapping several rules onto the same triangles costs no second
+triangle rule to each piece.  Cells are triangulated as stacks of one
+vertex count, split by triangle count, so that every rule of a stack is
+one array of shape (cells, points, 2).  A triangulation is kept and
+reused: mapping several rules onto the same triangles costs no second
 triangulation.
 The reference Gauss-Lobatto rule on [-1, 1] serves the cell edges: the
 nodes of its (k+1)-point rule, mapped onto an edge, are the vertex and
@@ -21,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .mesh import signed_area
+from .mesh import polygon_geometry
 
 
 class QuadratureError(Exception):
@@ -82,16 +84,25 @@ def triangle_rule(order: int) -> TriangleRule:
 
 def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
     """Map a reference rule to the physical triangle ``tri`` (3x2 array), or
-    to each triangle of a stack ``tri`` of shape (T, 3, 2).
+    to each triangle of a stack ``tri`` of shape (..., T, 3, 2).
 
     Returns (points, weights), the points of a stack triangle by triangle,
-    with weights summing to the covered area.  Orientation does not matter;
-    the absolute area is used.
+    (..., T * n, 2) and (..., T * n), with weights summing to the covered
+    area.  Orientation does not matter; the absolute area is used.
     """
     tri = np.asarray(tri, dtype=float)
     area = np.abs(_signed_areas(tri))
     pts = rule.points @ tri
-    return pts.reshape(-1, 2), (area[..., None] * rule.weights).ravel()
+    lead = tri.shape[:-3]
+    return pts.reshape(*lead, -1, 2), (area[..., None] * rule.weights).reshape(*lead, -1)
+
+
+def at_points(fn, points: np.ndarray, *args) -> np.ndarray:
+    """``fn(x, y, *args)`` at points stacked as (..., 2), called once on the
+    flat coordinates; the values keep the points' leading shape."""
+    x, y = points.reshape(-1, 2).T
+    values = np.asarray(fn(x, y, *args), dtype=float)
+    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -106,63 +117,66 @@ def _signed_areas(tris: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
 
 
-def _turn_crosses(coords: np.ndarray) -> np.ndarray:
-    prev = coords - np.roll(coords, 1, axis=0)
-    nxt = np.roll(coords, -1, axis=0) - coords
-    return prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
+def triangulate_polygons(coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a (G, m, 2) stack of simple CCW polygons into triangles.
 
-
-def triangulate_polygon(coords: np.ndarray) -> np.ndarray:
-    """Split a simple CCW polygon into triangles, shape (T, 3, 2).
-
-    Convex polygons (collinear vertices allowed) get a fan from vertex 0:
-    m-2 triangles, less the zero-area ones a straight run through vertex 0
-    would leave.  Polygons with a reflex vertex are ear-clipped.
+    Convex polygons (collinear vertices allowed) get a fan from vertex 0 in
+    one array pass: m-2 triangles, less the zero-area ones of a straight run
+    through vertex 0.  Polygons with a reflex vertex are ear-clipped.  One
+    (ascending rows, (rows, T, 3, 2) triangles) pair per triangle count T.
     """
     coords = np.asarray(coords, dtype=float)
-    n = len(coords)
-    if n < 3:
-        raise QuadratureError("polygon needs at least 3 vertices")
-    scale = float(np.ptp(coords, axis=0).max())
-    if scale <= 0.0:
-        raise QuadratureError("degenerate polygon: zero extent")
+    n = coords.shape[1]
+    scale = np.ptp(coords, axis=1).max(axis=1)
     tol = 1e-12 * scale * scale
-    poly_area = signed_area(coords)
-    if poly_area <= tol:
+    poly_area = polygon_geometry(coords)[0]
+    if (poly_area <= tol).any():
         raise QuadratureError("polygon is not CCW or has (near-)zero area")
-    crosses = _turn_crosses(coords)
-    if np.all(crosses >= -tol):
-        apex = np.broadcast_to(coords[0], (n - 2, 2))
-        fan = np.stack([apex, coords[1:-1], coords[2:]], axis=1)
-        tris = fan[_signed_areas(fan) > tol]
-    else:
-        tris = _ear_clip(coords, tol)
-    covered = float(_signed_areas(tris).sum())
-    if abs(covered - poly_area) > 1e-9 * max(poly_area, scale * scale):
-        raise QuadratureError(
-            "triangulation failure: triangle areas do not cover the polygon "
-            "(self-intersecting loop?)"
-        )
-    return tris
+    prev = coords - np.roll(coords, 1, axis=1)
+    nxt = np.roll(coords, -1, axis=1) - coords
+    turns = prev[..., 0] * nxt[..., 1] - prev[..., 1] * nxt[..., 0]
+    convex = np.all(turns >= -tol[:, None], axis=1)
+    apex = np.broadcast_to(coords[:, :1], (len(coords), n - 2, 2))
+    fan = np.stack([apex, coords[:, 1:-1], coords[:, 2:]], axis=2)
+    keep = _signed_areas(fan) > tol[:, None]
+    counts = keep.sum(axis=1)
+    clipped = {r: _ear_clip(coords[r], tol[r]) for r in np.flatnonzero(~convex)}
+    for r, tris in clipped.items():
+        counts[r] = len(tris)
+
+    out = []
+    for t in np.unique(counts):
+        rows = np.flatnonzero(counts == t)
+        tris = np.empty((len(rows), t, 3, 2))
+        fanned = convex[rows]
+        tris[fanned] = fan[rows[fanned]][keep[rows[fanned]]].reshape(-1, t, 3, 2)
+        for i in np.flatnonzero(~fanned):
+            tris[i] = clipped[rows[i]]
+        covered = _signed_areas(tris).sum(axis=1)
+        area = poly_area[rows]
+        if (np.abs(covered - area) > 1e-9 * np.maximum(area, scale[rows] ** 2)).any():
+            raise QuadratureError(
+                "triangulation failure: triangle areas do not cover the polygon "
+                "(self-intersecting loop?)"
+            )
+        out.append((rows, tris))
+    return out
 
 
-def _point_in_triangle(p: np.ndarray, a, b, c, tol: float) -> bool:
-    # strictly inside (boundary points do not block an ear)
-    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-    d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-    return d1 > tol and d2 > tol and d3 > tol
+def _strictly_inside(p: np.ndarray, a, b, c, tol: float) -> np.ndarray:
+    """Mask of the points p (n, 2) strictly inside the CCW triangle abc
+    (boundary points do not block an ear)."""
+
+    def side(u, v):
+        return (v[0] - u[0]) * (p[:, 1] - u[1]) - (v[1] - u[1]) * (p[:, 0] - u[0])
+
+    return (side(a, b) > tol) & (side(b, c) > tol) & (side(c, a) > tol)
 
 
 def _ear_clip(coords: np.ndarray, tol: float) -> np.ndarray:
     idx = list(range(len(coords)))
     tris: list[np.ndarray] = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * len(coords) * len(coords):
-            raise QuadratureError("triangulation failure: no ear found (tangled polygon?)")
-        clipped = False
+    while len(idx) > 3:  # every pass clips an ear or drops a vertex, or raises
         m = len(idx)
         for j in range(m):
             ia, ib, ic = idx[j - 1], idx[j], idx[(j + 1) % m]
@@ -172,56 +186,21 @@ def _ear_clip(coords: np.ndarray, tol: float) -> np.ndarray:
                 continue  # reflex tip
             if cross <= tol:
                 # collinear: a hanging vertex on a straight run; drop it
-                if min(a[0], c[0]) - 1e-12 <= b[0] <= max(a[0], c[0]) + 1e-12 and \
-                   min(a[1], c[1]) - 1e-12 <= b[1] <= max(a[1], c[1]) + 1e-12:
+                if np.all(np.minimum(a, c) - 1e-12 <= b) and np.all(b <= np.maximum(a, c) + 1e-12):
                     idx.pop(j)
-                    clipped = True
                     break
                 continue
-            blocked = any(
-                _point_in_triangle(coords[other], a, b, c, tol)
-                for other in idx
-                if other not in (ia, ib, ic)
-            )
-            if blocked:
-                continue
-            tris.append(np.array([a, b, c]))
-            idx.pop(j)
-            clipped = True
-            break
-        if not clipped:
+            others = coords[[other for other in idx if other not in (ia, ib, ic)]]
+            if not _strictly_inside(others, a, b, c, tol).any():
+                tris.append(np.array([a, b, c]))
+                idx.pop(j)
+                break
+        else:
             raise QuadratureError("triangulation failure: no ear found (tangled polygon?)")
     last = coords[idx]
-    if signed_area(last) > tol:
+    if _signed_areas(last) > tol:
         tris.append(np.array(last))
     return np.array(tris).reshape(-1, 3, 2)
-
-
-# ---------------------------------------------------------------------------
-# polygon rules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolygonRule:
-    """Physical-space rule over one polygonal cell.
-
-    weights carry the area measure: sum(weights) == |K|.  ``triangles`` is
-    the triangulation the rule was mapped onto, kept so that other rules
-    can be mapped onto the same pieces (``map_to_triangle``).
-    """
-
-    order: int
-    points: np.ndarray  # (n, 2)
-    weights: np.ndarray  # (n,)
-    triangles: np.ndarray  # (T, 3, 2)
-
-
-def polygon_rule(coords: np.ndarray, order: int) -> PolygonRule:
-    """Rule over the simple CCW polygon ``coords``, exact up to ``order``."""
-    tris = triangulate_polygon(coords)
-    pts, wts = map_to_triangle(triangle_rule(order), tris)
-    return PolygonRule(order=order, points=pts, weights=wts, triangles=tris)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +226,9 @@ def gauss_lobatto(npoints: int):
 
 
 def lobatto_edge_points(starts: np.ndarray, ends: np.ndarray, k: int) -> np.ndarray:
-    """(n, k-1, 2) interior nodes of the (k+1)-point Lobatto rule on each
-    segment from ``starts[i]`` to ``ends[i]``: the edge dofs of order k."""
+    """(..., k-1, 2) interior nodes of the (k+1)-point Lobatto rule on each
+    segment from ``starts[i]`` to ``ends[i]`` (stacked as (..., 2)): the
+    edge dofs of order k."""
     nodes, _ = gauss_lobatto(k + 1)
     t = (nodes[1:-1] + 1.0) / 2.0
-    return starts[:, None] + t[:, None] * (ends - starts)[:, None]
+    return starts[..., None, :] + t[:, None] * (ends - starts)[..., None, :]

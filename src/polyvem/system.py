@@ -18,12 +18,17 @@ F(t_n) is ``load_map @ f(quad_points, t_n)``: ``quad_points`` are the
 points of each element's load rule, of degree 2k, which is exact for
 (f, pi0 phi_i) whenever f is in P_k; the forms keep their rule of degree
 2k+2 for the variable coefficients.
+
+Assembly runs over element groups (see ``projectors``): one pass builds a
+group's elements, forms and load block as stacks, one COO index build
+scatters them, and ``elements`` keeps per-cell views in cell order.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +43,7 @@ from .projectors import (
     interpolate,
     polynomial_dimension,
 )
-from .quadrature import lobatto_edge_points
+from .quadrature import at_points, lobatto_edge_points, triangulate_polygons
 
 __all__ = [
     "SolverError",
@@ -106,6 +111,10 @@ class GlobalDofMap:
     def cell_dofs(self, ci: int) -> np.ndarray:
         return self.cell_dof_lists[ci]
 
+    def group_dofs(self, cells: np.ndarray) -> np.ndarray:
+        """(G, N) global dofs of cells with the same local dof count."""
+        return np.array([self.cell_dof_lists[ci] for ci in cells])
+
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     nv, ne, nc = mesh.num_vertices, mesh.num_edges, mesh.num_cells
@@ -124,15 +133,18 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     dof_points = np.concatenate([mesh.vertices, edge_points.reshape(-1, 2)])
 
     along = np.arange(per_edge)
-    cell_dof_lists = []
-    for ci, loop in enumerate(mesh.cells):
-        edge_ids, forward = mesh.cell_edge_ids(ci)
+    cell_dof_lists = [None] * nc
+    for geom in mesh.cell_groups:
+        loops = geom.vertex_ids
+        edge_ids, forward = mesh.cell_edge_ids(loops)
         # interior Lobatto points are symmetric, so a reversed traversal
         # just flips the index
-        local = np.where(forward[:, None], along, per_edge - 1 - along)
-        edge_dofs = edge_offset + per_edge * edge_ids[:, None] + local
-        moments = cell_offset + nm * ci + np.arange(nm)
-        cell_dof_lists.append(np.concatenate([loop, edge_dofs.ravel(), moments]))
+        local = np.where(forward[..., None], along, per_edge - 1 - along)
+        edge_dofs = edge_offset + per_edge * edge_ids[..., None] + local
+        moments = cell_offset + nm * geom.index[:, None] + np.arange(nm)
+        dofs = np.concatenate([loops, edge_dofs.reshape(len(loops), -1), moments], axis=1)
+        for ci, row in zip(geom.index, dofs):
+            cell_dof_lists[ci] = row
 
     return GlobalDofMap(
         k=k,
@@ -156,7 +168,8 @@ class GlobalSystem:
     k: int
     problem: object
     dofmap: GlobalDofMap
-    elements: list[LocalElement]
+    groups: list[LocalElement]  # element groups, each stacked over its cells
+    element_condition: np.ndarray  # monomial mass-matrix condition of each cell
     m1: sp.csr_matrix
     m2: sp.csr_matrix
     a: sp.csr_matrix
@@ -169,45 +182,46 @@ class GlobalSystem:
     def size(self) -> int:
         return self.dofmap.size
 
-    def load_vector(self, t: float) -> np.ndarray:
-        f_vals = np.asarray(
-            self.problem.f(self.quad_points[:, 0], self.quad_points[:, 1], t), dtype=float
-        )
-        return self.load_map @ f_vals
+    @cached_property
+    def elements(self) -> list[LocalElement]:
+        """Per-cell views into the groups, in cell order."""
+        views = {ci: g[pos] for g in self.groups for pos, ci in enumerate(g.geom.index)}
+        return [views[ci] for ci in range(self.mesh.num_cells)]
 
 
 def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSystem:
-    """Build elements, local forms and scatter them into global matrices."""
+    """Build elements, local forms and load blocks group by group and
+    scatter them into global matrices."""
     dofmap = build_dof_map(mesh, k)
     n = dofmap.size
 
-    elements = []
+    groups = [
+        build_element(geom[rows], tris, k)
+        for geom in mesh.cell_groups
+        for rows, tris in triangulate_polygons(geom.coords)
+    ]
+    condition = np.empty(mesh.num_cells)
     rows, cols = [], []
     vals = {name: [] for name in ("m1", "m2", "a", "b")}
     lrows, lcols, lvals = [], [], []
-    quad_blocks = []
     offset = 0
-    for ci in range(mesh.num_cells):
-        el = build_element(mesh.cell_geometry(ci), k)
-        elements.append(el)
-        lf = build_local_forms(el, problem)
-        gdofs = dofmap.cell_dofs(ci)
-        grid_r, grid_c = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(grid_r.ravel())
-        cols.append(grid_c.ravel())
-        vals["m1"].append(lf.m1.ravel())
-        vals["m2"].append(lf.m2.ravel())
-        vals["a"].append(lf.a.ravel())
-        vals["b"].append(lf.b.ravel())
+    for group in groups:
+        condition[group.geom.index] = group.condition
+        gdofs = dofmap.group_dofs(group.geom.index)
+        size, n_local = gdofs.shape
+        lf = build_local_forms(group, problem)
+        rows.append(np.repeat(gdofs, n_local, axis=1).ravel())
+        cols.append(np.tile(gdofs, n_local).ravel())
+        for name in vals:
+            vals[name].append(getattr(lf, name).ravel())
 
-        block = load_map_block(el)
-        nq = block.shape[1]
-        br, bc = np.meshgrid(gdofs, offset + np.arange(nq), indexing="ij")
-        lrows.append(br.ravel())
-        lcols.append(bc.ravel())
+        block = load_map_block(group)  # (G, N, nq)
+        nq = block.shape[2]
+        qcols = offset + np.arange(size * nq).reshape(size, nq)
+        lrows.append(np.repeat(gdofs, nq, axis=1).ravel())
+        lcols.append(np.tile(qcols, n_local).ravel())
         lvals.append(block.ravel())
-        quad_blocks.append(el.load_points)
-        offset += nq
+        offset += size * nq
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -217,7 +231,7 @@ def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSyste
             (np.concatenate(vals[name]), (rows, cols)), shape=(n, n)
         ).tocsr()
 
-    quad_points = np.vstack(quad_blocks)
+    quad_points = np.concatenate([group.load_points.reshape(-1, 2) for group in groups])
     load_map = sp.coo_matrix(
         (np.concatenate(lvals), (np.concatenate(lrows), np.concatenate(lcols))),
         shape=(n, offset),
@@ -225,14 +239,17 @@ def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSyste
 
     notes = []
     if check:  # sample the coefficients where the forms evaluate them
-        notes = check_coefficients(problem, np.vstack([el.quad_points for el in elements]))
+        notes = check_coefficients(
+            problem, np.concatenate([group.quad_points.reshape(-1, 2) for group in groups])
+        )
 
     return GlobalSystem(
         mesh=mesh,
         k=k,
         problem=problem,
         dofmap=dofmap,
-        elements=elements,
+        groups=groups,
+        element_condition=condition,
         m1=to_csr("m1"),
         m2=to_csr("m2"),
         a=to_csr("a"),
@@ -329,10 +346,9 @@ def interpolate_global(system: GlobalSystem, fn) -> np.ndarray:
     u[:geo] = fn(pts[:, 0], pts[:, 1])
     nm = polynomial_dimension(system.k - 2)
     if nm:
-        for ci, el in enumerate(system.elements):
-            local = interpolate(el, fn)
-            gdofs = system.dofmap.cell_dofs(ci)
-            u[gdofs[-nm:]] = local[-nm:]
+        for group in system.groups:
+            gdofs = system.dofmap.group_dofs(group.geom.index)
+            u[gdofs[:, -nm:]] = interpolate(group, fn)[:, -nm:]
     return u
 
 
@@ -357,17 +373,15 @@ def project_initial(system: GlobalSystem, tol: float = 1e-12) -> np.ndarray:
     u[bdry] = problem.u0(bpts[:, 0], bpts[:, 1])
 
     rhs = np.zeros(system.size)
-    for ci, el in enumerate(system.elements):
-        pts, w = el.quad_points, el.quad_weights
-        grad0 = np.asarray(problem.grad_u0(pts[:, 0], pts[:, 1]), dtype=float)
-        mu = np.asarray(problem.mu(pts[:, 0], pts[:, 1]), dtype=float)
-        flux = np.einsum("ncd,nd->nc", mu, grad0)
-        nk1 = polynomial_dimension(el.k - 1)
-        vk1 = el.monomial_values[:, :nk1]
-        local = np.zeros(el.num_dofs)
-        for d in range(2):
-            local += el.pi0_grad_star[d].T @ (vk1.T @ (w * flux[:, d]))
-        rhs[dofmap.cell_dofs(ci)] += local
+    nk1 = polynomial_dimension(system.k - 1)
+    for group in system.groups:
+        pts, w = group.quad_points, group.quad_weights
+        grad0 = at_points(problem.grad_u0, pts)
+        mu = at_points(problem.mu, pts)
+        # (mu grad u0, m_i e_c) per cell, then through each pi0-grad row
+        moments = np.einsum("gqi,gq,gqcd,gqd->gci", group.monomial_values[..., :nk1], w, mu, grad0)
+        local = np.einsum("gcin,gci->gn", group.pi0_grad_star, moments)
+        np.add.at(rhs, dofmap.group_dofs(group.geom.index), local)
 
     act = dofmap.active
     if len(act) == 0:

@@ -26,7 +26,7 @@ import numpy as np
 
 import benchmarks
 from polyvem import projectors as P
-from test_projectors import grad_projection_gram
+from test_projectors import grad_projection_gram, mesh_element_groups
 from polyvem.analysis import (
     compute_eoc,
     compute_errors,
@@ -128,8 +128,9 @@ def test_criterion_01_projector_suite():
 
         for mesh in meshes:
             for k in (1, 2, 3):
-                for ci in range(mesh.num_cells):
-                    el = P.build_element(mesh.cell_geometry(ci), k)
+                groups = mesh_element_groups(mesh, k)
+                assert sum(len(group.geom.index) for group in groups) == mesh.num_cells
+                for el in (group[i] for group in groups for i in range(len(group.geom.index))):
                     eye = np.eye(el.basis.dim)
                     d = el.dof_matrix
                     # elliptic and L2 projectors restricted to polynomial
@@ -174,9 +175,8 @@ def test_criterion_02_structural_identities():
 
         # stabilizer kernels: polynomial dof vectors are invisible to Q
         for k in (1, 2, 3):
-            for ci in range(mesh.num_cells):
-                el = P.build_element(mesh.cell_geometry(ci), k)
-                assert np.abs(el.stab_q @ el.dof_matrix).max() <= STRUCTURE_TOL
+            for group in mesh_element_groups(mesh, k):
+                assert np.abs(group.stab_q @ group.dof_matrix).max() <= STRUCTURE_TOL
 
 
 # ---------------------------------------------------------------------------

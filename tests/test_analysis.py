@@ -29,8 +29,10 @@ from polyvem.analysis import (
     run_convergence_sweep,
     write_record_csv,
 )
-from polyvem.mesh import generate_distorted_square_mesh, generate_voronoi_mesh
+from polyvem.forms import constant_coefficient_scales
+from polyvem.mesh import generate_distorted_square_mesh, generate_voronoi_mesh, refine_cells
 from polyvem.problems import get_problem, polynomial_patch
+from polyvem.quadrature import map_to_triangle, triangle_rule
 from polyvem.system import (
     TimeStepperConfig,
     assemble,
@@ -39,6 +41,18 @@ from polyvem.system import (
 )
 
 import benchmarks
+
+
+def perturbed_interpolant(family, k, problem):
+    """A system on a mixed mesh and a dof vector near the exact solution:
+    its interpolant at t = 1 plus a fixed perturbation."""
+    if family == "voronoi":
+        mesh = generate_voronoi_mesh(30, lloyd_iterations=2, seed=3)
+    else:
+        mesh = refine_cells(generate_distorted_square_mesh(4, 0.2, seed=1), [2, 9])
+    system = assemble(mesh, k, problem, check=False)
+    u = interpolate_global(system, lambda x, y: problem.u_exact(x, y, 1.0))
+    return system, u + 1e-3 * np.sin(np.arange(len(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +130,29 @@ class TestComputeErrors:
         system = assemble(mesh, 1, stripped)
         with pytest.raises(ValueError, match="exact solution"):
             compute_errors(system, np.zeros(system.dofmap.size), 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["voronoi", "hanging"])
+    def test_matches_per_cell_reference(self, family, k):
+        """The group-wise errors equal a cell-by-cell evaluation through the
+        per-cell element views, up to summation order."""
+        problem = get_problem("variable")
+        system, u = perturbed_interpolant(family, k, problem)
+        nk, nk1 = (k + 1) * (k + 2) // 2, k * (k + 1) // 2
+        e0_sq = e1_sq = 0.0
+        for ci, el in enumerate(system.elements):
+            pts, w = map_to_triangle(triangle_rule(2 * k + 4), el.triangles)
+            vals = el.basis.eval(pts)
+            ud = u[system.dofmap.cell_dofs(ci)]
+            u_e = problem.u_exact(pts[:, 0], pts[:, 1], 1.0)
+            g_e = problem.grad_u_exact(pts[:, 0], pts[:, 1], 1.0)
+            e0_sq += w @ (u_e - vals[:, :nk] @ (el.pi0_star @ ud)) ** 2
+            for axis in range(2):
+                g_h = vals[:, :nk1] @ (el.pi0_grad_star[axis] @ ud)
+                e1_sq += w @ (g_e[:, axis] - g_h) ** 2
+        pair = compute_errors(system, u, 1.0)
+        assert pair.e0 == pytest.approx(math.sqrt(e0_sq), rel=1e-12)
+        assert pair.e1 == pytest.approx(math.sqrt(e1_sq), rel=1e-12)
 
     def test_metadata_fields(self):
         problem = get_problem("variable")
@@ -327,6 +364,22 @@ class TestErrorIndicators:
         top = int(np.argmax(eta))
         cx, cy = system.elements[top].geom.centroid
         assert math.hypot(cx - 0.5, cy - 0.5) < 0.3
+
+
+    @pytest.mark.parametrize("family", ["voronoi", "hanging"])
+    def test_matches_per_cell_reference(self, family):
+        problem = get_problem("gaussian")
+        system, u = perturbed_interpolant(family, 2, problem)
+        centroids = np.array([el.geom.centroid for el in system.elements])
+        _, eps_k, sigma_k = constant_coefficient_scales(problem, centroids)
+        want = []
+        for ci, el in enumerate(system.elements):
+            ud = u[system.dofmap.cell_dofs(ci)]
+            diff = el.pi0_star @ ud - el.pi_grad_star @ ud
+            q_u = el.stab_q @ ud
+            stab_sq = (eps_k[ci] + sigma_k[ci] * el.geom.area) * (q_u @ q_u)
+            want.append(math.sqrt(diff @ el.mass_monomials @ diff) + math.sqrt(stab_sq))
+        np.testing.assert_allclose(error_indicators(system, u), want, rtol=1e-12)
 
 
 class TestDorflerMarking:

@@ -11,9 +11,10 @@ from polyvem.mesh import (
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
 )
-from polyvem.projectors import build_element, polynomial_dimension
-from polyvem.quadrature import map_to_triangle, triangle_rule, triangulate_polygon
+from polyvem.projectors import polynomial_dimension
+from polyvem.quadrature import map_to_triangle, triangle_rule
 from polyvem.system import assemble
+from test_projectors import element_group
 
 UNIT_SQUARE_GEOM = PolyMesh(
     [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]]
@@ -23,6 +24,21 @@ UNIT_SQUARE_GEOM = PolyMesh(
 def small_cell_geom(n=5, index=12, seed=2):
     mesh = generate_distorted_square_mesh(n, 0.25, seed=seed)
     return mesh.cell_geometry(index)
+
+
+def cell_element(geom, k):
+    """Per-cell view of one cell built as an element group of one."""
+    return element_group(geom, k)[0]
+
+
+def cell_forms(el, problem):
+    """The four forms of one cell, built for its element as a group of one."""
+    lf = F.build_local_forms(el[None], problem)
+    return F.LocalForms(m1=lf.m1[0], m2=lf.m2[0], a=lf.a[0], b=lf.b[0])
+
+
+def cell_stabilizations(el, *scales):
+    return [s[0] for s in F.build_stabilizations(el[None], *scales)]
 
 
 class TestCoefficientChecks:
@@ -75,15 +91,15 @@ class TestCoefficientChecks:
 class TestStabilization:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_kernel_contains_polynomial_dofs(self, k):
-        el = build_element(UNIT_SQUARE_GEOM, k)
-        s1, s2, s3 = F.build_stabilizations(el, 1.0, 1.0, 1.0)
+        el = cell_element(UNIT_SQUARE_GEOM, k)
+        s1, s2, s3 = cell_stabilizations(el, 1.0, 1.0, 1.0)
         for s in (s1, s2, s3):
             assert np.abs(s @ el.dof_matrix).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_positive_semidefinite_random_vectors(self, k):
-        el = build_element(small_cell_geom(), k)
-        s1, s2, s3 = F.build_stabilizations(el, 2.0, 0.5, 1.5)
+        el = cell_element(small_cell_geom(), k)
+        s1, s2, s3 = cell_stabilizations(el, 2.0, 0.5, 1.5)
         rng = np.random.default_rng(7)
         for _ in range(100):
             w = rng.standard_normal(el.num_dofs)
@@ -91,8 +107,8 @@ class TestStabilization:
                 assert w @ s @ w >= -1e-12
 
     def test_positive_on_non_polynomial_part(self):
-        el = build_element(UNIT_SQUARE_GEOM, 2)
-        s1, _, _ = F.build_stabilizations(el, 1.0, 1.0, 1.0)
+        el = cell_element(UNIT_SQUARE_GEOM, 2)
+        s1, _, _ = cell_stabilizations(el, 1.0, 1.0, 1.0)
         rng = np.random.default_rng(3)
         w = rng.standard_normal(el.num_dofs)
         w_np = el.stab_q @ w  # non-polynomial component
@@ -105,8 +121,8 @@ class TestStabilization:
         big = PolyMesh(
             [[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2, 3]]
         ).cell_geometry(0)
-        s_small = F.build_stabilizations(build_element(small, 2), 1.0, 1.0, 1.0)[0]
-        s_big = F.build_stabilizations(build_element(big, 2), 1.0, 1.0, 1.0)[0]
+        s_small = cell_stabilizations(cell_element(small, 2), 1.0, 1.0, 1.0)[0]
+        s_big = cell_stabilizations(cell_element(big, 2), 1.0, 1.0, 1.0)[0]
         np.testing.assert_allclose(s_big, 4.0 * s_small, atol=1e-12)
 
 
@@ -117,15 +133,15 @@ def k(request):
 
 class TestFormMatrices:
     def test_convection_matrix_skew(self, k):
-        el = build_element(small_cell_geom(), k)
-        lf = F.build_local_forms(el, PR.get_problem("variable"))
+        el = cell_element(small_cell_geom(), k)
+        lf = cell_forms(el, PR.get_problem("variable"))
         assert np.abs(lf.b + lf.b.T).max() < 1e-14
 
     def test_mass_polynomial_consistency(self, k):
         """m1_h(p, q) = (p, q) exactly for polynomials: the projection is
         exact and the stabilization vanishes."""
-        el = build_element(small_cell_geom(), k)
-        lf = F.build_local_forms(el, PR.polynomial_patch(k))
+        el = cell_element(small_cell_geom(), k)
+        lf = cell_forms(el, PR.polynomial_patch(k))
         got = el.dof_matrix.T @ lf.m1 @ el.dof_matrix
         assert np.abs(got - el.mass_monomials).max() < 1e-12
 
@@ -133,17 +149,17 @@ class TestFormMatrices:
         """m2_h on polynomial dofs equals int mu grad p . grad q for the
         fully variable coefficient set, checked against a refined rule."""
         geom = small_cell_geom()
-        el = build_element(geom, k)
+        el = cell_element(geom, k)
         prob = PR.get_problem("variable")
-        lf = F.build_local_forms(el, prob)
+        lf = cell_forms(el, prob)
         got = el.dof_matrix.T @ lf.m2 @ el.dof_matrix
 
-        tris = triangulate_polygon(geom.coords)
         rule = triangle_rule(12)
         exact = np.zeros_like(got)
-        for tri in tris:
+        for tri in el.triangles:
             pts, w = map_to_triangle(rule, tri)
-            gx, gy = el.basis.eval_gradient(pts)
+            vals = el.basis.eval(pts)
+            gx, gy = vals @ el.basis.derivative_map(0), vals @ el.basis.derivative_map(1)
             mu = prob.mu(pts[:, 0], pts[:, 1])[:, 0, 0]  # isotropic
             exact += (gx * (w * mu)[:, None]).T @ gx + (gy * (w * mu)[:, None]).T @ gy
         assert np.abs(got - exact).max() < 1e-11
@@ -152,9 +168,9 @@ class TestFormMatrices:
         """b_h on polynomial dofs matches the skew form built from exact
         monomial integrals."""
         geom = small_cell_geom()
-        el = build_element(geom, k)
+        el = cell_element(geom, k)
         prob = PR.get_problem("convection")  # constant beta = (10, 10)
-        lf = F.build_local_forms(el, prob)
+        lf = cell_forms(el, prob)
         got = el.dof_matrix.T @ lf.b @ el.dof_matrix
         cx = el.basis.derivative_map(0)
         cy = el.basis.derivative_map(1)
@@ -164,16 +180,16 @@ class TestFormMatrices:
         assert np.abs(got - exact).max() < 1e-11
 
     def test_m1_positive_definite(self, k):
-        el = build_element(small_cell_geom(), k)
-        lf = F.build_local_forms(el, PR.get_problem("convection"))
+        el = cell_element(small_cell_geom(), k)
+        lf = cell_forms(el, PR.get_problem("convection"))
         assert np.linalg.eigvalsh(lf.m1).min() > 0
 
     def test_m2_psd_with_constant_kernel(self, k):
         """The gradient-mass matrix annihilates exactly the constant
         function (its dof vector is the first column of D) and is positive
         on the complement."""
-        el = build_element(small_cell_geom(), k)
-        lf = F.build_local_forms(el, PR.get_problem("convection"))
+        el = cell_element(small_cell_geom(), k)
+        lf = cell_forms(el, PR.get_problem("convection"))
         eigs = np.linalg.eigvalsh(lf.m2)
         scale = eigs[-1]
         assert eigs[0] > -1e-13 * scale
@@ -182,8 +198,8 @@ class TestFormMatrices:
         assert np.abs(lf.m2 @ const_dofs).max() < 1e-12 * scale
 
     def test_a_positive_definite_when_sigma_nonnegative(self, k):
-        el = build_element(small_cell_geom(), k)
-        lf = F.build_local_forms(el, PR.get_problem("convection"))
+        el = cell_element(small_cell_geom(), k)
+        lf = cell_forms(el, PR.get_problem("convection"))
         sym = 0.5 * (lf.a + lf.a.T)
         assert np.linalg.eigvalsh(sym).min() > 0
 
@@ -196,13 +212,13 @@ def _with_source(prob, f):
 def _element_load(el, prob, t):
     """Local load vector through the element's own load rule."""
     pts = el.load_points
-    return F.load_map_block(el) @ prob.f(pts[:, 0], pts[:, 1], t)
+    return F.load_map_block(el[None])[0] @ prob.f(pts[:, 0], pts[:, 1], t)
 
 
 def _oracle_pi0_values(el, order=10):
     """Points, weights and pi0 phi_i values (one column per dof) of an
     order-``order`` rule over the cell, far above the load rule's 2k."""
-    pts, w = map_to_triangle(triangle_rule(order), triangulate_polygon(el.geom.coords))
+    pts, w = map_to_triangle(triangle_rule(order), el.triangles)
     return pts, w, el.basis.eval(pts) @ el.pi0_star
 
 
@@ -222,13 +238,13 @@ LOAD_CELLS = {
 
 class TestLoad:
     def test_zero_source_gives_zero(self, k):
-        el = build_element(small_cell_geom(), k)
+        el = cell_element(small_cell_geom(), k)
         zeroed = _with_source(PR.polynomial_patch(k), lambda x, y, t: np.zeros(np.shape(x)))
         load = _element_load(el, zeroed, 0.7)
         assert np.abs(load).max() == 0.0
 
     def test_unit_source_k1_sums_to_area(self):
-        el = build_element(small_cell_geom(), 1)
+        el = cell_element(small_cell_geom(), 1)
         unit = _with_source(PR.polynomial_patch(1), lambda x, y, t: np.ones(np.shape(x)))
         load = _element_load(el, unit, 0.0)
         # k = 1 hat functions sum to one, so the loads sum to the area
@@ -244,14 +260,15 @@ class TestLoad:
         el = system.elements[0]
         np.testing.assert_array_equal(system.quad_points, el.load_points)
         want = _element_load(el, prob, 0.4)
-        got = system.load_vector(0.4)[system.dofmap.cell_dofs(0)]
+        qp = system.quad_points
+        got = (system.load_map @ prob.f(qp[:, 0], qp[:, 1], 0.4))[system.dofmap.cell_dofs(0)]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("cell", sorted(LOAD_CELLS))
     def test_polynomial_source_matches_oracle(self, k, cell):
         """The degree-2k load rule is exact for f in P_k: (f, pi0 phi_i)
         has degree at most 2k."""
-        el = build_element(LOAD_CELLS[cell], k)
+        el = cell_element(LOAD_CELLS[cell], k)
         coeffs = np.random.default_rng(k).uniform(-1.0, 1.0, polynomial_dimension(k))
 
         def f(x, y, t):
@@ -274,7 +291,7 @@ class TestLoad:
         errors: 5.9e-7, 3.2e-8, 2.3e-9 for k = 1, 2, 3 on this h ~ 0.04 cell,
         at most 0.13 of the bound)."""
         geom = small_cell_geom(n=32, index=512, seed=2)
-        el = build_element(geom, k)
+        el = cell_element(geom, k)
         prob = PR.get_problem("variable")
         load = _element_load(el, prob, 1.0)
 

@@ -49,7 +49,7 @@ class TestPolyMeshBasics:
 
     def test_cell_edge_ids_orientation(self):
         mesh = M.PolyMesh(UNIT_SQUARE, [[0, 1, 2, 3]])
-        ids, forward = mesh.cell_edge_ids(0)
+        ids, forward = mesh.cell_edge_ids(mesh.cells[0])
         # loop 0->1->2->3->0: edges (0,1) (1,2) (2,3) (3,0); last is reversed
         assert list(forward) == [True, True, True, False]
         assert sorted(ids) == list(range(4))
@@ -277,8 +277,19 @@ class TestMeshIO:
 
     def test_invalid_mesh_content(self):
         text = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 2 1\n"
-        with pytest.raises(M.MeshError, match="invalid mesh"):
+        with pytest.raises(M.MeshError, match="^line 7: invalid mesh: cell 0 .*not CCW"):
             M.mesh_from_string(text)
+        # the clockwise cell is the second of two: its own line is named
+        two = text.replace("cells 1\n3 0 2 1\n", "cells 2\n3 0 1 2\n3 0 2 1\n")
+        with pytest.raises(M.MeshError, match="^line 8: invalid mesh: cell 1 "):
+            M.mesh_from_string(two)
+        # an edge shared by three cells names the third
+        three = text.replace("cells 1\n3 0 2 1\n", "cells 3\n3 0 1 2\n3 0 1 2\n3 0 1 2\n")
+        with pytest.raises(M.MeshError, match="^line 9: invalid mesh: edge"):
+            M.mesh_from_string(three)
+        nan = text.replace("1.0 0.0\n", "nan 0.0\n")
+        with pytest.raises(M.MeshError, match="^line 4: non-finite coordinate"):
+            M.mesh_from_string(nan)
 
     TRIANGLE = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 1 2\n"
 

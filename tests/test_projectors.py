@@ -5,7 +5,7 @@ import pytest
 
 from polyvem.mesh import PolyMesh, generate_concave_mesh, generate_voronoi_mesh
 from polyvem import projectors as P
-from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule
+from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule, triangulate_polygons
 
 
 def make_geometries():
@@ -24,6 +24,21 @@ def make_geometries():
 
 
 GEOMETRIES = make_geometries()
+
+
+def element_group(geom, k):
+    """One cell (a ``CellGeometry`` view) built as an element group of one."""
+    [(_, tris)] = triangulate_polygons(geom.coords[None])
+    return P.build_element(geom[None], tris, k)
+
+
+def mesh_element_groups(mesh, k):
+    """The element groups of a whole mesh, as assembly builds them."""
+    return [
+        P.build_element(geom[rows], tris, k)
+        for geom in mesh.cell_groups
+        for rows, tris in triangulate_polygons(geom.coords)
+    ]
 
 
 # volume-quadrature reference for B D = G: it uses the monomial mass matrix,
@@ -62,12 +77,13 @@ class TestBasis:
             assert basis.index(int(a), int(b)) == j
 
     def test_derivative_map_matches_gradient(self):
+        """Values times the derivative map against central differences."""
         basis = P.ScaledMonomialBasis(3, np.array([0.2, -0.1]), 0.7)
         pts = np.array([[0.5, 0.3], [-0.2, 0.4], [0.1, 0.1]])
-        gx, gy = basis.eval_gradient(pts)
         vals = basis.eval(pts)
-        np.testing.assert_allclose(vals @ basis.derivative_map(0), gx, atol=1e-12)
-        np.testing.assert_allclose(vals @ basis.derivative_map(1), gy, atol=1e-12)
+        for axis, step in enumerate(1e-6 * np.eye(2)):
+            fd = (basis.eval(pts + step) - basis.eval(pts - step)) / 2e-6
+            np.testing.assert_allclose(vals @ basis.derivative_map(axis), fd, atol=1e-8)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_eval_matches_closed_form(self, degree):
@@ -79,7 +95,7 @@ class TestBasis:
         basis = P.ScaledMonomialBasis(degree, center, h)
         pts = np.array([center, [0.5, 0.3], [-0.2, 0.4], [0.2, 0.6], [0.9, -0.1]])
         vals = basis.eval(pts)
-        gx, gy = basis.eval_gradient(pts)
+        gx, gy = vals @ basis.derivative_map(0), vals @ basis.derivative_map(1)
         x, y = sym.symbols("x y")
         for j, (a, b) in enumerate(basis.exponents):
             mono = ((x - center[0]) / h) ** int(a) * ((y - center[1]) / h) ** int(b)
@@ -105,11 +121,11 @@ class TestBasis:
 class TestDofCounts:
     @pytest.mark.parametrize("k,expected", [(1, 6), (2, 13), (3, 21)])
     def test_hexagon_dof_count(self, k, expected):
-        el = P.build_element(GEOMETRIES["hexagon"], k)
+        el = element_group(GEOMETRIES["hexagon"], k)[0]
         assert el.num_dofs == expected
 
     def test_layout_slices(self):
-        el = P.build_element(GEOMETRIES["square"], 3)
+        el = element_group(GEOMETRIES["square"], 3)[0]
         lay = el.layout
         assert lay.num_vertices == 4
         assert lay.num_moments == 3
@@ -123,7 +139,7 @@ class TestDofCounts:
     def test_edge_nodes_are_boundary_lobatto_points(self, geom, k):
         """The dof points through the edge-node array are the (k+1)-point
         Gauss-Lobatto nodes of every edge, in order."""
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         nodes, _ = gauss_lobatto(k + 1)
         a = geom.coords
         b = np.roll(geom.coords, -1, axis=0)
@@ -133,29 +149,29 @@ class TestDofCounts:
 
     def test_unsupported_order_raises(self):
         with pytest.raises(P.VemError, match="not supported"):
-            P.build_element(GEOMETRIES["square"], 4)
+            element_group(GEOMETRIES["square"], 4)
         with pytest.raises(P.VemError):
-            P.build_element(GEOMETRIES["square"], 0)
+            element_group(GEOMETRIES["square"], 0)
 
 
 class TestProjectionIdentities:
     def test_gram_consistency(self, geom, k):
         """Integration-by-parts functionals applied to the monomials must
         reproduce the gradient Gram matrix computed by volume quadrature."""
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         lhs = el.b_matrix @ el.dof_matrix
         rhs = grad_projection_gram(el)
         scale = max(1.0, np.abs(rhs).max())
         assert np.abs(lhs - rhs).max() / scale < 1e-10
 
     def test_polynomial_reproduction(self, geom, k):
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         eye = np.eye(el.basis.dim)
         assert np.abs(el.pi_grad_star @ el.dof_matrix - eye).max() < 1e-10
         assert np.abs(el.pi0_star @ el.dof_matrix - eye).max() < 1e-10
 
     def test_gradient_projection_reproduction(self, geom, k):
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         nk1 = P.polynomial_dimension(k - 1)
         for axis in range(2):
             got = el.pi0_grad_star[axis] @ el.dof_matrix
@@ -163,20 +179,20 @@ class TestProjectionIdentities:
             assert np.abs(got - want).max() < 1e-10
 
     def test_idempotency(self, geom, k):
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         pg = el.pi_grad_star
         assert np.abs(pg @ el.dof_matrix @ pg - pg).max() < 1e-10
         p0 = el.pi0_star
         assert np.abs(p0 @ el.dof_matrix @ p0 - p0).max() < 1e-10
 
     def test_stabilizer_vanishes_on_polynomials(self, geom, k):
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         assert np.abs(el.stab_q @ el.dof_matrix).max() < 1e-12
 
     def test_l2_projection_orthogonality(self, geom, k):
         """(w - pi0 w, m) = 0 for all m up to degree k-2: those moments are
         dofs, so the defect is computable exactly."""
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
         nm = el.layout.num_moments
         if nm == 0:
             return
@@ -191,8 +207,8 @@ class TestProjectionIdentities:
 
     def test_divergence_closure(self, geom, k):
         """int_K pi0(d/dx of the interpolant of x) equals |K| exactly."""
-        el = P.build_element(geom, k)
-        dofs = P.interpolate(el, lambda x, y: x)
+        el = element_group(geom, k)[0]
+        dofs = P.interpolate(el[None], lambda x, y: x)[0]
         coeffs = el.pi0_grad_star[0] @ dofs
         nk1 = P.polynomial_dimension(k - 1)
         integral = float(el.mass_monomials[0, :nk1] @ coeffs)
@@ -201,12 +217,12 @@ class TestProjectionIdentities:
 
 class TestInterpolation:
     def test_interpolation_of_space_polynomial_is_exact(self, geom, k):
-        el = P.build_element(geom, k)
+        el = element_group(geom, k)[0]
 
         def p(x, y):
             return 1.0 + 2.0 * x - y + (x * y if k >= 2 else 0.0)
 
-        dofs = P.interpolate(el, p)
+        dofs = P.interpolate(el[None], p)[0]
         coeffs = el.pi0_star @ dofs
         pts = el.quad_points
         recon = el.monomial_values @ coeffs
@@ -225,13 +241,11 @@ class TestInterpolation:
         for n in (8, 16, 32):
             mesh = generate_distorted_square_mesh(n, 0.2, seed=1)
             total = 0.0
-            for ci in range(mesh.num_cells):
-                el = P.build_element(mesh.cell_geometry(ci), k)
-                pts, w = map_to_triangle(triangle_rule(2 * k + 4), el.triangles)
-                dofs = P.interpolate(el, u)
-                coeffs = el.pi0_star @ dofs
-                diff = el.basis.eval(pts) @ coeffs - u(pts[:, 0], pts[:, 1])
-                total += float(w @ diff**2)
+            for group in mesh_element_groups(mesh, k):
+                pts, w = map_to_triangle(triangle_rule(2 * k + 4), group.triangles)
+                coeffs = group.pi0_star @ P.interpolate(group, u)[..., None]
+                diff = (group.basis.eval(pts) @ coeffs)[..., 0] - u(pts[..., 0], pts[..., 1])
+                total += float(np.sum(w * diff**2))
             errors.append(np.sqrt(total))
             sizes.append(mesh.h)
         # the coarsest pair is preasymptotic; judge the finest pair
@@ -247,9 +261,31 @@ class TestConditioning:
         with pytest.raises(M.MeshError, match="degenerate"):
             PolyMesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14], [0.0, 5e-15]], [[0, 1, 2, 3]])
 
+    def test_sliver_cell_condition(self):
+        """Horizontal strips of the unit square, cells 1 and 3 slivers of
+        height 1e-3 and 1e-4: assembly keeps every cell's mass-matrix
+        condition number in cell order, and where slivers are unusable the
+        error names the worst one."""
+        from polyvem.problems import get_problem
+        from polyvem.system import assemble
+
+        levels = [0.0, 0.4, 0.401, 0.6, 0.6001, 1.0]
+        vertices = [[x, y] for y in levels for x in (0.0, 1.0)]
+        cells = [[2 * i, 2 * i + 1, 2 * i + 3, 2 * i + 2] for i in range(len(levels) - 1)]
+        mesh = PolyMesh(vertices, cells)
+        problem = get_problem("gaussian")
+
+        cond = assemble(mesh, 1, problem, check=False).element_condition
+        alone = [element_group(mesh.cell_geometry(ci), 1).condition[0] for ci in range(5)]
+        np.testing.assert_allclose(cond, alone, rtol=1e-12)
+        assert cond[3] > cond[1] > 1e6 > max(cond[[0, 2, 4]])
+        # both slivers exceed the bound at k = 2; the worst one is named
+        with pytest.raises(P.VemError, match="^cell 3: .*condition"):
+            assemble(mesh, 2, problem, check=False)
+
     def test_flat_cell_condition_diagnostic(self):
         geom = PolyMesh(
             [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-7], [0.0, 1e-7]], [[0, 1, 2, 3]]
         ).cell_geometry(0)
         with pytest.raises(P.VemError, match="condition"):
-            P.build_element(geom, 3)
+            element_group(geom, 3)

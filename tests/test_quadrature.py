@@ -12,6 +12,18 @@ REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def triangulate(coords):
+    """Triangulation of one polygon, triangulated as a stack of one."""
+    [(rows, tris)] = Q.triangulate_polygons(np.asarray(coords, dtype=float)[None])
+    assert rows.tolist() == [0]
+    return tris[0]
+
+
+def polygon_rule(coords, order):
+    """(points, weights) of the order-``order`` rule over one polygon."""
+    return Q.map_to_triangle(Q.triangle_rule(order), triangulate(coords))
+
+
 def monomial_integral_reference_triangle(a: int, b: int) -> float:
     """Closed form: int_T x^a y^b dA = a! b! / (a + b + 2)! on the unit triangle."""
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
@@ -68,19 +80,19 @@ class TestTriangleRules:
 
 class TestPolygonRules:
     def test_unit_square_constants(self):
-        rule = Q.polygon_rule(UNIT_SQUARE, 0)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        _, weights = polygon_rule(UNIT_SQUARE, 0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_square_x2y2(self):
-        rule = Q.polygon_rule(UNIT_SQUARE, 4)
-        got = float(rule.weights @ (rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2))
+        pts, w = polygon_rule(UNIT_SQUARE, 4)
+        got = float(w @ (pts[:, 0] ** 2 * pts[:, 1] ** 2))
         assert got == pytest.approx(1.0 / 9.0, abs=1e-14)
 
     def test_concave_cell_linear_against_edge_oracle(self):
         mesh = generate_concave_mesh(1)
         coords = mesh.cell_geometry(0).coords
-        rule = Q.polygon_rule(coords, 2)
-        got = float(rule.weights @ (rule.points[:, 0] + rule.points[:, 1]))
+        pts, w = polygon_rule(coords, 2)
+        got = float(w @ (pts[:, 0] + pts[:, 1]))
         oracle = greens_theorem_monomial_integral(coords, 1, 0) + greens_theorem_monomial_integral(
             coords, 0, 1
         )
@@ -95,10 +107,10 @@ class TestPolygonRules:
         ]
         order = 2 * k + 2
         for coords in cells:
-            rule = Q.polygon_rule(coords, order)
+            pts, w = polygon_rule(coords, order)
             for a in range(order + 1):
                 for b in range(order + 1 - a):
-                    got = float(rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
+                    got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
                     oracle = greens_theorem_monomial_integral(coords, a, b)
                     assert got == pytest.approx(oracle, rel=1e-11, abs=1e-13)
 
@@ -108,15 +120,12 @@ class TestPolygonRules:
         left = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.0, 1.0]])
         right = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]])
         for order in range(0, 9):
-            whole = Q.polygon_rule(UNIT_SQUARE, order)
-            parts = [Q.polygon_rule(c, order) for c in (left, right)]
+            whole = polygon_rule(UNIT_SQUARE, order)
+            parts = [polygon_rule(c, order) for c in (left, right)]
             for a in range(order + 1):
                 for b in range(order + 1 - a):
-                    one = float(whole.weights @ (whole.points[:, 0] ** a * whole.points[:, 1] ** b))
-                    two = sum(
-                        float(r.weights @ (r.points[:, 0] ** a * r.points[:, 1] ** b))
-                        for r in parts
-                    )
+                    one = float(whole[1] @ (whole[0][:, 0] ** a * whole[0][:, 1] ** b))
+                    two = sum(float(w @ (p[:, 0] ** a * p[:, 1] ** b)) for p, w in parts)
                     assert abs(one - two) < 1e-11
 
     def test_convex_cells_fan_into_m_minus_2_triangles(self):
@@ -128,7 +137,7 @@ class TestPolygonRules:
             mesh.cell_geometry(ci).coords for ci in range(mesh.num_cells)
         ]
         for coords in cells:
-            tris = Q.triangulate_polygon(coords)
+            tris = triangulate(coords)
             assert tris.shape == (len(coords) - 2, 3, 2)
             areas = [greens_theorem_monomial_integral(t, 0, 0) for t in tris]
             assert min(areas) > 0.0
@@ -140,26 +149,47 @@ class TestPolygonRules:
         # vertex 0 sits on a straight run (a hanging node of a refined
         # neighbour); the fan from it must still cover the cell
         coords = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        tris = Q.triangulate_polygon(coords)
+        tris = triangulate(coords)
         assert len(tris) == 3
-        rule = Q.polygon_rule(coords, 4)
+        pts, w = polygon_rule(coords, 4)
         for a in range(5):
             for b in range(5 - a):
-                got = float(rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
+                got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
                 assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
 
     def test_rules_share_the_stored_triangulation(self):
-        coords = generate_concave_mesh(1).cell_geometry(1).coords
-        rule = Q.polygon_rule(coords, 6)
-        np.testing.assert_array_equal(rule.triangles, Q.triangulate_polygon(coords))
-        pts, w = Q.map_to_triangle(Q.triangle_rule(6), rule.triangles)
-        np.testing.assert_array_equal(pts, rule.points)
-        np.testing.assert_array_equal(w, rule.weights)
+        from polyvem.projectors import build_element
+
+        geom = generate_concave_mesh(1).cell_geometry(1)
+        tris = triangulate(geom.coords)
+        el = build_element(geom[None], tris[None], 2)[0]
+        np.testing.assert_array_equal(el.triangles, tris)
+        rules = ((6, el.quad_points, el.quad_weights), (4, el.load_points, el.load_weights))
+        for order, pts, w in rules:
+            want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(order), tris)
+            np.testing.assert_array_equal(pts, want_pts)
+            np.testing.assert_array_equal(w, want_w)
+
+    def test_stack_splits_by_triangle_count(self):
+        """A stack of pentagons splits into one group per triangle count,
+        rows ascending, each polygon triangulated as it would be alone."""
+        pentagon = np.array([[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 2.0 * np.pi, 6)[:-1]])
+        hanging = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        reflex = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0]])
+        stack = np.stack([pentagon, hanging, reflex, 2.0 * hanging, pentagon + 1.0])
+        groups = Q.triangulate_polygons(stack)
+        assert [(rows.tolist(), tris.shape) for rows, tris in groups] == [
+            ([1, 3], (2, 2, 3, 2)),
+            ([0, 2, 4], (3, 3, 3, 2)),
+        ]
+        for rows, tris in groups:
+            for row, got in zip(rows, tris):
+                np.testing.assert_array_equal(got, triangulate(stack[row]))
 
     def test_tangled_polygon_raises(self):
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(Q.QuadratureError):
-            Q.triangulate_polygon(bowtie)
+            triangulate(bowtie)
 
 
 class TestGaussLobatto:

@@ -12,8 +12,10 @@ from polyvem import system as system_module
 from polyvem.forms import build_local_forms
 from polyvem.mesh import (
     PolyMesh,
+    generate_concave_mesh,
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
+    refine_cells,
 )
 from polyvem.problems import (
     SobolevProblem,
@@ -22,7 +24,6 @@ from polyvem.problems import (
     get_problem,
     polynomial_patch,
 )
-from polyvem.projectors import build_element, interpolate
 from polyvem.system import (
     LinearSolver,
     SolverError,
@@ -39,6 +40,7 @@ from polyvem.system import (
     solve_linear,
     write_solution,
 )
+from test_projectors import element_group
 
 
 def _zeros3(x, y, t):
@@ -142,17 +144,55 @@ class TestDofMap:
 # ---------------------------------------------------------------------------
 
 
+GROUP_MESHES = {
+    "voronoi": lambda: generate_voronoi_mesh(30, seed=4),
+    "hanging": lambda: refine_cells(generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10]),
+    "concave": lambda: generate_concave_mesh(2),
+}
+
+ELEMENT_FIELDS = ("dof_matrix", "b_matrix", "pi_grad_star", "pi0_star", "pi0_grad_star", "stab_q")
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(GROUP_MESHES))
+    def test_group_matches_cell_built_alone(self, family, k):
+        """Every cell's operators and local forms are the same whether the
+        cell is built in its group or as a group of one; the groups cover
+        each cell once and ``elements`` is in cell order."""
+        mesh = GROUP_MESHES[family]()
+        problem = get_problem("variable")
+        system = assemble(mesh, k, problem, check=False)
+        covered = np.concatenate([group.geom.index for group in system.groups])
+        assert sorted(covered) == list(range(mesh.num_cells))
+        assert [int(el.geom.index) for el in system.elements] == list(range(mesh.num_cells))
+        keys = [(g.layout.num_vertices, g.triangles.shape[1]) for g in system.groups]
+        assert len(set(keys)) == len(keys) > (family != "concave")
+        if family == "hanging":  # a hanging node next to vertex 0 drops a fan triangle
+            assert any(t < m - 2 for m, t in keys)
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        for group in system.groups:
+            forms = build_local_forms(group, problem)
+            for pos, ci in enumerate(group.geom.index):
+                alone = element_group(mesh.cell_geometry(ci), k)
+                alone_forms = build_local_forms(alone, problem)
+                for name in ELEMENT_FIELDS:
+                    close(getattr(system.elements[ci], name), getattr(alone, name)[0])
+                for name in ("m1", "m2", "a", "b"):
+                    close(getattr(forms, name)[pos], getattr(alone_forms, name)[0])
+
     def test_single_cell_matches_local_forms(self):
         mesh = unit_square_mesh()
         problem = get_problem("variable")
         system = assemble(mesh, 2, problem)
-        element = build_element(mesh.cell_geometry(0), 2)
-        local = build_local_forms(element, problem)
+        local = build_local_forms(element_group(mesh.cell_geometry(0), 2), problem)
         cd = system.dofmap.cell_dofs(0)
         for name, mat in [("m1", local.m1), ("m2", local.m2), ("a", local.a), ("b", local.b)]:
             dense = getattr(system, name)[np.ix_(cd, cd)].toarray()
-            assert np.allclose(dense, mat, atol=1e-14), name
+            assert np.allclose(dense, mat[0], atol=1e-14), name
 
     def test_two_cells_sum_on_shared_dofs(self):
         """Hand-scattered local matrices must equal the assembled operator."""
@@ -165,8 +205,8 @@ class TestAssembly:
         for name in ["m1", "m2", "a", "b"]:
             ref = np.zeros((n, n))
             for ci in range(mesh.num_cells):
-                element = build_element(mesh.cell_geometry(ci), k)
-                local = getattr(build_local_forms(element, problem), name)
+                element = element_group(mesh.cell_geometry(ci), k)
+                local = getattr(build_local_forms(element, problem), name)[0]
                 cd = dm.cell_dofs(ci)
                 ref[np.ix_(cd, cd)] += local
             assert np.allclose(getattr(system, name).toarray(), ref, atol=1e-13), name
@@ -189,7 +229,7 @@ class TestAssembly:
 
         monkeypatch.setattr(system_module, "check_coefficients", spy)
         system = assemble(generate_voronoi_mesh(16, seed=2), 2, get_problem("convection"))
-        form_points = np.vstack([el.quad_points for el in system.elements])
+        form_points = np.concatenate([g.quad_points.reshape(-1, 2) for g in system.groups])
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], form_points)
         assert len(form_points) > len(system.quad_points)
@@ -349,7 +389,9 @@ class TestTimeStepper:
         g_mat = (system.m1 + system.m2).tocsr()
         lhs = (g_mat + tau * (system.a + system.b)).tocsr()
         g_b = dirichlet_values(system, tau)
-        rhs = (g_mat @ u0)[act] + tau * system.load_vector(tau)[act]
+        qp = system.quad_points
+        load = system.load_map @ problem.f(qp[:, 0], qp[:, 1], tau)
+        rhs = (g_mat @ u0)[act] + tau * load[act]
         rhs -= lhs[np.ix_(act, bdry)] @ g_b
         u_act = solve_linear(lhs[np.ix_(act, act)], rhs)
         scale = max(1.0, np.max(np.abs(u_act)))
