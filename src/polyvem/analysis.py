@@ -6,10 +6,11 @@ The error quantities are the computable surrogates
     E1h^2 = sum_K || grad u - P0_{k-1} grad u_h ||_{0,K}^2
 
 evaluated with a quadrature rule two orders finer than the one used for
-assembly, mapped onto each element's stored triangulation, so the
+assembly, mapped onto the triangles the mesh stores for each cell, so the
 measurement error stays well below the discretization error being
-measured.  Both run group by group: one basis evaluation and one
-exact-solution call per element group.
+measured.  Errors and indicators run over the mesh's cell groups, each
+group zipped with its dof array: one basis evaluation and one
+exact-solution call per group.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "run_adaptive_study",
     "matched_dof_comparison",
     "record_to_csv",
-    "write_record_csv",
     "MESH_FAMILIES",
     "family_mesh",
 ]
@@ -142,10 +142,10 @@ def compute_errors(
     rule = triangle_rule(2 * k + 4)
     e0_sq = 0.0
     e1_sq = 0.0
-    for group in system.groups:
-        pts, w = map_to_triangle(rule, group.triangles)
+    for group, gdofs in zip(system.groups, dofmap.groups):
+        pts, w = map_to_triangle(rule, group.geom.triangles)
         vals = group.basis.eval(pts)
-        ud = u[dofmap.group_dofs(group.geom.index)][..., None]
+        ud = u[gdofs][..., None]
 
         u_h = (vals[..., :nk] @ (group.pi0_star @ ud))[..., 0]
         grad_coeffs = (group.pi0_grad_star @ ud[:, None])[..., 0]  # (G, 2, nk1)
@@ -273,10 +273,10 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
     the discrete solution restricted to K is a polynomial of degree <= k.
     """
     out = np.empty(system.mesh.num_cells)
-    for group in system.groups:
+    for group, gdofs in zip(system.groups, system.dofmap.groups):
         cells = group.geom.index
         _, eps_k, sigma_k = constant_coefficient_scales(system.problem, group.geom.centroid)
-        ud = u[system.dofmap.group_dofs(cells)][..., None]
+        ud = u[gdofs][..., None]
         diff = group.pi0_star @ ud - group.pi_grad_star @ ud
         proj_gap_sq = (np.swapaxes(diff, 1, 2) @ group.mass_monomials @ diff)[:, 0, 0]
         # S3 energy via the dof-space residual vector Q u, not the assembled
@@ -418,8 +418,3 @@ def record_to_csv(record: ConvergenceRecord) -> str:
             f"{pair.e1:.6e},{c1},{pair.seconds:.3f}\n"
         )
     return buf.getvalue()
-
-
-def write_record_csv(path, record: ConvergenceRecord) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(record_to_csv(record))

@@ -4,6 +4,14 @@ Meshes are immutable after construction: generators and ``refine_cells``
 always return new ``PolyMesh`` objects.  Cells are stored as CCW vertex
 index loops; edges, boundary flags and per-cell geometry are derived.
 
+The mesh owns the one grouping of cells that every later stage follows:
+``PolyMesh.cell_groups`` stacks the cells with the same vertex count and
+the same triangle count, with their geometry and triangulation, and
+``cell_slot`` gives each cell's (group, position).  Each cell is
+triangulated once, here: convex cells as a fan from vertex 0 (one array
+pass per stack), cells with a reflex vertex by ear clipping.  A cell that
+cannot be triangulated is rejected like any other invalid cell.
+
 The three built-in families discretize the unit square:
 
 * distorted quadrilateral grids (randomly perturbed tensor meshes),
@@ -76,19 +84,122 @@ def polygon_geometry(coords: np.ndarray):
     return area, centroid, diameter, lengths, normals
 
 
+def triangle_areas(tris: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles stacked as (..., 3, 2)."""
+    e1 = tris[..., 1, :] - tris[..., 0, :]
+    e2 = tris[..., 2, :] - tris[..., 0, :]
+    return 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+
+
+def triangulate_polygons(coords: np.ndarray):
+    """Split a (G, m, 2) stack of CCW polygons into triangles.
+
+    Convex polygons (collinear vertices allowed) get a fan from vertex 0 in
+    one array pass: m-2 triangles, less the zero-area ones of a straight run
+    through vertex 0.  Polygons with a reflex vertex are ear-clipped.
+    Returns one (ascending rows, (rows, T, 3, 2) triangles) pair per
+    triangle count T, and the rows that cannot be triangulated: not CCW, of
+    (near-)zero area, or not covered by their triangles (a self-intersecting
+    loop).
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[1]
+    scale = np.ptp(coords, axis=1).max(axis=1)
+    tol = 1e-12 * scale * scale
+    prev = coords - np.roll(coords, 1, axis=1)
+    nxt = np.roll(coords, -1, axis=1) - coords
+    turns = prev[..., 0] * nxt[..., 1] - prev[..., 1] * nxt[..., 0]
+    convex = np.all(turns >= -tol[:, None], axis=1)
+    apex = np.broadcast_to(coords[:, :1], (len(coords), n - 2, 2))
+    fan = np.stack([apex, coords[:, 1:-1], coords[:, 2:]], axis=2)
+    fan_areas = triangle_areas(fan)
+    # the signed fan areas sum to the polygon's signed area; from edge
+    # vectors, they keep their digits far from the origin
+    poly_area = fan_areas.sum(axis=1)
+    keep = fan_areas > tol[:, None]
+    counts = keep.sum(axis=1)
+    covered = np.where(keep, fan_areas, 0.0).sum(axis=1)
+    failed = poly_area <= tol
+    clipped = {}
+    for r in np.flatnonzero(~convex & ~failed):
+        tris = _ear_clip(coords[r], tol[r])
+        if tris is None:
+            failed[r] = True
+            continue
+        clipped[r] = tris
+        counts[r] = len(tris)
+        covered[r] = triangle_areas(tris).sum()
+    failed |= np.abs(covered - poly_area) > 1e-9 * np.maximum(poly_area, scale**2)
+
+    groups = []
+    for t in np.unique(counts[~failed]):
+        rows = np.flatnonzero((counts == t) & ~failed)
+        tris = np.empty((len(rows), t, 3, 2))
+        fanned = convex[rows]
+        tris[fanned] = fan[rows[fanned]][keep[rows[fanned]]].reshape(-1, t, 3, 2)
+        for i in np.flatnonzero(~fanned):
+            tris[i] = clipped[rows[i]]
+        groups.append((rows, tris))
+    return groups, np.flatnonzero(failed)
+
+
+def _strictly_inside(p: np.ndarray, a, b, c, tol: float) -> np.ndarray:
+    """Mask of the points p (n, 2) strictly inside the CCW triangle abc
+    (boundary points do not block an ear)."""
+
+    def side(u, v):
+        return (v[0] - u[0]) * (p[:, 1] - u[1]) - (v[1] - u[1]) * (p[:, 0] - u[0])
+
+    return (side(a, b) > tol) & (side(b, c) > tol) & (side(c, a) > tol)
+
+
+def _ear_clip(coords: np.ndarray, tol: float) -> np.ndarray | None:
+    """(T, 3, 2) ear-clipped triangles of one polygon, or None if no ear
+    is left to clip (a tangled loop)."""
+    idx = list(range(len(coords)))
+    tris: list[np.ndarray] = []
+    while len(idx) > 3:  # every pass clips an ear or drops a vertex, or gives up
+        m = len(idx)
+        for j in range(m):
+            ia, ib, ic = idx[j - 1], idx[j], idx[(j + 1) % m]
+            a, b, c = coords[ia], coords[ib], coords[ic]
+            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+            if cross < -tol:
+                continue  # reflex tip
+            if cross <= tol:
+                # collinear: a hanging vertex on a straight run; drop it
+                if np.all(np.minimum(a, c) - 1e-12 <= b) and np.all(b <= np.maximum(a, c) + 1e-12):
+                    idx.pop(j)
+                    break
+                continue
+            others = coords[[other for other in idx if other not in (ia, ib, ic)]]
+            if not _strictly_inside(others, a, b, c, tol).any():
+                tris.append(np.array([a, b, c]))
+                idx.pop(j)
+                break
+        else:
+            return None
+    last = coords[idx]
+    if triangle_areas(last) > tol:
+        tris.append(np.array(last))
+    return np.array(tris).reshape(-1, 3, 2)
+
+
 def stack_by_size(loops) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ascending positions in ``loops``, (G, m) stacked loops) per length m."""
-    sizes = np.array([len(loop) for loop in loops])
-    stacks = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+    """(ascending positions in ``loops``, (G, m) stacked loops) per length
+    m >= 3; shorter loops, and loops that are not 1-d, are left out."""
+    sizes = np.array([len(loop) if np.ndim(loop) == 1 else 0 for loop in loops])
+    stacks = [np.flatnonzero(sizes == m) for m in np.unique(sizes[sizes >= 3])]
     return [(idx, np.array([loops[i] for i in idx], dtype=np.int64)) for idx in stacks]
 
 
 @dataclass(frozen=True)
 class CellGeometry:
     """Derived geometric data of one cell, or of a stack of cells with one
-    vertex count (a leading axis on every field; indexing gives a cell or a
-    sub-stack, ``geom[None]`` a stack of one).  ``normals`` are outward unit
-    normals per edge; edge i runs from local vertex i to i+1 (mod m).
+    vertex count and one triangle count (a leading axis on every field;
+    indexing gives a cell or a sub-stack, ``geom[None]`` a stack of one).
+    ``normals`` are outward unit normals per edge; edge i runs from local
+    vertex i to i+1 (mod m).  ``triangles`` (T, 3, 2) cover the cell.
     """
 
     index: np.ndarray  # mesh cell index
@@ -99,6 +210,7 @@ class CellGeometry:
     diameter: np.ndarray
     edge_lengths: np.ndarray
     normals: np.ndarray
+    triangles: np.ndarray
 
     def __getitem__(self, index) -> CellGeometry:
         return CellGeometry(*(getattr(self, f.name)[index] for f in fields(self)))
@@ -109,12 +221,24 @@ class CellGeometry:
 # ---------------------------------------------------------------------------
 
 
+def _raise_lowest(bad) -> None:
+    """Raise a ``MeshError`` for the lowest cell of (cell, what) pairs, if any."""
+    if bad:
+        ci, what = min(bad)
+        raise MeshError(f"cell {ci} {what}", cell=int(ci))
+
+
 class PolyMesh:
     """Conforming polygonal mesh: vertices plus CCW cell loops.
 
     Edge connectivity and boundary flags are derived during construction
     and every cell is validated (>= 3 distinct vertices, positive signed
-    area, each edge used by at most two cells with opposite orientation).
+    area, no zero-length edge, triangles that cover it, each edge used by
+    at most two cells with opposite orientation); an invalid cell raises a
+    ``MeshError`` naming the lowest bad cell.  ``cell_groups`` stacks the
+    cells' geometry and triangles by (vertex count, triangle count), both
+    ascending, cells ascending within a group; ``cell_slot[ci]`` is the
+    (group, position) of cell ci.
     """
 
     def __init__(self, vertices, cells):
@@ -124,23 +248,24 @@ class PolyMesh:
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates")
         nv = len(self.vertices)
-        self.cells = []
-        for ci, loop in enumerate(cells):
-            arr = np.asarray(loop, dtype=np.int64)
-            if arr.ndim != 1 or len(arr) < 3:
-                raise MeshError(f"cell {ci} needs at least 3 vertices", cell=ci)
-            if arr.min() < 0 or arr.max() >= nv:
-                raise MeshError(f"cell {ci} has a vertex index out of range", cell=ci)
-            if len(np.unique(arr)) != len(arr):
-                raise MeshError(f"cell {ci} repeats a vertex in its loop", cell=ci)
-            self.cells.append(arr)
-
+        self.cells = [np.asarray(loop, dtype=np.int64) for loop in cells]
         if not self.cells:
             raise MeshError("a mesh needs at least one cell")
 
+        # loop checks, one array pass per vertex-count stack
+        bad = [(ci, "needs at least 3 vertices") for ci, loop in enumerate(self.cells)
+               if loop.ndim != 1 or len(loop) < 3]
+        stacks = stack_by_size(self.cells)
+        for idx, loops in stacks:
+            outside = ((loops < 0) | (loops >= nv)).any(axis=1)
+            repeats = (np.diff(np.sort(loops, axis=1), axis=1) == 0).any(axis=1)
+            bad += [(idx[p], "has a vertex index out of range") for p in np.flatnonzero(outside)]
+            bad += [(idx[p], "repeats a vertex in its loop")
+                    for p in np.flatnonzero(repeats & ~outside)]
+        _raise_lowest(bad)
+
         # every loop edge as a (lower, higher) vertex key, sorted by key and
         # owner: an edge has at most two owners, traversing it oppositely
-        stacks = stack_by_size(self.cells)
         starts = np.concatenate([loops.ravel() for _, loops in stacks])
         ends = np.concatenate([np.roll(loops, -1, axis=1).ravel() for _, loops in stacks])
         owners = np.concatenate([np.repeat(idx, loops.shape[1]) for idx, loops in stacks])
@@ -165,25 +290,26 @@ class PolyMesh:
         self.boundary_vertices = np.zeros(nv, dtype=bool)
         self.boundary_vertices[self.edges[self.boundary_edges]] = True
 
-        # geometry per vertex count, one array pass per stack
+        # geometry and triangles per vertex-count stack, split by triangle count
         self.cell_groups: list[CellGeometry] = []
-        self._slot = np.empty((len(self.cells), 2), dtype=np.int64)
-        bad = []
+        self.cell_slot = np.empty((len(self.cells), 2), dtype=np.int64)
         for idx, loops in stacks:
             coords = self.vertices[loops]
             area, centroid, diameter, lengths, normals = polygon_geometry(coords)
-            for pos in np.flatnonzero(area <= 1e-14):
-                bad.append((idx[pos], f"is degenerate or not CCW (signed area {area[pos]:.3e})"))
-            for pos in np.flatnonzero((area > 1e-14) & (lengths.min(axis=1) <= 1e-14)):
-                bad.append((idx[pos], "has a zero-length edge"))
-            self._slot[idx, 0] = len(self.cell_groups)
-            self._slot[idx, 1] = np.arange(len(idx))
-            self.cell_groups.append(
-                CellGeometry(idx, loops, coords, area, centroid, diameter, lengths, normals)
-            )
-        if bad:
-            ci, what = min(bad)
-            raise MeshError(f"cell {ci} {what}", cell=ci)
+            flat = area <= 1e-14
+            short = ~flat & (lengths.min(axis=1) <= 1e-14)
+            pieces, tangled = triangulate_polygons(coords)
+            bad += [(idx[p], f"is degenerate or not CCW (signed area {area[p]:.3e})")
+                    for p in np.flatnonzero(flat)]
+            bad += [(idx[p], "has a zero-length edge") for p in np.flatnonzero(short)]
+            bad += [(idx[p], "cannot be triangulated (self-intersecting loop?)")
+                    for p in tangled if not (flat[p] or short[p])]
+            stack = (idx, loops, coords, area, centroid, diameter, lengths, normals)
+            for rows, tris in pieces:
+                self.cell_slot[idx[rows], 0] = len(self.cell_groups)
+                self.cell_slot[idx[rows], 1] = np.arange(len(rows))
+                self.cell_groups.append(CellGeometry(*(a[rows] for a in stack), tris))
+        _raise_lowest(bad)
 
     # -- basic queries ------------------------------------------------------
 
@@ -204,7 +330,7 @@ class PolyMesh:
         return float(max(g.diameter.max() for g in self.cell_groups))
 
     def cell_geometry(self, cell_index: int) -> CellGeometry:
-        group, pos = self._slot[cell_index]
+        group, pos = self.cell_slot[cell_index]
         return self.cell_groups[group][pos]
 
     def edge_id(self, a, b):
@@ -221,9 +347,6 @@ class PolyMesh:
         the edge's lower to its higher vertex index."""
         nxt = np.roll(loops, -1, axis=-1)
         return self.edge_id(loops, nxt), loops < nxt
-
-    def total_area(self) -> float:
-        return float(sum(g.area.sum() for g in self.cell_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +550,17 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
     return _compact_mesh(coords, loops)
 
 
-def generate_voronoi_mesh(n_seeds: int, lloyd_iterations: int = 3, seed: int = 0,
-                          jitter: float = 0.35) -> PolyMesh:
+#: Largest seed offset of ``generate_voronoi_mesh``, in local spacings.
+SEED_JITTER = 0.35
+
+
+def generate_voronoi_mesh(n_seeds: int, lloyd_iterations: int = 3, seed: int = 0) -> PolyMesh:
     """Voronoi mesh of [0,1]^2 from jittered hexagonal-row seeds,
     optionally Lloyd-relaxed.  All cells are convex.
 
     Seeds start on staggered rows (row count chosen so the spacing ratio
     approximates the 2/sqrt(3) of a hexagonal lattice), each perturbed by a
-    uniform offset up to ``jitter`` times the local spacing.  Lloyd steps
+    uniform offset up to ``SEED_JITTER`` times the local spacing.  Lloyd steps
     then pull the diagram toward a centroidal one, which is what published
     polygonal-mesh studies use.
     """
@@ -449,7 +575,7 @@ def generate_voronoi_mesh(n_seeds: int, lloyd_iterations: int = 3, seed: int = 0
         phase = 0.25 if r % 2 else -0.25
         xs = (np.arange(cols) + 0.5 + phase) / cols
         row = np.column_stack([xs, np.full(cols, (r + 0.5) / rows)])
-        row += rng.uniform(-jitter, jitter, size=row.shape) / (cols, rows)
+        row += rng.uniform(-SEED_JITTER, SEED_JITTER, size=row.shape) / (cols, rows)
         chunks.append(row)
     pts = np.clip(np.vstack(chunks), 0.005, 0.995)
     return voronoi_mesh_from_seeds(pts, lloyd_iterations)

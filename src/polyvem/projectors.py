@@ -17,10 +17,12 @@ All computable operators are assembled from these dofs:
 each as a (dim P x N) matrix acting on dof vectors.  Monomials are scaled
 by the cell centroid and diameter so all matrices stay well conditioned.
 
-Elements are built a group at a time: cells with the same vertex and
-triangle counts share every array shape, so D, B, G = BD, the projections
-and Q of a group's G cells are (G, ., .) stacks from one pass of array
-expressions and batched solves.  A single cell is a group of one.
+Elements are built a group at a time, one per cell group of the mesh
+(``PolyMesh.cell_groups``): cells with the same vertex and triangle counts
+share every array shape, so D, B, G = BD, the projections and Q of a
+group's G cells are (G, ., .) stacks from one pass of array expressions
+and batched solves, and the volume rules are mapped onto the triangles
+the mesh stored.  A single cell is a group of one, ``geom[None]``.
 
 The nodes of the (k+1)-point Gauss-Lobatto rule on each edge are exactly
 the boundary dofs: the two end vertices and the edge's k-1 interior
@@ -173,14 +175,13 @@ class LocalElement:
     Matrices act on local dof vectors (length ``layout.size``); projector
     coefficient matrices return expansions in ``basis``.  The forms rule
     (``quad_points``, degree 2k+2) and the load rule (``load_points``,
-    degree 2k) are mapped onto the same ``triangles``.
+    degree 2k) are mapped onto the same ``geom.triangles``.
     """
 
     k: int
     geom: CellGeometry
     layout: DofLayout
     boundary_dof_points: np.ndarray  # (num_vertices * k, 2)
-    triangles: np.ndarray  # (T, 3, 2) triangulation of the cell
     quad_points: np.ndarray
     quad_weights: np.ndarray
     load_points: np.ndarray
@@ -208,10 +209,10 @@ class LocalElement:
         return replace(self, **{name: getattr(self, name)[i] for name in stacked})
 
 
-def build_element(geom: CellGeometry, triangles: np.ndarray, k: int) -> LocalElement:
-    """Dof, projection and stabilization operators of the G cells stacked
-    in ``geom`` with (G, T, 3, 2) ``triangles``; a ``VemError`` names the
-    worst cell if a monomial mass matrix is too ill-conditioned."""
+def build_element(geom: CellGeometry, k: int) -> LocalElement:
+    """Dof, projection and stabilization operators of the G cells of a cell
+    group ``geom``; a ``VemError`` names the worst cell if a monomial mass
+    matrix is too ill-conditioned."""
     if k not in SUPPORTED_ORDERS:
         raise VemError(f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
     basis = ScaledMonomialBasis(k, geom.centroid, geom.diameter)
@@ -224,9 +225,9 @@ def build_element(geom: CellGeometry, triangles: np.ndarray, k: int) -> LocalEle
     n_dofs = layout.size
     area = geom.area[:, None, None]
 
-    quad_points, quad_weights = map_to_triangle(triangle_rule(2 * k + 2), triangles)
+    quad_points, quad_weights = map_to_triangle(triangle_rule(2 * k + 2), geom.triangles)
     # (f, pi0 phi) has pi0 phi in P_k: degree 2k is exact for every f in P_k
-    load_points, load_weights = map_to_triangle(triangle_rule(2 * k), triangles)
+    load_points, load_weights = map_to_triangle(triangle_rule(2 * k), geom.triangles)
     vk = basis.eval(quad_points)
     mass = np.swapaxes(vk, 1, 2) @ (quad_weights[..., None] * vk)
     mass = 0.5 * (mass + np.swapaxes(mass, 1, 2))
@@ -301,7 +302,6 @@ def build_element(geom: CellGeometry, triangles: np.ndarray, k: int) -> LocalEle
         geom=geom,
         layout=layout,
         boundary_dof_points=bpts,
-        triangles=triangles,
         quad_points=quad_points,
         quad_weights=quad_weights,
         load_points=load_points,

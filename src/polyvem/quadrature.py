@@ -1,14 +1,11 @@
-"""Quadrature on edges, triangles and polygonal cells.
+"""Quadrature rules on triangles and edges.
 
 Triangle rules are collapsed (Duffy-type) tensor Gauss-Legendre rules, so
-any requested order is available without tabulated constants.  Polygon
-rules triangulate the cell (a fan of m-2 triangles from vertex 0 for
-convex cells, ear clipping for cells with reflex vertices) and map the
-triangle rule to each piece.  Cells are triangulated as stacks of one
-vertex count, split by triangle count, so that every rule of a stack is
-one array of shape (cells, points, 2).  A triangulation is kept and
-reused: mapping several rules onto the same triangles costs no second
-triangulation.
+any requested order is available without tabulated constants.  A rule over
+a polygonal cell is the triangle rule mapped onto the cell's triangles,
+which the mesh computes once per cell (see ``mesh``): every rule of a cell
+group is one array of shape (cells, points, 2), and mapping several rules
+onto the same triangles costs no second triangulation.
 The reference Gauss-Lobatto rule on [-1, 1] serves the cell edges: the
 nodes of its (k+1)-point rule, mapped onto an edge, are the vertex and
 edge degrees of freedom of the order-k virtual space, which makes
@@ -23,11 +20,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .mesh import polygon_geometry
-
-
-class QuadratureError(Exception):
-    """Raised when a rule cannot be constructed (degenerate geometry)."""
+from .mesh import triangle_areas
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +84,7 @@ def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
     area.  Orientation does not matter; the absolute area is used.
     """
     tri = np.asarray(tri, dtype=float)
-    area = np.abs(_signed_areas(tri))
+    area = np.abs(triangle_areas(tri))
     pts = rule.points @ tri
     lead = tri.shape[:-3]
     return pts.reshape(*lead, -1, 2), (area[..., None] * rule.weights).reshape(*lead, -1)
@@ -103,104 +96,6 @@ def at_points(fn, points: np.ndarray, *args) -> np.ndarray:
     x, y = points.reshape(-1, 2).T
     values = np.asarray(fn(x, y, *args), dtype=float)
     return values.reshape(points.shape[:-1] + values.shape[1:])
-
-
-# ---------------------------------------------------------------------------
-# polygon triangulation
-# ---------------------------------------------------------------------------
-
-
-def _signed_areas(tris: np.ndarray) -> np.ndarray:
-    """Signed areas of a triangle (3x2) or of each triangle of a stack."""
-    e1 = tris[..., 1, :] - tris[..., 0, :]
-    e2 = tris[..., 2, :] - tris[..., 0, :]
-    return 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-
-
-def triangulate_polygons(coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a (G, m, 2) stack of simple CCW polygons into triangles.
-
-    Convex polygons (collinear vertices allowed) get a fan from vertex 0 in
-    one array pass: m-2 triangles, less the zero-area ones of a straight run
-    through vertex 0.  Polygons with a reflex vertex are ear-clipped.  One
-    (ascending rows, (rows, T, 3, 2) triangles) pair per triangle count T.
-    """
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[1]
-    scale = np.ptp(coords, axis=1).max(axis=1)
-    tol = 1e-12 * scale * scale
-    poly_area = polygon_geometry(coords)[0]
-    if (poly_area <= tol).any():
-        raise QuadratureError("polygon is not CCW or has (near-)zero area")
-    prev = coords - np.roll(coords, 1, axis=1)
-    nxt = np.roll(coords, -1, axis=1) - coords
-    turns = prev[..., 0] * nxt[..., 1] - prev[..., 1] * nxt[..., 0]
-    convex = np.all(turns >= -tol[:, None], axis=1)
-    apex = np.broadcast_to(coords[:, :1], (len(coords), n - 2, 2))
-    fan = np.stack([apex, coords[:, 1:-1], coords[:, 2:]], axis=2)
-    keep = _signed_areas(fan) > tol[:, None]
-    counts = keep.sum(axis=1)
-    clipped = {r: _ear_clip(coords[r], tol[r]) for r in np.flatnonzero(~convex)}
-    for r, tris in clipped.items():
-        counts[r] = len(tris)
-
-    out = []
-    for t in np.unique(counts):
-        rows = np.flatnonzero(counts == t)
-        tris = np.empty((len(rows), t, 3, 2))
-        fanned = convex[rows]
-        tris[fanned] = fan[rows[fanned]][keep[rows[fanned]]].reshape(-1, t, 3, 2)
-        for i in np.flatnonzero(~fanned):
-            tris[i] = clipped[rows[i]]
-        covered = _signed_areas(tris).sum(axis=1)
-        area = poly_area[rows]
-        if (np.abs(covered - area) > 1e-9 * np.maximum(area, scale[rows] ** 2)).any():
-            raise QuadratureError(
-                "triangulation failure: triangle areas do not cover the polygon "
-                "(self-intersecting loop?)"
-            )
-        out.append((rows, tris))
-    return out
-
-
-def _strictly_inside(p: np.ndarray, a, b, c, tol: float) -> np.ndarray:
-    """Mask of the points p (n, 2) strictly inside the CCW triangle abc
-    (boundary points do not block an ear)."""
-
-    def side(u, v):
-        return (v[0] - u[0]) * (p[:, 1] - u[1]) - (v[1] - u[1]) * (p[:, 0] - u[0])
-
-    return (side(a, b) > tol) & (side(b, c) > tol) & (side(c, a) > tol)
-
-
-def _ear_clip(coords: np.ndarray, tol: float) -> np.ndarray:
-    idx = list(range(len(coords)))
-    tris: list[np.ndarray] = []
-    while len(idx) > 3:  # every pass clips an ear or drops a vertex, or raises
-        m = len(idx)
-        for j in range(m):
-            ia, ib, ic = idx[j - 1], idx[j], idx[(j + 1) % m]
-            a, b, c = coords[ia], coords[ib], coords[ic]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross < -tol:
-                continue  # reflex tip
-            if cross <= tol:
-                # collinear: a hanging vertex on a straight run; drop it
-                if np.all(np.minimum(a, c) - 1e-12 <= b) and np.all(b <= np.maximum(a, c) + 1e-12):
-                    idx.pop(j)
-                    break
-                continue
-            others = coords[[other for other in idx if other not in (ia, ib, ic)]]
-            if not _strictly_inside(others, a, b, c, tol).any():
-                tris.append(np.array([a, b, c]))
-                idx.pop(j)
-                break
-        else:
-            raise QuadratureError("triangulation failure: no ear found (tangled polygon?)")
-    last = coords[idx]
-    if _signed_areas(last) > tol:
-        tris.append(np.array(last))
-    return np.array(tris).reshape(-1, 3, 2)
 
 
 # ---------------------------------------------------------------------------

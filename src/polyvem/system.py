@@ -10,18 +10,22 @@ The fully discrete scheme is backward Euler:
     (M1 + M2 + tau (A + B)) U^n = (M1 + M2) U^{n-1} + tau F(t_n)
 
 with boundary values moved to the right-hand side.  The system matrix is
-time-independent and factorized once per run; every solve must meet a
-relative-residual contract (default 1e-12), enforced with iterative
-refinement.
+time-independent and factorized once per run; every solve must meet the
+relative-residual contract ``RESIDUAL_TOL`` (1e-12), enforced with
+iterative refinement.
 
 F(t_n) is ``load_map @ f(quad_points, t_n)``: ``quad_points`` are the
 points of each element's load rule, of degree 2k, which is exact for
 (f, pi0 phi_i) whenever f is in P_k; the forms keep their rule of degree
 2k+2 for the variable coefficients.
 
-Assembly runs over element groups (see ``projectors``): one pass builds a
-group's elements, forms and load block as stacks, one COO index build
-scatters them, and ``elements`` keeps per-cell views in cell order.
+Everything runs over the mesh's cell groups (``PolyMesh.cell_groups``,
+which the mesh triangulates and groups once): the dof map keeps one (G, N)
+dof array per group, assembly builds each group's elements, forms and
+load block as stacks and scatters them with one COO index build, and the
+initial projection, errors and indicators zip groups with their dofs.
+Per-cell access (``GlobalSystem.elements``, ``GlobalDofMap.cell_dofs``)
+goes through the mesh's (group, position) slot of the cell.
 """
 
 from __future__ import annotations
@@ -43,10 +47,11 @@ from .projectors import (
     interpolate,
     polynomial_dimension,
 )
-from .quadrature import at_points, lobatto_edge_points, triangulate_polygons
+from .quadrature import at_points, lobatto_edge_points
 
 __all__ = [
     "SolverError",
+    "RESIDUAL_TOL",
     "GlobalDofMap",
     "GlobalSystem",
     "TimeStepperConfig",
@@ -84,7 +89,8 @@ class GlobalDofMap:
     num_vertices: int
     num_edges: int
     num_cells: int
-    cell_dof_lists: list[np.ndarray]
+    groups: list[np.ndarray]  # (G, N) global dofs of each mesh cell group
+    cell_slot: np.ndarray  # the mesh's (group, position) of each cell
     boundary_mask: np.ndarray
     dof_points: np.ndarray  # geometric dofs only (vertices + edge points)
 
@@ -109,11 +115,8 @@ class GlobalDofMap:
         return np.nonzero(self.boundary_mask)[0]
 
     def cell_dofs(self, ci: int) -> np.ndarray:
-        return self.cell_dof_lists[ci]
-
-    def group_dofs(self, cells: np.ndarray) -> np.ndarray:
-        """(G, N) global dofs of cells with the same local dof count."""
-        return np.array([self.cell_dof_lists[ci] for ci in cells])
+        group, pos = self.cell_slot[ci]
+        return self.groups[group][pos]
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
@@ -133,7 +136,7 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     dof_points = np.concatenate([mesh.vertices, edge_points.reshape(-1, 2)])
 
     along = np.arange(per_edge)
-    cell_dof_lists = [None] * nc
+    groups = []
     for geom in mesh.cell_groups:
         loops = geom.vertex_ids
         edge_ids, forward = mesh.cell_edge_ids(loops)
@@ -142,16 +145,15 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
         local = np.where(forward[..., None], along, per_edge - 1 - along)
         edge_dofs = edge_offset + per_edge * edge_ids[..., None] + local
         moments = cell_offset + nm * geom.index[:, None] + np.arange(nm)
-        dofs = np.concatenate([loops, edge_dofs.reshape(len(loops), -1), moments], axis=1)
-        for ci, row in zip(geom.index, dofs):
-            cell_dof_lists[ci] = row
+        groups.append(np.concatenate([loops, edge_dofs.reshape(len(loops), -1), moments], axis=1))
 
     return GlobalDofMap(
         k=k,
         num_vertices=nv,
         num_edges=ne,
         num_cells=nc,
-        cell_dof_lists=cell_dof_lists,
+        groups=groups,
+        cell_slot=mesh.cell_slot,
         boundary_mask=boundary_mask,
         dof_points=dof_points,
     )
@@ -168,7 +170,7 @@ class GlobalSystem:
     k: int
     problem: object
     dofmap: GlobalDofMap
-    groups: list[LocalElement]  # element groups, each stacked over its cells
+    groups: list[LocalElement]  # one element group per mesh cell group
     element_condition: np.ndarray  # monomial mass-matrix condition of each cell
     m1: sp.csr_matrix
     m2: sp.csr_matrix
@@ -185,29 +187,23 @@ class GlobalSystem:
     @cached_property
     def elements(self) -> list[LocalElement]:
         """Per-cell views into the groups, in cell order."""
-        views = {ci: g[pos] for g in self.groups for pos, ci in enumerate(g.geom.index)}
-        return [views[ci] for ci in range(self.mesh.num_cells)]
+        return [self.groups[group][pos] for group, pos in self.mesh.cell_slot]
 
 
-def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSystem:
+def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
     """Build elements, local forms and load blocks group by group and
     scatter them into global matrices."""
     dofmap = build_dof_map(mesh, k)
     n = dofmap.size
 
-    groups = [
-        build_element(geom[rows], tris, k)
-        for geom in mesh.cell_groups
-        for rows, tris in triangulate_polygons(geom.coords)
-    ]
+    groups = [build_element(geom, k) for geom in mesh.cell_groups]
     condition = np.empty(mesh.num_cells)
     rows, cols = [], []
     vals = {name: [] for name in ("m1", "m2", "a", "b")}
     lrows, lcols, lvals = [], [], []
     offset = 0
-    for group in groups:
+    for group, gdofs in zip(groups, dofmap.groups):
         condition[group.geom.index] = group.condition
-        gdofs = dofmap.group_dofs(group.geom.index)
         size, n_local = gdofs.shape
         lf = build_local_forms(group, problem)
         rows.append(np.repeat(gdofs, n_local, axis=1).ravel())
@@ -237,11 +233,10 @@ def assemble(mesh: PolyMesh, k: int, problem, check: bool = True) -> GlobalSyste
         shape=(n, offset),
     ).tocsr()
 
-    notes = []
-    if check:  # sample the coefficients where the forms evaluate them
-        notes = check_coefficients(
-            problem, np.concatenate([group.quad_points.reshape(-1, 2) for group in groups])
-        )
+    # sample the coefficients where the forms evaluate them
+    notes = check_coefficients(
+        problem, np.concatenate([group.quad_points.reshape(-1, 2) for group in groups])
+    )
 
     return GlobalSystem(
         mesh=mesh,
@@ -275,6 +270,9 @@ def dirichlet_values(system: GlobalSystem, t: float) -> np.ndarray:
 #: Refinement steps a solve may take before the contract counts as failed.
 MAX_REFINE = 3
 
+#: Relative residual ||b - A x|| / ||b|| every solve must meet.
+RESIDUAL_TOL = 1e-12
+
 
 class LinearSolver:
     """Sparse LU factorization with iterative refinement and a residual
@@ -288,9 +286,8 @@ class LinearSolver:
     systems beyond ~10^4 unknowns sits above the 1e-12 contract.
     """
 
-    def __init__(self, matrix, tol: float = 1e-12):
+    def __init__(self, matrix):
         self.matrix = sp.csr_matrix(matrix, dtype=float)
-        self.tol = tol
         self._matrix_hp = self.matrix.astype(np.longdouble)
         try:
             self._apply = splu(self.matrix.tocsc()).solve
@@ -316,20 +313,20 @@ class LinearSolver:
 
         for _ in range(MAX_REFINE):
             res, res_norm = residual_norm(x_hp)
-            if res_norm <= self.tol:
+            if res_norm <= RESIDUAL_TOL:
                 return np.asarray(x_hp, dtype=float)
             x_hp = x_hp + self._apply(res).astype(np.longdouble)
         _, res_norm = residual_norm(x_hp)
-        if res_norm > self.tol:
+        if res_norm > RESIDUAL_TOL:
             raise SolverError(
-                f"linear solve residual {res_norm:.3e} exceeds tolerance {self.tol:.1e}"
+                f"linear solve residual {res_norm:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}"
             )
         return np.asarray(x_hp, dtype=float)
 
 
-def solve_linear(matrix, rhs, tol: float = 1e-12) -> np.ndarray:
+def solve_linear(matrix, rhs) -> np.ndarray:
     """One-shot solve honoring the relative-residual contract."""
-    return LinearSolver(matrix, tol=tol).solve(rhs)
+    return LinearSolver(matrix).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +343,12 @@ def interpolate_global(system: GlobalSystem, fn) -> np.ndarray:
     u[:geo] = fn(pts[:, 0], pts[:, 1])
     nm = polynomial_dimension(system.k - 2)
     if nm:
-        for group in system.groups:
-            gdofs = system.dofmap.group_dofs(group.geom.index)
+        for group, gdofs in zip(system.groups, system.dofmap.groups):
             u[gdofs[:, -nm:]] = interpolate(group, fn)[:, -nm:]
     return u
 
 
-def project_initial(system: GlobalSystem, tol: float = 1e-12) -> np.ndarray:
+def project_initial(system: GlobalSystem) -> np.ndarray:
     """Discrete elliptic projection of the initial datum.
 
     Solves m2_h(U0, v) = (mu grad u0, pi0-grad v) for interior dofs with the
@@ -374,14 +370,14 @@ def project_initial(system: GlobalSystem, tol: float = 1e-12) -> np.ndarray:
 
     rhs = np.zeros(system.size)
     nk1 = polynomial_dimension(system.k - 1)
-    for group in system.groups:
+    for group, gdofs in zip(system.groups, dofmap.groups):
         pts, w = group.quad_points, group.quad_weights
         grad0 = at_points(problem.grad_u0, pts)
         mu = at_points(problem.mu, pts)
         # (mu grad u0, m_i e_c) per cell, then through each pi0-grad row
         moments = np.einsum("gqi,gq,gqcd,gqd->gci", group.monomial_values[..., :nk1], w, mu, grad0)
         local = np.einsum("gcin,gci->gn", group.pi0_grad_star, moments)
-        np.add.at(rhs, dofmap.group_dofs(group.geom.index), local)
+        np.add.at(rhs, gdofs, local)
 
     act = dofmap.active
     if len(act) == 0:
@@ -390,7 +386,7 @@ def project_initial(system: GlobalSystem, tol: float = 1e-12) -> np.ndarray:
     b_act = rhs[act] - m2[np.ix_(act, bdry)] @ u[bdry]
     if not np.any(b_act) and not np.any(u[bdry]):
         return u  # zero datum stays exactly zero
-    u[act] = solve_linear(m2[np.ix_(act, act)], b_act, tol=tol)
+    u[act] = solve_linear(m2[np.ix_(act, act)], b_act)
     return u
 
 
@@ -403,8 +399,6 @@ def project_initial(system: GlobalSystem, tol: float = 1e-12) -> np.ndarray:
 class TimeStepperConfig:
     tau: float
     t_end: float = 1.0
-    tol: float = 1e-12
-    debug_energy: bool = False
 
     def num_steps(self) -> int:
         if self.tau <= 0:
@@ -422,7 +416,6 @@ class TimeResult:
     u: np.ndarray  # final dof vector
     t: float
     n_steps: int
-    energies: np.ndarray | None = None
 
 
 def run_time_loop(
@@ -435,20 +428,16 @@ def run_time_loop(
     dofmap = system.dofmap
     act, bdry = dofmap.active, dofmap.boundary
 
-    u = project_initial(system, tol=config.tol) if u0 is None else u0.copy()
+    u = project_initial(system) if u0 is None else u0.copy()
 
     g_mat = (system.m1 + system.m2).tocsr()
     h_mat = (system.a + system.b).tocsr()
     lhs_full = (g_mat + tau * h_mat).tocsr()
-    solver = LinearSolver(lhs_full[np.ix_(act, act)], tol=config.tol)
+    solver = LinearSolver(lhs_full[np.ix_(act, act)])
     coupling = lhs_full[np.ix_(act, bdry)]
     g_act = g_mat[act]  # row slice: each row keeps its summation order
     load_act = system.load_map[act]
     xq = system.quad_points
-
-    energies = []
-    if config.debug_energy:
-        energies.append(float(u @ (g_mat @ u)))
 
     for step in range(1, n_steps + 1):
         t_n = step * tau
@@ -459,23 +448,8 @@ def run_time_loop(
         u = u.copy()
         u[act] = u_act
         u[bdry] = g_bdry
-        if config.debug_energy:
-            energy = float(u @ (g_mat @ u))
-            if energies and energy > energies[-1] * (1.0 + 1e-10) + 1e-14:
-                logger.warning(
-                    "discrete energy increased at step %d: %.6e -> %.6e",
-                    step,
-                    energies[-1],
-                    energy,
-                )
-            energies.append(energy)
 
-    return TimeResult(
-        u=u,
-        t=n_steps * tau,
-        n_steps=n_steps,
-        energies=np.array(energies) if config.debug_energy else None,
-    )
+    return TimeResult(u=u, t=n_steps * tau, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +467,9 @@ def solution_to_string(system: GlobalSystem, result: TimeResult) -> str:
     ]
     lines.extend(f"{float(v)!r}" for v in result.u)
     lines.append(f"cells {system.mesh.num_cells}")
-    for ci, el in enumerate(system.elements):
-        coeffs = el.pi0_star @ result.u[system.dofmap.cell_dofs(ci)]
+    for group, pos in system.mesh.cell_slot:
+        dofs = system.dofmap.groups[group][pos]
+        coeffs = system.groups[group].pi0_star[pos] @ result.u[dofs]
         lines.append(" ".join(f"{float(c)!r}" for c in coeffs))
     return "\n".join(lines) + "\n"
 

@@ -26,7 +26,7 @@ import numpy as np
 
 import benchmarks
 from polyvem import projectors as P
-from test_projectors import grad_projection_gram, mesh_element_groups
+from test_projectors import grad_projection_gram
 from polyvem.analysis import (
     compute_eoc,
     compute_errors,
@@ -128,7 +128,7 @@ def test_criterion_01_projector_suite():
 
         for mesh in meshes:
             for k in (1, 2, 3):
-                groups = mesh_element_groups(mesh, k)
+                groups = [P.build_element(geom, k) for geom in mesh.cell_groups]
                 assert sum(len(group.geom.index) for group in groups) == mesh.num_cells
                 for el in (group[i] for group in groups for i in range(len(group.geom.index))):
                     eye = np.eye(el.basis.dim)
@@ -175,7 +175,8 @@ def test_criterion_02_structural_identities():
 
         # stabilizer kernels: polynomial dof vectors are invisible to Q
         for k in (1, 2, 3):
-            for group in mesh_element_groups(mesh, k):
+            for geom in mesh.cell_groups:
+                group = P.build_element(geom, k)
                 assert np.abs(group.stab_q @ group.dof_matrix).max() <= STRUCTURE_TOL
 
 

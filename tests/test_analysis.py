@@ -27,7 +27,6 @@ from polyvem.analysis import (
     record_to_csv,
     run_adaptive_study,
     run_convergence_sweep,
-    write_record_csv,
 )
 from polyvem.forms import constant_coefficient_scales
 from polyvem.mesh import generate_distorted_square_mesh, generate_voronoi_mesh, refine_cells
@@ -50,7 +49,7 @@ def perturbed_interpolant(family, k, problem):
         mesh = generate_voronoi_mesh(30, lloyd_iterations=2, seed=3)
     else:
         mesh = refine_cells(generate_distorted_square_mesh(4, 0.2, seed=1), [2, 9])
-    system = assemble(mesh, k, problem, check=False)
+    system = assemble(mesh, k, problem)
     u = interpolate_global(system, lambda x, y: problem.u_exact(x, y, 1.0))
     return system, u + 1e-3 * np.sin(np.arange(len(u)))
 
@@ -141,7 +140,7 @@ class TestComputeErrors:
         nk, nk1 = (k + 1) * (k + 2) // 2, k * (k + 1) // 2
         e0_sq = e1_sq = 0.0
         for ci, el in enumerate(system.elements):
-            pts, w = map_to_triangle(triangle_rule(2 * k + 4), el.triangles)
+            pts, w = map_to_triangle(triangle_rule(2 * k + 4), el.geom.triangles)
             vals = el.basis.eval(pts)
             ud = u[system.dofmap.cell_dofs(ci)]
             u_e = problem.u_exact(pts[:, 0], pts[:, 1], 1.0)
@@ -457,12 +456,6 @@ class TestCsvOutput:
         for line in lines[1:]:
             cols = line.split(",")
             assert cols[4] == "" and cols[6] == ""
-
-    def test_write_record_csv_roundtrip(self, tmp_path):
-        rec = _make_record([0.5, 0.25], [1e-2, 2.5e-3], [0.1, 0.05])
-        path = tmp_path / "out.csv"
-        write_record_csv(path, rec)
-        assert path.read_text(encoding="utf-8") == record_to_csv(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from polyvem.mesh import (
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
 )
-from polyvem.projectors import polynomial_dimension
+from polyvem.projectors import build_element, polynomial_dimension
 from polyvem.quadrature import map_to_triangle, triangle_rule
 from polyvem.system import assemble
-from test_projectors import element_group
 
 UNIT_SQUARE_GEOM = PolyMesh(
     [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]]
@@ -28,7 +27,7 @@ def small_cell_geom(n=5, index=12, seed=2):
 
 def cell_element(geom, k):
     """Per-cell view of one cell built as an element group of one."""
-    return element_group(geom, k)[0]
+    return build_element(geom[None], k)[0]
 
 
 def cell_forms(el, problem):
@@ -156,7 +155,7 @@ class TestFormMatrices:
 
         rule = triangle_rule(12)
         exact = np.zeros_like(got)
-        for tri in el.triangles:
+        for tri in el.geom.triangles:
             pts, w = map_to_triangle(rule, tri)
             vals = el.basis.eval(pts)
             gx, gy = vals @ el.basis.derivative_map(0), vals @ el.basis.derivative_map(1)
@@ -218,7 +217,7 @@ def _element_load(el, prob, t):
 def _oracle_pi0_values(el, order=10):
     """Points, weights and pi0 phi_i values (one column per dof) of an
     order-``order`` rule over the cell, far above the load rule's 2k."""
-    pts, w = map_to_triangle(triangle_rule(order), el.triangles)
+    pts, w = map_to_triangle(triangle_rule(order), el.geom.triangles)
     return pts, w, el.basis.eval(pts) @ el.pi0_star
 
 

@@ -9,6 +9,15 @@ from polyvem import mesh as M
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
+# vertices 0-4: a self-intersecting pentagon of positive signed area (its
+# edge 2-3 crosses edge 0-1); vertices 5-7: a separate triangle
+TANGLED = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.5, -0.5], [0.0, 2.0],
+           [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]
+
+
+def total_area(mesh):
+    return sum(g.area.sum() for g in mesh.cell_groups)
+
 
 class TestPolyMeshBasics:
     def test_unit_square_cell(self):
@@ -62,11 +71,35 @@ class TestPolyMeshBasics:
             (UNIT_SQUARE, [[0, 1, 2, 1]], "repeats"),
             (UNIT_SQUARE, [[0, 3, 2, 1]], "not CCW"),
             ([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], [[0, 1, 4], [0, 1, 4]], "same direction"),
+            # the lowest bad cell is named, whatever its check or vertex count
+            (TANGLED, [[0, 1, 2, 3, 4], [5, 7, 6]], "^cell 0 cannot be triangulated"),
+            (TANGLED, [[5, 6, 7], [5, 6, 6], [5, 6, 9]], "^cell 1 repeats"),
+            (TANGLED, [[5, 6, 9], [0, 1]], "^cell 0 has a vertex index out of range"),
+            (TANGLED, [[5, 6, 7], [0, 1], [5, 6, 9, 7]], "^cell 1 needs at least 3"),
         ],
     )
     def test_validation_errors(self, vertices, cells, fragment):
         with pytest.raises(M.MeshError, match=fragment.replace("(", r"\(")):
             M.PolyMesh(vertices, cells)
+
+    def test_self_intersecting_cell_rejected(self):
+        """Positive signed area, but no triangulation covers the loop."""
+        assert M.polygon_geometry(np.array(TANGLED[:5]))[0] > 0
+        with pytest.raises(M.MeshError, match="^cell 1 cannot be triangulated") as info:
+            M.PolyMesh(TANGLED, [[5, 6, 7], [0, 1, 2, 3, 4]])
+        assert info.value.cell == 1
+
+    def test_groups_carry_triangles_in_slots(self):
+        """Cells are grouped by (vertex count, triangle count), each group
+        holding its cells' triangles; ``cell_slot`` finds every cell."""
+        mesh = M.refine_cells(M.generate_distorted_square_mesh(3, 0.2, seed=2), [4])
+        keys = [(g.coords.shape[1], g.triangles.shape[1]) for g in mesh.cell_groups]
+        assert keys == sorted(set(keys)) and len(keys) > 1
+        for ci in range(mesh.num_cells):
+            g = mesh.cell_geometry(ci)
+            assert g.index == ci
+            np.testing.assert_array_equal(g.vertex_ids, mesh.cells[ci])
+            assert M.triangle_areas(g.triangles).sum() == pytest.approx(g.area, rel=1e-13)
 
     def test_zero_length_edge_raises(self):
         # vertices 2 and 3 are distinct indices at one point
@@ -80,12 +113,12 @@ class TestDistortedFamily:
         mesh = M.generate_distorted_square_mesh(2, 0.0, seed=0)
         assert mesh.num_cells == 4
         assert mesh.h == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-15)
-        assert mesh.total_area() == pytest.approx(1.0, abs=1e-14)
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-14)
 
     def test_distorted_16_cells_partition(self):
         mesh = M.generate_distorted_square_mesh(4, 0.3, seed=1)
         assert mesh.num_cells == 16
-        assert mesh.total_area() == pytest.approx(1.0, abs=1e-12)
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
         # corners pinned, boundary vertices stay on the boundary
         for corner in UNIT_SQUARE:
             assert any(np.allclose(v, corner, atol=1e-15) for v in mesh.vertices)
@@ -108,7 +141,7 @@ class TestDistortedFamily:
     def test_all_cells_simple_across_seeds(self):
         for seed in range(8):
             mesh = M.generate_distorted_square_mesh(8, 0.45, seed=seed)
-            assert mesh.total_area() == pytest.approx(1.0, abs=1e-12)
+            assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -128,7 +161,7 @@ class TestVoronoiFamily:
     def test_partition_and_convexity(self):
         mesh = M.generate_voronoi_mesh(64, lloyd_iterations=3, seed=7)
         assert mesh.num_cells == 64
-        assert mesh.total_area() == pytest.approx(1.0, abs=1e-10)
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-10)
         for ci in range(mesh.num_cells):
             c = mesh.cell_geometry(ci).coords
             prev = c - np.roll(c, 1, axis=0)
@@ -160,7 +193,7 @@ class TestConcaveFamily:
     def test_two_cells_partition_unit_square(self):
         mesh = M.generate_concave_mesh(1)
         assert mesh.num_cells == 2
-        assert mesh.total_area() == pytest.approx(1.0, abs=1e-14)
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-14)
         for ci in range(2):
             assert mesh.cell_geometry(ci).area == pytest.approx(0.5, abs=1e-14)
 
@@ -176,7 +209,7 @@ class TestConcaveFamily:
     def test_cell_counts_and_conformity(self):
         mesh = M.generate_concave_mesh(2)
         assert mesh.num_cells == 8
-        assert mesh.total_area() == pytest.approx(1.0, abs=1e-13)
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-13)
 
     def test_exact_h_halving(self):
         h2 = M.generate_concave_mesh(2).h
@@ -194,7 +227,7 @@ class TestRefinement:
         mesh = M.generate_distorted_square_mesh(2, 0.0, seed=0)
         fine = M.refine_cells(mesh, [0])
         assert fine.num_cells == 7
-        assert fine.total_area() == pytest.approx(1.0, abs=1e-13)
+        assert total_area(fine) == pytest.approx(1.0, abs=1e-13)
         sizes = sorted(len(c) for c in fine.cells)
         # four children (quads), two neighbors gain one hanging vertex each
         assert sizes == [4, 4, 4, 4, 4, 5, 5]
@@ -211,7 +244,7 @@ class TestRefinement:
         mesh = M.generate_distorted_square_mesh(2, 0.0, seed=0)
         fine = M.refine_cells(mesh, [0, 1])  # two horizontally adjacent cells
         # the midpoint of the shared edge must appear exactly once
-        assert fine.total_area() == pytest.approx(1.0, abs=1e-13)
+        assert total_area(fine) == pytest.approx(1.0, abs=1e-13)
         coords = [tuple(v) for v in fine.vertices]
         assert len(coords) == len(set(coords))
 
@@ -220,7 +253,7 @@ class TestRefinement:
         once = M.refine_cells(mesh, [0])
         hanging_cell = next(ci for ci in range(once.num_cells) if len(once.cells[ci]) == 5)
         twice = M.refine_cells(once, [hanging_cell])
-        assert twice.total_area() == pytest.approx(1.0, abs=1e-13)
+        assert total_area(twice) == pytest.approx(1.0, abs=1e-13)
         coords = [tuple(v) for v in twice.vertices]
         assert len(coords) == len(set(coords))
 
@@ -274,6 +307,12 @@ class TestMeshIO:
     def test_truncated_file(self):
         with pytest.raises(M.MeshError):
             M.mesh_from_string("polymesh 1\nvertices 5\n0 0\n")
+
+    def test_self_intersecting_cell_reports_its_line(self):
+        rows = "".join(f"{x!r} {y!r}\n" for x, y in TANGLED)
+        text = f"polymesh 1\nvertices 8\n{rows}cells 2\n3 5 6 7\n5 0 1 2 3 4\n"
+        with pytest.raises(M.MeshError, match="^line 13: invalid mesh: cell 1 cannot be"):
+            M.mesh_from_string(text)
 
     def test_invalid_mesh_content(self):
         text = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 2 1\n"

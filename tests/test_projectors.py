@@ -5,7 +5,7 @@ import pytest
 
 from polyvem.mesh import PolyMesh, generate_concave_mesh, generate_voronoi_mesh
 from polyvem import projectors as P
-from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule, triangulate_polygons
+from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule
 
 
 def make_geometries():
@@ -24,21 +24,6 @@ def make_geometries():
 
 
 GEOMETRIES = make_geometries()
-
-
-def element_group(geom, k):
-    """One cell (a ``CellGeometry`` view) built as an element group of one."""
-    [(_, tris)] = triangulate_polygons(geom.coords[None])
-    return P.build_element(geom[None], tris, k)
-
-
-def mesh_element_groups(mesh, k):
-    """The element groups of a whole mesh, as assembly builds them."""
-    return [
-        P.build_element(geom[rows], tris, k)
-        for geom in mesh.cell_groups
-        for rows, tris in triangulate_polygons(geom.coords)
-    ]
 
 
 # volume-quadrature reference for B D = G: it uses the monomial mass matrix,
@@ -121,11 +106,11 @@ class TestBasis:
 class TestDofCounts:
     @pytest.mark.parametrize("k,expected", [(1, 6), (2, 13), (3, 21)])
     def test_hexagon_dof_count(self, k, expected):
-        el = element_group(GEOMETRIES["hexagon"], k)[0]
+        el = P.build_element(GEOMETRIES["hexagon"][None], k)[0]
         assert el.num_dofs == expected
 
     def test_layout_slices(self):
-        el = element_group(GEOMETRIES["square"], 3)[0]
+        el = P.build_element(GEOMETRIES["square"][None], 3)[0]
         lay = el.layout
         assert lay.num_vertices == 4
         assert lay.num_moments == 3
@@ -139,7 +124,7 @@ class TestDofCounts:
     def test_edge_nodes_are_boundary_lobatto_points(self, geom, k):
         """The dof points through the edge-node array are the (k+1)-point
         Gauss-Lobatto nodes of every edge, in order."""
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         nodes, _ = gauss_lobatto(k + 1)
         a = geom.coords
         b = np.roll(geom.coords, -1, axis=0)
@@ -149,29 +134,29 @@ class TestDofCounts:
 
     def test_unsupported_order_raises(self):
         with pytest.raises(P.VemError, match="not supported"):
-            element_group(GEOMETRIES["square"], 4)
+            P.build_element(GEOMETRIES["square"][None], 4)
         with pytest.raises(P.VemError):
-            element_group(GEOMETRIES["square"], 0)
+            P.build_element(GEOMETRIES["square"][None], 0)
 
 
 class TestProjectionIdentities:
     def test_gram_consistency(self, geom, k):
         """Integration-by-parts functionals applied to the monomials must
         reproduce the gradient Gram matrix computed by volume quadrature."""
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         lhs = el.b_matrix @ el.dof_matrix
         rhs = grad_projection_gram(el)
         scale = max(1.0, np.abs(rhs).max())
         assert np.abs(lhs - rhs).max() / scale < 1e-10
 
     def test_polynomial_reproduction(self, geom, k):
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         eye = np.eye(el.basis.dim)
         assert np.abs(el.pi_grad_star @ el.dof_matrix - eye).max() < 1e-10
         assert np.abs(el.pi0_star @ el.dof_matrix - eye).max() < 1e-10
 
     def test_gradient_projection_reproduction(self, geom, k):
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         nk1 = P.polynomial_dimension(k - 1)
         for axis in range(2):
             got = el.pi0_grad_star[axis] @ el.dof_matrix
@@ -179,20 +164,20 @@ class TestProjectionIdentities:
             assert np.abs(got - want).max() < 1e-10
 
     def test_idempotency(self, geom, k):
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         pg = el.pi_grad_star
         assert np.abs(pg @ el.dof_matrix @ pg - pg).max() < 1e-10
         p0 = el.pi0_star
         assert np.abs(p0 @ el.dof_matrix @ p0 - p0).max() < 1e-10
 
     def test_stabilizer_vanishes_on_polynomials(self, geom, k):
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         assert np.abs(el.stab_q @ el.dof_matrix).max() < 1e-12
 
     def test_l2_projection_orthogonality(self, geom, k):
         """(w - pi0 w, m) = 0 for all m up to degree k-2: those moments are
         dofs, so the defect is computable exactly."""
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         nm = el.layout.num_moments
         if nm == 0:
             return
@@ -207,7 +192,7 @@ class TestProjectionIdentities:
 
     def test_divergence_closure(self, geom, k):
         """int_K pi0(d/dx of the interpolant of x) equals |K| exactly."""
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
         dofs = P.interpolate(el[None], lambda x, y: x)[0]
         coeffs = el.pi0_grad_star[0] @ dofs
         nk1 = P.polynomial_dimension(k - 1)
@@ -217,7 +202,7 @@ class TestProjectionIdentities:
 
 class TestInterpolation:
     def test_interpolation_of_space_polynomial_is_exact(self, geom, k):
-        el = element_group(geom, k)[0]
+        el = P.build_element(geom[None], k)[0]
 
         def p(x, y):
             return 1.0 + 2.0 * x - y + (x * y if k >= 2 else 0.0)
@@ -241,8 +226,9 @@ class TestInterpolation:
         for n in (8, 16, 32):
             mesh = generate_distorted_square_mesh(n, 0.2, seed=1)
             total = 0.0
-            for group in mesh_element_groups(mesh, k):
-                pts, w = map_to_triangle(triangle_rule(2 * k + 4), group.triangles)
+            for geom in mesh.cell_groups:
+                group = P.build_element(geom, k)
+                pts, w = map_to_triangle(triangle_rule(2 * k + 4), group.geom.triangles)
                 coeffs = group.pi0_star @ P.interpolate(group, u)[..., None]
                 diff = (group.basis.eval(pts) @ coeffs)[..., 0] - u(pts[..., 0], pts[..., 1])
                 total += float(np.sum(w * diff**2))
@@ -275,17 +261,17 @@ class TestConditioning:
         mesh = PolyMesh(vertices, cells)
         problem = get_problem("gaussian")
 
-        cond = assemble(mesh, 1, problem, check=False).element_condition
-        alone = [element_group(mesh.cell_geometry(ci), 1).condition[0] for ci in range(5)]
+        cond = assemble(mesh, 1, problem).element_condition
+        alone = [P.build_element(mesh.cell_geometry(ci)[None], 1).condition[0] for ci in range(5)]
         np.testing.assert_allclose(cond, alone, rtol=1e-12)
         assert cond[3] > cond[1] > 1e6 > max(cond[[0, 2, 4]])
         # both slivers exceed the bound at k = 2; the worst one is named
         with pytest.raises(P.VemError, match="^cell 3: .*condition"):
-            assemble(mesh, 2, problem, check=False)
+            assemble(mesh, 2, problem)
 
     def test_flat_cell_condition_diagnostic(self):
         geom = PolyMesh(
             [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-7], [0.0, 1e-7]], [[0, 1, 2, 3]]
         ).cell_geometry(0)
         with pytest.raises(P.VemError, match="condition"):
-            element_group(geom, 3)
+            P.build_element(geom[None], 3)

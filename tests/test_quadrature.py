@@ -1,4 +1,5 @@
-"""Quadrature tests against closed-form and edge-integral oracles."""
+"""Quadrature tests against closed-form and edge-integral oracles, over
+single triangles and over polygons triangulated by the mesh layer."""
 
 import math
 
@@ -6,7 +7,13 @@ import numpy as np
 import pytest
 
 from polyvem import quadrature as Q
-from polyvem.mesh import generate_concave_mesh, generate_voronoi_mesh
+from polyvem.mesh import (
+    MeshError,
+    PolyMesh,
+    generate_concave_mesh,
+    generate_voronoi_mesh,
+    triangulate_polygons,
+)
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -14,8 +21,8 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 def triangulate(coords):
     """Triangulation of one polygon, triangulated as a stack of one."""
-    [(rows, tris)] = Q.triangulate_polygons(np.asarray(coords, dtype=float)[None])
-    assert rows.tolist() == [0]
+    [(rows, tris)], failed = triangulate_polygons(np.asarray(coords, dtype=float)[None])
+    assert rows.tolist() == [0] and failed.size == 0
     return tris[0]
 
 
@@ -162,8 +169,8 @@ class TestPolygonRules:
 
         geom = generate_concave_mesh(1).cell_geometry(1)
         tris = triangulate(geom.coords)
-        el = build_element(geom[None], tris[None], 2)[0]
-        np.testing.assert_array_equal(el.triangles, tris)
+        el = build_element(geom[None], 2)[0]
+        np.testing.assert_array_equal(el.geom.triangles, tris)
         rules = ((6, el.quad_points, el.quad_weights), (4, el.load_points, el.load_weights))
         for order, pts, w in rules:
             want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(order), tris)
@@ -177,7 +184,8 @@ class TestPolygonRules:
         hanging = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         reflex = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0]])
         stack = np.stack([pentagon, hanging, reflex, 2.0 * hanging, pentagon + 1.0])
-        groups = Q.triangulate_polygons(stack)
+        groups, failed = triangulate_polygons(stack)
+        assert failed.size == 0
         assert [(rows.tolist(), tris.shape) for rows, tris in groups] == [
             ([1, 3], (2, 2, 3, 2)),
             ([0, 2, 4], (3, 3, 3, 2)),
@@ -187,9 +195,13 @@ class TestPolygonRules:
                 np.testing.assert_array_equal(got, triangulate(stack[row]))
 
     def test_tangled_polygon_raises(self):
+        """The triangulation reports a tangled polygon's row, and the mesh
+        rejects it as a cell."""
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(Q.QuadratureError):
-            triangulate(bowtie)
+        groups, failed = triangulate_polygons(bowtie[None])
+        assert groups == [] and failed.tolist() == [0]
+        with pytest.raises(MeshError, match="^cell 0 "):
+            PolyMesh(bowtie, [[0, 1, 2, 3]])
 
 
 class TestGaussLobatto:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polyvem import system as system_module
 from polyvem.forms import build_local_forms
+from polyvem.projectors import build_element
 from polyvem.mesh import (
     PolyMesh,
     generate_concave_mesh,
@@ -40,7 +41,6 @@ from polyvem.system import (
     solve_linear,
     write_solution,
 )
-from test_projectors import element_group
 
 
 def _zeros3(x, y, t):
@@ -125,7 +125,7 @@ class TestDofMap:
         """Global dof ordering must agree with each cell's local traversal,
         including interior edge points seen from both orientations."""
         mesh = generate_voronoi_mesh(16, seed=5)
-        system = assemble(mesh, k, ZERO_PROBLEM, check=False)
+        system = assemble(mesh, k, ZERO_PROBLEM)
         dm = system.dofmap
 
         def fn(x, y):
@@ -162,11 +162,11 @@ class TestAssembly:
         each cell once and ``elements`` is in cell order."""
         mesh = GROUP_MESHES[family]()
         problem = get_problem("variable")
-        system = assemble(mesh, k, problem, check=False)
+        system = assemble(mesh, k, problem)
         covered = np.concatenate([group.geom.index for group in system.groups])
         assert sorted(covered) == list(range(mesh.num_cells))
         assert [int(el.geom.index) for el in system.elements] == list(range(mesh.num_cells))
-        keys = [(g.layout.num_vertices, g.triangles.shape[1]) for g in system.groups]
+        keys = [(g.layout.num_vertices, g.geom.triangles.shape[1]) for g in system.groups]
         assert len(set(keys)) == len(keys) > (family != "concave")
         if family == "hanging":  # a hanging node next to vertex 0 drops a fan triangle
             assert any(t < m - 2 for m, t in keys)
@@ -177,7 +177,7 @@ class TestAssembly:
         for group in system.groups:
             forms = build_local_forms(group, problem)
             for pos, ci in enumerate(group.geom.index):
-                alone = element_group(mesh.cell_geometry(ci), k)
+                alone = build_element(mesh.cell_geometry(ci)[None], k)
                 alone_forms = build_local_forms(alone, problem)
                 for name in ELEMENT_FIELDS:
                     close(getattr(system.elements[ci], name), getattr(alone, name)[0])
@@ -188,7 +188,7 @@ class TestAssembly:
         mesh = unit_square_mesh()
         problem = get_problem("variable")
         system = assemble(mesh, 2, problem)
-        local = build_local_forms(element_group(mesh.cell_geometry(0), 2), problem)
+        local = build_local_forms(build_element(mesh.cell_geometry(0)[None], 2), problem)
         cd = system.dofmap.cell_dofs(0)
         for name, mat in [("m1", local.m1), ("m2", local.m2), ("a", local.a), ("b", local.b)]:
             dense = getattr(system, name)[np.ix_(cd, cd)].toarray()
@@ -205,7 +205,7 @@ class TestAssembly:
         for name in ["m1", "m2", "a", "b"]:
             ref = np.zeros((n, n))
             for ci in range(mesh.num_cells):
-                element = element_group(mesh.cell_geometry(ci), k)
+                element = build_element(mesh.cell_geometry(ci)[None], k)
                 local = getattr(build_local_forms(element, problem), name)[0]
                 cd = dm.cell_dofs(ci)
                 ref[np.ix_(cd, cd)] += local
@@ -412,10 +412,15 @@ class TestTimeStepper:
         problem = _laplace_problem(u0, grad_u0, name="decay")
         mesh = generate_distorted_square_mesh(8, 0.2, seed=1)
         system = assemble(mesh, 1, problem)
-        config = TimeStepperConfig(tau=0.05, debug_energy=True)
-        result = run_time_loop(system, config)
-        energies = result.energies
-        assert energies is not None and len(energies) == 21
+        g_mat = system.m1 + system.m2
+        # with zero source and boundary data every step of the scheme is
+        # the same map, so one step per call from the previous state
+        u = project_initial(system)
+        energies = [u @ g_mat @ u]
+        for _ in range(20):
+            config = TimeStepperConfig(tau=0.05, t_end=0.05)
+            u = run_time_loop(system, config, u0=u).u
+            energies.append(u @ g_mat @ u)
         assert energies[0] > 0
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-10 * energies[0])
@@ -462,6 +467,18 @@ class TestSnapshots:
         assert np.array_equal(values, result.u)
         text2 = solution_to_string(system, result)
         assert text == text2
+
+    def test_rows_equal_cell_views_bitwise(self):
+        """On a mesh of several cell groups every row is, bit for bit, the
+        per-cell view's pi0 times the cell's dofs, in cell order."""
+        mesh = GROUP_MESHES["hanging"]()
+        system = assemble(mesh, 2, get_problem("variable"))
+        result = run_time_loop(system, TimeStepperConfig(tau=0.5))
+        assert len(system.groups) > 1
+        _, _, _, coeffs = solution_from_string(solution_to_string(system, result))
+        for ci, el in enumerate(system.elements):
+            want = el.pi0_star @ result.u[system.dofmap.cell_dofs(ci)]
+            assert np.array_equal(coeffs[ci], want)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
