@@ -56,7 +56,8 @@ __all__ = [
 
 
 class CoefficientError(Exception):
-    """A coefficient violates a structural requirement (definiteness)."""
+    """A coefficient violates a structural requirement (finiteness or
+    definiteness)."""
 
 
 class CoefficientWarning(UserWarning):
@@ -66,24 +67,32 @@ class CoefficientWarning(UserWarning):
 def check_coefficients(problem, points: np.ndarray) -> list[str]:
     """Validate coefficient assumptions at sample points.
 
-    Positive definiteness of mu and eps is required (raises
-    ``CoefficientError``); non-negativity of sigma = gamma - div(beta)/2
-    is only assumed by the stability theory, so a violation emits a
-    ``CoefficientWarning`` and is reported back.
+    Finite values of mu, eps, beta and sigma = gamma - div(beta)/2 and
+    positive definiteness of mu and eps are required (a violation raises a
+    ``CoefficientError`` naming the field and the point); non-negativity
+    of sigma is only assumed by the stability theory, so a violation emits
+    a ``CoefficientWarning`` and is reported back.
     """
     x, y = points[:, 0], points[:, 1]
     notes = []
-    for name, field in (("mu", problem.mu), ("eps", problem.eps)):
-        m = np.asarray(field(x, y), dtype=float)
-        sym = 0.5 * (m + np.transpose(m, (0, 2, 1)))
-        tr = sym[:, 0, 0] + sym[:, 1, 1]
-        det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
-        if (tr <= 0).any() or (det <= 0).any():
-            bad = int(np.argmax((tr <= 0) | (det <= 0)))
-            raise CoefficientError(
-                f"{name} is not positive definite at ({x[bad]:.4g}, {y[bad]:.4g})"
-            )
-    sigma = problem.sigma(x, y)
+    fields = {name: np.asarray(getattr(problem, name)(x, y), dtype=float)
+              for name in ("mu", "eps", "beta", "sigma")}
+    for name, values in fields.items():
+        finite = np.isfinite(values).reshape(len(x), -1).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise CoefficientError(f"{name} is not finite at ({x[bad]:.4g}, {y[bad]:.4g})")
+        if name in ("mu", "eps"):
+            sym = 0.5 * (values + np.transpose(values, (0, 2, 1)))
+            tr = sym[:, 0, 0] + sym[:, 1, 1]
+            det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
+            indefinite = ~((tr > 0) & (det > 0))
+            if indefinite.any():
+                bad = int(np.argmax(indefinite))
+                raise CoefficientError(
+                    f"{name} is not positive definite at ({x[bad]:.4g}, {y[bad]:.4g})"
+                )
+    sigma = fields["sigma"]
     if (sigma < -1e-14).any():
         bad = int(np.argmin(sigma))
         # keep the warning text value-free so repeated assemblies of the

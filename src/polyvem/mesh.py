@@ -8,9 +8,10 @@ The mesh owns the one grouping of cells that every later stage follows:
 ``PolyMesh.cell_groups`` stacks the cells with the same vertex count and
 the same triangle count, with their geometry and triangulation, and
 ``cell_slot`` gives each cell's (group, position).  Each cell is
-triangulated once, here: convex cells as a fan from vertex 0 (one array
-pass per stack), cells with a reflex vertex by ear clipping.  A cell that
-cannot be triangulated is rejected like any other invalid cell.
+triangulated once, here, by one ear clipper that runs on a whole stack of
+cells at once; on a convex cell (hanging nodes included) its ears are the
+fan from vertex 0.  A cell that cannot be triangulated is rejected like
+any other invalid cell.
 
 The three built-in families discretize the unit square:
 
@@ -92,97 +93,74 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
 
 
 def triangulate_polygons(coords: np.ndarray):
-    """Split a (G, m, 2) stack of CCW polygons into triangles.
+    """Split a (G, m, 2) stack of CCW polygons into triangles by ear
+    clipping, all rows at once.
 
-    Convex polygons (collinear vertices allowed) get a fan from vertex 0 in
-    one array pass: m-2 triangles, less the zero-area ones of a straight run
-    through vertex 0.  Polygons with a reflex vertex are ear-clipped.
-    Returns one (ascending rows, (rows, T, 3, 2) triangles) pair per
-    triangle count T, and the rows that cannot be triangulated: not CCW, of
-    (near-)zero area, or not covered by their triangles (a self-intersecting
-    loop).
+    Each of the m-3 steps removes one vertex per row: the first one,
+    scanning the remaining loop from position 1, that is an ear tip (the
+    triangle with its neighbours has area > tol, and no other remaining
+    vertex lies strictly inside it, or on its new edge where the loop turns)
+    or a collinear vertex between its neighbours (dropped without a
+    triangle); the last three vertices make the last triangle.
+    On a convex polygon every step clips position 1, so its triangles are
+    the fan (v0, vi, vi+1) from vertex 0, less the zero-area ones of a
+    straight run.  Returns one (ascending rows, (rows, T, 3, 2) triangles)
+    pair per triangle count T, and the rows that cannot be triangulated:
+    not CCW, of (near-)zero area, or left without an ear or not covered by
+    their triangles (a self-intersecting loop).
     """
     coords = np.asarray(coords, dtype=float)
-    n = coords.shape[1]
+    g, m = coords.shape[:2]
     scale = np.ptp(coords, axis=1).max(axis=1)
     tol = 1e-12 * scale * scale
-    prev = coords - np.roll(coords, 1, axis=1)
-    nxt = np.roll(coords, -1, axis=1) - coords
-    turns = prev[..., 0] * nxt[..., 1] - prev[..., 1] * nxt[..., 0]
-    convex = np.all(turns >= -tol[:, None], axis=1)
-    apex = np.broadcast_to(coords[:, :1], (len(coords), n - 2, 2))
+    # the signed area as a fan from vertex 0: from edge vectors, it keeps its
+    # digits far from the origin
+    apex = np.broadcast_to(coords[:, :1], (g, m - 2, 2))
     fan = np.stack([apex, coords[:, 1:-1], coords[:, 2:]], axis=2)
-    fan_areas = triangle_areas(fan)
-    # the signed fan areas sum to the polygon's signed area; from edge
-    # vectors, they keep their digits far from the origin
-    poly_area = fan_areas.sum(axis=1)
-    keep = fan_areas > tol[:, None]
-    counts = keep.sum(axis=1)
-    covered = np.where(keep, fan_areas, 0.0).sum(axis=1)
+    poly_area = triangle_areas(fan).sum(axis=1)
     failed = poly_area <= tol
-    clipped = {}
-    for r in np.flatnonzero(~convex & ~failed):
-        tris = _ear_clip(coords[r], tol[r])
-        if tris is None:
-            failed[r] = True
-            continue
-        clipped[r] = tris
-        counts[r] = len(tris)
-        covered[r] = triangle_areas(tris).sum()
+
+    rows = np.arange(g)
+    loops = np.broadcast_to(np.arange(m), (g, m))
+    tris = np.zeros((g, m - 2, 3, 2))
+    made = np.zeros((g, m - 2), dtype=bool)
+    tol_r, tol_rr = tol[:, None], tol[:, None, None]
+    for step in range(m - 3):
+        pts = coords[rows[:, None], loops]
+        # candidate j clips the tip at position j + 1 between positions j and j + 2
+        abc = np.stack([pts, np.roll(pts, -1, axis=1), np.roll(pts, -2, axis=1)], axis=2)
+        area = triangle_areas(abc)
+        flat = np.abs(area) <= tol_r
+        # side [j, p] of each remaining vertex p of the edges of ear j: the
+        # loop edges a-b (j to j + 1) and b-c, and the new edge c-a
+        rel = pts[:, None] - pts[:, :, None]  # [u, p]: vertex p less vertex u
+        edge = np.roll(pts, -1, axis=1) - pts
+        ab = edge[:, :, None, 0] * rel[..., 1] - edge[:, :, None, 1] * rel[..., 0]
+        bc = np.roll(ab, -1, axis=1)
+        diag, rel_c = pts - np.roll(pts, -2, axis=1), np.roll(rel, -2, axis=1)
+        ca = diag[:, :, None, 0] * rel_c[..., 1] - diag[:, :, None, 1] * rel_c[..., 0]
+        # a vertex blocks the ear if it lies strictly inside it, or on c-a
+        # where the loop turns (clipping would pinch the loop there)
+        ca_blocks = np.where(np.roll(flat, 1, axis=1)[:, None], ca > tol_rr, ca >= -tol_rr)
+        ear = (area > tol_r) & ~((ab > tol_rr) & (bc > tol_rr) & ca_blocks).any(axis=2)
+        ahead = (edge * np.roll(edge, -1, axis=1)).sum(axis=-1) > 0
+        pick = ear | (flat & ahead)
+        j = pick.argmax(axis=1)
+        failed |= ~pick.any(axis=1)
+        tris[:, step] = abc[rows, j]
+        made[:, step] = ear[rows, j]
+        loops = loops[np.arange(m - step) != (j[:, None] + 1) % (m - step)].reshape(g, -1)
+    tris[:, -1] = coords[rows[:, None], loops]
+    made[:, -1] = triangle_areas(tris[:, -1]) > tol
+    counts = made.sum(axis=1)
+    covered = np.where(made, triangle_areas(tris), 0.0).sum(axis=1)
     failed |= np.abs(covered - poly_area) > 1e-9 * np.maximum(poly_area, scale**2)
 
     groups = []
     for t in np.unique(counts[~failed]):
-        rows = np.flatnonzero((counts == t) & ~failed)
-        tris = np.empty((len(rows), t, 3, 2))
-        fanned = convex[rows]
-        tris[fanned] = fan[rows[fanned]][keep[rows[fanned]]].reshape(-1, t, 3, 2)
-        for i in np.flatnonzero(~fanned):
-            tris[i] = clipped[rows[i]]
-        groups.append((rows, tris))
+        picked = np.flatnonzero((counts == t) & ~failed)
+        groups.append((picked, tris[picked][made[picked]].reshape(-1, t, 3, 2)))
     return groups, np.flatnonzero(failed)
-
-
-def _strictly_inside(p: np.ndarray, a, b, c, tol: float) -> np.ndarray:
-    """Mask of the points p (n, 2) strictly inside the CCW triangle abc
-    (boundary points do not block an ear)."""
-
-    def side(u, v):
-        return (v[0] - u[0]) * (p[:, 1] - u[1]) - (v[1] - u[1]) * (p[:, 0] - u[0])
-
-    return (side(a, b) > tol) & (side(b, c) > tol) & (side(c, a) > tol)
-
-
-def _ear_clip(coords: np.ndarray, tol: float) -> np.ndarray | None:
-    """(T, 3, 2) ear-clipped triangles of one polygon, or None if no ear
-    is left to clip (a tangled loop)."""
-    idx = list(range(len(coords)))
-    tris: list[np.ndarray] = []
-    while len(idx) > 3:  # every pass clips an ear or drops a vertex, or gives up
-        m = len(idx)
-        for j in range(m):
-            ia, ib, ic = idx[j - 1], idx[j], idx[(j + 1) % m]
-            a, b, c = coords[ia], coords[ib], coords[ic]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross < -tol:
-                continue  # reflex tip
-            if cross <= tol:
-                # collinear: a hanging vertex on a straight run; drop it
-                if np.all(np.minimum(a, c) - 1e-12 <= b) and np.all(b <= np.maximum(a, c) + 1e-12):
-                    idx.pop(j)
-                    break
-                continue
-            others = coords[[other for other in idx if other not in (ia, ib, ic)]]
-            if not _strictly_inside(others, a, b, c, tol).any():
-                tris.append(np.array([a, b, c]))
-                idx.pop(j)
-                break
-        else:
-            return None
-    last = coords[idx]
-    if triangle_areas(last) > tol:
-        tris.append(np.array(last))
-    return np.array(tris).reshape(-1, 3, 2)
 
 
 def stack_by_size(loops) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Curve", "loglog_svg", "PALETTE"]
+__all__ = ["Curve", "loglog_svg"]
 
-#: Default line colors, cycled over curves in order.
+#: Line colors, cycled over curves in order.
 PALETTE = (
     "#1f6fb2",
     "#d1495b",
@@ -24,6 +24,8 @@ PALETTE = (
     "#3b3b3b",
 )
 
+_WIDTH = 720
+_HEIGHT = 540
 _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 34.0
@@ -37,7 +39,6 @@ class Curve:
     label: str
     x: tuple
     y: tuple
-    color: str = ""
     dashed: bool = False
 
     def __post_init__(self):
@@ -62,8 +63,6 @@ def loglog_svg(
     xlabel: str = "h",
     ylabel: str = "error",
     slope_guides: tuple = (),
-    width: int = 720,
-    height: int = 540,
 ) -> str:
     """Render curves into an SVG document string.
 
@@ -84,6 +83,7 @@ def loglog_svg(
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
+    width, height = _WIDTH, _HEIGHT
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
@@ -170,7 +170,7 @@ def loglog_svg(
     # curves and legend
     legend_y = _MARGIN_T + 14
     for i, curve in enumerate(curves):
-        color = curve.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         pts = " ".join(
             f"{_fmt(px(math.log10(xv)))},{_fmt(py(math.log10(yv)))}"
             for xv, yv in zip(curve.x, curve.y)

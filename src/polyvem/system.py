@@ -86,33 +86,15 @@ class GlobalDofMap:
     """Deterministic global numbering: vertices, edge points, cell moments."""
 
     k: int
-    num_vertices: int
-    num_edges: int
-    num_cells: int
     groups: list[np.ndarray]  # (G, N) global dofs of each mesh cell group
     cell_slot: np.ndarray  # the mesh's (group, position) of each cell
-    boundary_mask: np.ndarray
+    active: np.ndarray  # ascending dofs off the Dirichlet boundary
+    boundary: np.ndarray  # ascending Dirichlet dofs (all geometric)
     dof_points: np.ndarray  # geometric dofs only (vertices + edge points)
 
     @property
     def size(self) -> int:
-        return (
-            self.num_vertices
-            + (self.k - 1) * self.num_edges
-            + polynomial_dimension(self.k - 2) * self.num_cells
-        )
-
-    @property
-    def num_geometric(self) -> int:
-        return self.num_vertices + (self.k - 1) * self.num_edges
-
-    @property
-    def active(self) -> np.ndarray:
-        return np.nonzero(~self.boundary_mask)[0]
-
-    @property
-    def boundary(self) -> np.ndarray:
-        return np.nonzero(self.boundary_mask)[0]
+        return len(self.active) + len(self.boundary)
 
     def cell_dofs(self, ci: int) -> np.ndarray:
         group, pos = self.cell_slot[ci]
@@ -149,12 +131,10 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
 
     return GlobalDofMap(
         k=k,
-        num_vertices=nv,
-        num_edges=ne,
-        num_cells=nc,
         groups=groups,
         cell_slot=mesh.cell_slot,
-        boundary_mask=boundary_mask,
+        active=np.flatnonzero(~boundary_mask),
+        boundary=np.flatnonzero(boundary_mask),
         dof_points=dof_points,
     )
 
@@ -338,9 +318,8 @@ def interpolate_global(system: GlobalSystem, fn) -> np.ndarray:
     """Global dof interpolation of a smooth function (shared dofs written
     identically by every incident cell)."""
     u = np.zeros(system.size)
-    geo = system.dofmap.num_geometric
     pts = system.dofmap.dof_points
-    u[:geo] = fn(pts[:, 0], pts[:, 1])
+    u[: len(pts)] = fn(pts[:, 0], pts[:, 1])
     nm = polynomial_dimension(system.k - 2)
     if nm:
         for group, gdofs in zip(system.groups, system.dofmap.groups):

@@ -23,6 +23,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 import benchmarks
 from polyvem import projectors as P
@@ -237,6 +238,7 @@ def test_criterion_04_eoc_regression():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_distorted_convergence(sweep_cache):
     with _report(5):
         for k in (1, 2, 3):
@@ -250,6 +252,7 @@ def test_criterion_05_distorted_convergence(sweep_cache):
             assert sum(p.seconds for p in record.pairs) < 300.0, f"k={k} budget"
 
 
+@pytest.mark.slow
 def test_criterion_06_concave_convergence_and_magnitudes(sweep_cache):
     with _report(6):
         table = benchmarks.VARIABLE_CONCAVE
@@ -266,6 +269,7 @@ def test_criterion_06_concave_convergence_and_magnitudes(sweep_cache):
                 )
 
 
+@pytest.mark.slow
 def test_criterion_07_convection_concave_convergence(sweep_cache):
     with _report(7):
         for k in (1, 2, 3):
@@ -273,6 +277,7 @@ def test_criterion_07_convection_concave_convergence(sweep_cache):
             _assert_slope_bands(record, k, "convection/concave")
 
 
+@pytest.mark.slow
 def test_criterion_10_voronoi_convergence(sweep_cache):
     with _report(10):
         table = benchmarks.VARIABLE_VORONOI

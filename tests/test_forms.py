@@ -1,5 +1,8 @@
 """Local form assembly tests: structure, consistency, and coefficient checks."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,26 @@ class TestCoefficientChecks:
         pts = np.array([[0.5, 0.5], [0.25, 0.75]])
         with pytest.raises(F.CoefficientError, match="positive definite"):
             F.check_coefficients(bad, pts)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("mu", np.nan, "mu"), ("eps", np.inf, "eps"), ("beta", np.nan, "beta"),
+         ("gamma", np.nan, "sigma")],
+    )
+    def test_non_finite_coefficient_rejected(self, field, value, named):
+        prob = PR.get_problem("variable")
+        good = getattr(prob, field)
+
+        def poisoned(x, y):
+            out = np.array(good(x, y), dtype=float)
+            out[x > 0.5] = value
+            return out
+
+        bad = dataclasses.replace(prob, **{field: poisoned})
+        with pytest.raises(F.CoefficientError, match=rf"^{named} is not finite at") as info:
+            assemble(generate_distorted_square_mesh(4, 0.0), 1, bad)
+        x, y = map(float, re.search(r"at \((\S+), (\S+)\)$", str(info.value)).groups())
+        assert 0.5 < x < 1.0 and 0.0 < y < 1.0
 
     def test_negative_sigma_warns_not_raises(self):
         # the variable problem has sigma = x + y - 1 < 0 near the origin

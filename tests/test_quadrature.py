@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from polyvem import quadrature as Q
+from polyvem.analysis import family_mesh
 from polyvem.mesh import (
     MeshError,
     PolyMesh,
     generate_concave_mesh,
+    generate_distorted_square_mesh,
     generate_voronoi_mesh,
+    refine_cells,
     triangulate_polygons,
 )
 
@@ -193,6 +196,61 @@ class TestPolygonRules:
         for rows, tris in groups:
             for row, got in zip(rows, tris):
                 np.testing.assert_array_equal(got, triangulate(stack[row]))
+
+    def test_cells_without_reflex_vertex_get_the_vertex0_fan(self):
+        """The ear clipper's convex case: every cell without a reflex vertex
+        gets the fan (v0, vi, vi+1), less its zero-area triangles, bit for bit."""
+        hanging = generate_distorted_square_mesh(6, 0.2, seed=4)
+        hanging = refine_cells(hanging, [3, 8, 14, 21, 30])
+        hanging = refine_cells(hanging, [0, 9, 17])
+        meshes = [family_mesh(family, level, seed=seed) for family in ("distorted", "voronoi")
+                  for level in range(3) for seed in range(2)]
+        meshes += [family_mesh("concave", 1), hanging]
+        fans = 0
+        for mesh in meshes:
+            for ci in range(mesh.num_cells):
+                geom = mesh.cell_geometry(ci)
+                c = geom.coords
+                tol = 1e-12 * np.ptp(c, axis=0).max() ** 2
+                prev, nxt = c - np.roll(c, 1, axis=0), np.roll(c, -1, axis=0) - c
+                turns = prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
+                if turns.min() < -tol:
+                    continue
+                fan = np.stack([np.broadcast_to(c[0], c[1:-1].shape), c[1:-1], c[2:]], axis=1)
+                e1, e2 = fan[:, 1] - fan[:, 0], fan[:, 2] - fan[:, 0]
+                area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+                np.testing.assert_array_equal(geom.triangles, fan[area > tol])
+                fans += 1
+        assert fans > 1000 and max(map(len, hanging.cells)) > 4
+
+    def test_mixed_stack_clips_rows_independently(self):
+        """One stack of hexagons: both concave halves, a reflex hexagon with a
+        collinear vertex, a convex one with a hanging vertex at index 0, a
+        tangled loop, and every rotation of an L whose reflex corner lies on
+        the diagonal of two ears (clipping either would pinch the loop).
+        Each good row is covered by positive-area triangles that equal its
+        own triangulation alone; the tangled row fails."""
+        halves = [generate_concave_mesh(1).cell_geometry(ci).coords for ci in range(2)]
+        reflex = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 1.0], [0.0, 2.0]])
+        hanging = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        tangled = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [1.0, -1.0], [1.0, 3.0], [0.0, 3.0]])
+        ell = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
+        stack = np.stack([halves[0], tangled, reflex, hanging, halves[1]]
+                         + [np.roll(ell, -s, axis=0) for s in range(6)])
+        groups, failed = triangulate_polygons(stack)
+        assert failed.tolist() == [1]
+        assert sorted(row for rows, _ in groups for row in rows) == [0, *range(2, 11)]
+        rule = Q.triangle_rule(4)
+        for rows, tris in groups:
+            for row, got in zip(rows, tris):
+                np.testing.assert_array_equal(got, triangulate(stack[row]))
+                assert min(greens_theorem_monomial_integral(t, 0, 0) for t in got) > 0.0
+                pts, w = Q.map_to_triangle(rule, got)
+                for a in range(5):
+                    for b in range(5 - a):
+                        oracle = greens_theorem_monomial_integral(stack[row], a, b)
+                        value = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
+                        assert value == pytest.approx(oracle, rel=1e-12, abs=1e-14)
 
     def test_tangled_polygon_raises(self):
         """The triangulation reports a tangled polygon's row, and the mesh
