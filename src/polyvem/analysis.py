@@ -202,6 +202,8 @@ def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
     in distribution); voronoi: seed counts chosen so h roughly halves every
     other level; concave: n = 2 * 2^level with exact ratio-2 mesh sizes.
     """
+    if level < 0:
+        raise ValueError(f"mesh level must be non-negative, got {level}")
     if family == "distorted":
         return generate_distorted_square_mesh(5 * 2**level, 0.3, seed=seed + level)
     if family == "voronoi":

@@ -13,6 +13,11 @@ cells at once; on a convex cell (hanging nodes included) its ears are the
 fan from vertex 0.  A cell that cannot be triangulated is rejected like
 any other invalid cell.
 
+One geometry kernel, ``polygon_geometry`` with ``triangle_areas``, sums
+relative to each cell's vertex 0, so the centroid and diameter that the
+scaled monomials rest on do not depend on position or scale; one degeneracy
+rule relative to the cell diameter serves every check.
+
 The three built-in families discretize the unit square:
 
 * distorted quadrilateral grids (randomly perturbed tensor meshes),
@@ -63,22 +68,31 @@ class MeshError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# the one degeneracy rule, relative to the diameter d: a cell or an ear is
+# flat at an area of at most _FLAT * d**2, an edge zero at a length <= _FLAT * d
+_FLAT = 1e-12
+
+
 def polygon_geometry(coords: np.ndarray):
     """Signed area, centroid, diameter, edge lengths and unit edge normals
     of polygons stacked as (..., m, 2).  Edge i runs from vertex i to i+1
     (mod m); its right-hand normal points outward on a CCW loop.  A zero
     area or edge leaves a non-finite centroid or normal for callers to check.
+
+    The area and centroid are summed relative to each polygon's vertex 0,
+    the rest from vertex differences: no output depends on the position.
     """
-    nxt = np.roll(coords, -1, axis=-2)
-    x, y = coords[..., 0], coords[..., 1]
+    rel = coords - coords[..., :1, :]
+    nxt = np.roll(rel, -1, axis=-2)
+    x, y = rel[..., 0], rel[..., 1]
     xn, yn = nxt[..., 0], nxt[..., 1]
     cross = x * yn - xn * y
     area = 0.5 * cross.sum(axis=-1)
-    tangents = nxt - coords
+    tangents = np.roll(coords, -1, axis=-2) - coords
     lengths = np.hypot(tangents[..., 0], tangents[..., 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         moments = np.stack([((x + xn) * cross).sum(axis=-1), ((y + yn) * cross).sum(axis=-1)], -1)
-        centroid = moments / (6.0 * area[..., None])
+        centroid = coords[..., 0, :] + moments / (6.0 * area[..., None])
         normals = np.stack([tangents[..., 1], -tangents[..., 0]], -1) / lengths[..., None]
     diff = coords[..., :, None, :] - coords[..., None, :, :]
     diameter = np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
@@ -98,7 +112,7 @@ def triangulate_polygons(coords: np.ndarray):
 
     Each of the m-3 steps removes one vertex per row: the first one,
     scanning the remaining loop from position 1, that is an ear tip (the
-    triangle with its neighbours has area > tol, and no other remaining
+    triangle with its neighbours is not flat, and no other remaining
     vertex lies strictly inside it, or on its new edge where the loop turns)
     or a collinear vertex between its neighbours (dropped without a
     triangle); the last three vertices make the last triangle.
@@ -106,18 +120,14 @@ def triangulate_polygons(coords: np.ndarray):
     the fan (v0, vi, vi+1) from vertex 0, less the zero-area ones of a
     straight run.  Returns one (ascending rows, (rows, T, 3, 2) triangles)
     pair per triangle count T, and the rows that cannot be triangulated:
-    not CCW, of (near-)zero area, or left without an ear or not covered by
-    their triangles (a self-intersecting loop).
+    not CCW or flat, or left without an ear or not covered by their
+    triangles (a self-intersecting loop).  Flat means an area of at most
+    1e-12 d**2 for the polygon's diameter d, as in ``PolyMesh``.
     """
     coords = np.asarray(coords, dtype=float)
     g, m = coords.shape[:2]
-    scale = np.ptp(coords, axis=1).max(axis=1)
-    tol = 1e-12 * scale * scale
-    # the signed area as a fan from vertex 0: from edge vectors, it keeps its
-    # digits far from the origin
-    apex = np.broadcast_to(coords[:, :1], (g, m - 2, 2))
-    fan = np.stack([apex, coords[:, 1:-1], coords[:, 2:]], axis=2)
-    poly_area = triangle_areas(fan).sum(axis=1)
+    poly_area, _, diameter = polygon_geometry(coords)[:3]
+    tol = _FLAT * diameter**2
     failed = poly_area <= tol
 
     rows = np.arange(g)
@@ -154,7 +164,7 @@ def triangulate_polygons(coords: np.ndarray):
     made[:, -1] = triangle_areas(tris[:, -1]) > tol
     counts = made.sum(axis=1)
     covered = np.where(made, triangle_areas(tris), 0.0).sum(axis=1)
-    failed |= np.abs(covered - poly_area) > 1e-9 * np.maximum(poly_area, scale**2)
+    failed |= np.abs(covered - poly_area) > 1e-9 * diameter**2
 
     groups = []
     for t in np.unique(counts[~failed]):
@@ -210,13 +220,13 @@ class PolyMesh:
     """Conforming polygonal mesh: vertices plus CCW cell loops.
 
     Edge connectivity and boundary flags are derived during construction
-    and every cell is validated (>= 3 distinct vertices, positive signed
-    area, no zero-length edge, triangles that cover it, each edge used by
-    at most two cells with opposite orientation); an invalid cell raises a
-    ``MeshError`` naming the lowest bad cell.  ``cell_groups`` stacks the
-    cells' geometry and triangles by (vertex count, triangle count), both
-    ascending, cells ascending within a group; ``cell_slot[ci]`` is the
-    (group, position) of cell ci.
+    and every cell is validated (>= 3 distinct vertices, not flat and no
+    zero-length edge under the degeneracy rule, triangles that cover it,
+    each edge used by at most two cells with opposite orientation); an
+    invalid cell raises a ``MeshError`` naming the lowest bad cell.
+    ``cell_groups`` stacks the cells' geometry and triangles by (vertex
+    count, triangle count), both ascending, cells ascending within a group;
+    ``cell_slot[ci]`` is the (group, position) of cell ci.
     """
 
     def __init__(self, vertices, cells):
@@ -274,8 +284,8 @@ class PolyMesh:
         for idx, loops in stacks:
             coords = self.vertices[loops]
             area, centroid, diameter, lengths, normals = polygon_geometry(coords)
-            flat = area <= 1e-14
-            short = ~flat & (lengths.min(axis=1) <= 1e-14)
+            flat = area <= _FLAT * diameter**2
+            short = ~flat & (lengths.min(axis=1) <= _FLAT * diameter)
             pieces, tangled = triangulate_polygons(coords)
             bad += [(idx[p], f"is degenerate or not CCW (signed area {area[p]:.3e})")
                     for p in np.flatnonzero(flat)]
@@ -388,19 +398,14 @@ def compute_quality(mesh: PolyMesh) -> MeshQualityReport:
 
 
 def _valid_quads(quads: np.ndarray) -> np.ndarray:
-    """Mask of the (n, 4, 2) quads with positive area and no crossing opposite sides."""
+    """Mask of the (n, 4, 2) quads that are not flat and have no crossing opposite sides."""
 
-    def orient(a, b, c):
-        u, v = b - a, c - a
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    def crossing(a, b, c, d):  # open sides a-b and c-d properly intersect
+        left = triangle_areas(quads[:, [[c, d, a], [c, d, b], [a, b, c], [a, b, d]]]) > 0
+        return (left[:, 0] != left[:, 1]) & (left[:, 2] != left[:, 3])
 
-    def cross(p1, p2, p3, p4):  # open segments p1 p2 and p3 p4 properly intersect
-        return ((orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0)) & (
-            (orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0)
-        )
-
-    a, b, c, d = np.moveaxis(quads, 1, 0)
-    return (polygon_geometry(quads)[0] > 1e-14) & ~cross(a, b, c, d) & ~cross(b, c, d, a)
+    area, _, diameter = polygon_geometry(quads)[:3]
+    return (area > _FLAT * diameter**2) & ~crossing(0, 1, 2, 3) & ~crossing(1, 2, 3, 0)
 
 
 def generate_distorted_square_mesh(n: int, distortion: float = 0.3, seed: int = 0) -> PolyMesh:
@@ -473,11 +478,8 @@ def _voronoi_cells_in_square(seeds: np.ndarray):
     loops = [None] * len(seeds)
     centroids = np.empty((len(seeds), 2))
     for idx, stack in stack_by_size(regions):
-        flip = polygon_geometry(vor.vertices[stack])[0] < 0
-        stack[flip] = stack[flip, ::-1]
-        # summed along the CCW loops, the centroids do not depend on the
-        # orientation qhull reports
-        centroids[idx] = polygon_geometry(vor.vertices[stack])[1]
+        area, centroids[idx] = polygon_geometry(vor.vertices[stack])[:2]
+        stack[area < 0] = stack[area < 0, ::-1]
         for i, loop in zip(idx, stack):
             loops[i] = loop
     return vor.vertices.copy(), loops, centroids
@@ -600,11 +602,10 @@ def generate_concave_mesh(n: int) -> PolyMesh:
 
 def _find_corners(coords: np.ndarray) -> list[int]:
     """Loop positions whose turn angle is not flat (within 1e-7 of sin)."""
-    prev = coords - np.roll(coords, 1, axis=0)
-    nxt = np.roll(coords, -1, axis=0) - coords
-    cross = prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
-    norm = np.hypot(*prev.T) * np.hypot(*nxt.T)
-    return [i for i in range(len(coords)) if abs(cross[i]) > 1e-7 * norm[i]]
+    before, after = np.roll(coords, 1, axis=0), np.roll(coords, -1, axis=0)
+    turn = 2.0 * triangle_areas(np.stack([before, coords, after], axis=1))
+    norm = np.hypot(*(coords - before).T) * np.hypot(*(after - coords).T)
+    return [i for i in range(len(coords)) if abs(turn[i]) > 1e-7 * norm[i]]
 
 
 def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
@@ -731,52 +732,42 @@ def mesh_from_string(text: str) -> PolyMesh:
     def parse_error(lineno, msg):
         return MeshError(f"line {lineno + 1}: {msg}")
 
+    def block_size(ln, key, noun):
+        head = lines[ln].split() if ln < len(lines) else []
+        if len(head) != 2 or head[0] != key:
+            raise parse_error(ln, f"expected '{key} <count>'")
+        try:
+            count = int(head[1])
+        except ValueError:
+            raise parse_error(ln, f"bad {noun} count") from None
+        if count < 0:
+            raise parse_error(ln, f"negative {noun} count {count}")
+        if ln + 1 + count > len(lines):
+            raise parse_error(len(lines), f"unexpected end of file in {noun} block")
+        return count
+
     if not lines or lines[0].strip() != "polymesh 1":
         raise parse_error(0, "expected header 'polymesh 1'")
-    ln = 1
-    head = lines[ln].split() if ln < len(lines) else []
-    if len(head) != 2 or head[0] != "vertices":
-        raise parse_error(ln, "expected 'vertices <count>'")
-    try:
-        nv = int(head[1])
-    except ValueError:
-        raise parse_error(ln, "bad vertex count") from None
-    if nv < 0:
-        raise parse_error(ln, f"negative vertex count {nv}")
-    ln += 1
-    if ln + nv > len(lines):
-        raise parse_error(len(lines) - 1, "unexpected end of file in vertex block")
+    nv = block_size(1, "vertices", "vertex")
     verts = np.empty((nv, 2))
     for i in range(nv):
-        parts = lines[ln + i].split()
+        parts = lines[2 + i].split()
         if len(parts) != 2:
-            raise parse_error(ln + i, "expected 'x y'")
+            raise parse_error(2 + i, "expected 'x y'")
         try:
             verts[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
-            raise parse_error(ln + i, "bad coordinate") from None
+            raise parse_error(2 + i, "bad coordinate") from None
         if not np.isfinite(verts[i]).all():
-            raise parse_error(ln + i, "non-finite coordinate")
-    ln += nv
-    head = lines[ln].split() if ln < len(lines) else []
-    if len(head) != 2 or head[0] != "cells":
-        raise parse_error(min(ln, len(lines) - 1), "expected 'cells <count>'")
-    try:
-        nc = int(head[1])
-    except ValueError:
-        raise parse_error(ln, "bad cell count") from None
-    if nc < 0:
-        raise parse_error(ln, f"negative cell count {nc}")
-    ln += 1
-    if ln + nc > len(lines):
-        raise parse_error(len(lines) - 1, "unexpected end of file in cell block")
+            raise parse_error(2 + i, "non-finite coordinate")
+    nc = block_size(2 + nv, "cells", "cell")
+    ln = 3 + nv
     if ln + nc < len(lines):
         raise parse_error(ln + nc, f"extra line after the {nc} cell rows")
     cells = []
     for i in range(nc):
-        parts = lines[ln + i].split()
         try:
-            vals = [int(p) for p in parts]
+            vals = [int(p) for p in lines[ln + i].split()]
         except ValueError:
             raise parse_error(ln + i, "bad cell line") from None
         if not vals or len(vals) != vals[0] + 1:

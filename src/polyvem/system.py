@@ -380,8 +380,9 @@ class TimeStepperConfig:
     t_end: float = 1.0
 
     def num_steps(self) -> int:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        for name, value in (("tau", self.tau), ("t_end", self.t_end)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         n = round(self.t_end / self.tau)
         if n < 1 or abs(n * self.tau - self.t_end) > 1e-12 * max(1.0, self.t_end):
             raise ValueError(
@@ -462,8 +463,8 @@ def solution_from_string(text: str):
     """Parse a snapshot; returns (k, t, dof vector, per-cell coefficient rows).
 
     Every malformed line raises a ``ValueError`` that names it: a bad or
-    missing preamble field, dof value or cell count, a cell row whose
-    length is not dim P_k, and too few or too many rows.
+    missing preamble field, dof value or cell count, a non-finite number,
+    a cell row whose length is not dim P_k, and too few or too many rows.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -488,9 +489,12 @@ def solution_from_string(text: str):
         if len(tokens) != count:
             raise err(lineno, f"expected {count} value(s), found {len(tokens)}")
         try:
-            return [float(v) for v in tokens]
+            row = [float(v) for v in tokens]
         except ValueError:
             raise err(lineno, "bad number in value line") from None
+        if not np.isfinite(row).all():
+            raise err(lineno, "non-finite value")
+        return row
 
     if not lines or lines[0].strip() != "solution 1":
         raise err(0, "expected header 'solution 1'")
@@ -498,6 +502,8 @@ def solution_from_string(text: str):
     if k not in SUPPORTED_ORDERS:
         raise err(1, f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
     t = field(2, "time", float)
+    if not np.isfinite(t):
+        raise err(2, "non-finite value")
     n = field(3, "dofs", int)
     if n < 0:
         raise err(3, f"negative dof count {n}")

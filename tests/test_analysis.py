@@ -322,6 +322,11 @@ class TestFamilyMesh:
         with pytest.raises(ValueError, match="levels"):
             family_mesh("voronoi", len(A.VORONOI_LEVEL_SEEDS))
 
+    @pytest.mark.parametrize("family", A.MESH_FAMILIES)
+    def test_negative_level_rejected(self, family):
+        with pytest.raises(ValueError, match="level must be non-negative, got -1"):
+            family_mesh(family, -1)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown mesh family"):
             family_mesh("triangles", 0)

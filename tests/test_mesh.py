@@ -76,6 +76,10 @@ class TestPolyMeshBasics:
             (TANGLED, [[5, 6, 7], [5, 6, 6], [5, 6, 9]], "^cell 1 repeats"),
             (TANGLED, [[5, 6, 9], [0, 1]], "^cell 0 has a vertex index out of range"),
             (TANGLED, [[5, 6, 7], [0, 1], [5, 6, 9, 7]], "^cell 1 needs at least 3"),
+            # flat and zero-length relative to the cell diameter, not absolutely
+            ([[0, 0], [10, 0], [5, 2e-12]], [[0, 1, 2]], "^cell 0 is degenerate or not CCW"),
+            ([[0, 0], [1, 0], [1, 1], [1 - 1e-13, 1], [0, 1]], [[0, 1, 2, 3, 4]],
+             "^cell 0 has a zero-length edge"),
         ],
     )
     def test_validation_errors(self, vertices, cells, fragment):
@@ -100,6 +104,12 @@ class TestPolyMeshBasics:
             assert g.index == ci
             np.testing.assert_array_equal(g.vertex_ids, mesh.cells[ci])
             assert M.triangle_areas(g.triangles).sum() == pytest.approx(g.area, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_grid_accepted_at_any_scale(self, scale):
+        mesh = M.generate_distorted_square_mesh(2, 0.0)
+        scaled = M.PolyMesh(mesh.vertices * scale, mesh.cells)
+        assert total_area(scaled) == pytest.approx(scale**2, rel=1e-14)
 
     def test_zero_length_edge_raises(self):
         # vertices 2 and 3 are distinct indices at one point
@@ -305,8 +315,13 @@ class TestMeshIO:
             M.mesh_from_string("wrong 2\n")
 
     def test_truncated_file(self):
-        with pytest.raises(M.MeshError):
+        """An early end of file names the first missing line."""
+        with pytest.raises(M.MeshError, match="^line 4: unexpected end of file in vertex"):
             M.mesh_from_string("polymesh 1\nvertices 5\n0 0\n")
+        with pytest.raises(M.MeshError, match="^line 6: expected 'cells <count>'"):
+            M.mesh_from_string(self.TRIANGLE.split("cells")[0])
+        with pytest.raises(M.MeshError, match="^line 7: unexpected end of file in cell"):
+            M.mesh_from_string(self.TRIANGLE.replace("cells 1\n3 0 1 2\n", "cells 1\n"))
 
     def test_self_intersecting_cell_reports_its_line(self):
         rows = "".join(f"{x!r} {y!r}\n" for x, y in TANGLED)
@@ -354,21 +369,53 @@ class TestMeshIO:
 
 
 @st.composite
-def _meshes(draw):
-    """Distorted grids, some cells refined (hanging nodes), then scaled and
-    shifted so the coordinates are arbitrary doubles."""
+def _grids(draw):
+    """Distorted grids, some cells refined (hanging nodes)."""
     n = draw(st.integers(min_value=2, max_value=3))
     mesh = M.generate_distorted_square_mesh(
         n, draw(st.floats(0.0, 0.3)), seed=draw(st.integers(0, 1000))
     )
     marked = draw(st.lists(st.integers(0, mesh.num_cells - 1), max_size=3, unique=True))
-    mesh = M.refine_cells(mesh, marked)
+    return M.refine_cells(mesh, marked)
+
+
+@st.composite
+def _meshes(draw):
+    """``_grids`` scaled and shifted so the coordinates are arbitrary doubles."""
+    mesh = draw(_grids())
     scale = draw(st.floats(min_value=1e-3, max_value=1e3))
     shift = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
     return M.PolyMesh(mesh.vertices * scale + shift, mesh.cells)
 
 
+@st.composite
+def _dyadic_transforms(draw):
+    """A ``_grids`` mesh with its vertices rounded to a 2**-20 grid, a scale
+    2**j with |j| <= 10 and a shift on a 2**-4 grid within +-1e3: every
+    transformed coordinate is an exact double."""
+    mesh = draw(_grids())
+    mesh = M.PolyMesh(np.round(mesh.vertices * 2.0**20) / 2.0**20, mesh.cells)
+    scale = 2.0 ** draw(st.integers(-10, 10))
+    shift = np.array([draw(st.integers(-16000, 16000)), draw(st.integers(-16000, 16000))]) / 16
+    return mesh, scale, shift
+
+
 class TestMeshProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_dyadic_transforms())
+    def test_geometry_follows_scale_and_shift(self, case):
+        """Area, diameter and centroid transform with the mesh; a fixed bound
+        holds because the transformed coordinates carry no rounding."""
+        mesh, scale, shift = case
+        moved = M.PolyMesh(mesh.vertices * scale + shift, mesh.cells)
+        np.testing.assert_array_equal(moved.cell_slot, mesh.cell_slot)
+        for g0, g1 in zip(mesh.cell_groups, moved.cell_groups):
+            np.testing.assert_allclose(g1.area, scale**2 * g0.area, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(g1.diameter, scale * g0.diameter, rtol=1e-12, atol=0)
+            want = scale * g0.centroid + shift
+            bound = 1e-12 * g1.diameter[:, None] + 2 * np.spacing(np.abs(want))
+            assert (np.abs(g1.centroid - want) <= bound).all()
+
     @settings(max_examples=60, deadline=None)
     @given(_meshes())
     def test_roundtrip_bitwise(self, mesh):

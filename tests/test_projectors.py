@@ -6,6 +6,7 @@ import pytest
 from polyvem.mesh import PolyMesh, generate_concave_mesh, generate_voronoi_mesh
 from polyvem import projectors as P
 from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule
+from test_system import GROUP_MESHES
 
 
 def make_geometries():
@@ -237,6 +238,34 @@ class TestInterpolation:
         # the coarsest pair is preasymptotic; judge the finest pair
         rate = np.log(errors[-2] / errors[-1]) / np.log(sizes[-2] / sizes[-1])
         assert rate == pytest.approx(k + 1, abs=0.25)
+
+
+def cell_elements(mesh, k):
+    """The element of each cell, in cell order, built group by group."""
+    groups = [P.build_element(geom, k) for geom in mesh.cell_groups]
+    return [groups[g][pos] for g, pos in mesh.cell_slot]
+
+
+class TestPositionAndScale:
+    @pytest.mark.parametrize(
+        "scale, shift", [(2.0**-10, (1e3, -1e3)), (2.0**-10, (1.0, 2.0)), (1e3, (-3.0, 0.5))]
+    )
+    @pytest.mark.parametrize("family", sorted(GROUP_MESHES))
+    def test_operators_follow_the_cell(self, family, scale, shift, k):
+        """D, the projections and Q of a scaled and shifted cell equal those
+        of the cell itself (the gradient projection scales as 1/scale).  The
+        quadrature and dof points stay in absolute coordinates, so rounding
+        the shift against the smallest cell sets the bound."""
+        mesh = GROUP_MESHES[family]()
+        moved = PolyMesh(mesh.vertices * scale + np.array(shift), mesh.cells)
+        h_min = min(g.diameter.min() for g in moved.cell_groups)
+        tol = 1e-12 + 100 * np.finfo(float).eps * max(map(abs, shift)) / h_min
+        fields = [("dof_matrix", 1.0), ("pi_grad_star", 1.0), ("pi0_star", 1.0),
+                  ("pi0_grad_star", scale), ("stab_q", 1.0)]
+        for el, el_moved in zip(cell_elements(mesh, k), cell_elements(moved, k)):
+            for name, factor in fields:
+                want, got = getattr(el, name), factor * getattr(el_moved, name)
+                assert np.abs(got - want).max() <= tol * np.abs(want).max(), name
 
 
 class TestConditioning:

@@ -343,6 +343,9 @@ class TestTimeStepper:
             TimeStepperConfig(tau=0.0).num_steps()
         with pytest.raises(ValueError, match="integer"):
             TimeStepperConfig(tau=0.3, t_end=1.0).num_steps()
+        for t_end in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="^t_end must be positive$"):
+                TimeStepperConfig(tau=0.1, t_end=t_end).num_steps()
 
     def test_zero_problem_stays_zero(self):
         mesh = generate_distorted_square_mesh(3, 0.2, seed=2)
@@ -510,6 +513,16 @@ class TestSnapshots:
         lines, _ = self._lines()
         lines[6] = "not-a-number"
         with pytest.raises(ValueError, match="line 7: bad number"):
+            solution_from_string("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "line, token", [("time", "nan"), ("dof", "nan"), ("dof", "-inf"), ("coefficient", "inf")]
+    )
+    def test_non_finite_value_names_its_line(self, line, token):
+        lines, n = self._lines()
+        at = {"time": 2, "dof": 5, "coefficient": 6 + n}[line]
+        lines[at] = " ".join(lines[at].split()[:-1] + [token])
+        with pytest.raises(ValueError, match=f"^line {at + 1}: non-finite value$"):
             solution_from_string("\n".join(lines))
 
     def test_bad_cell_count_names_its_line(self):
