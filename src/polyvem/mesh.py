@@ -25,8 +25,12 @@ The three built-in families discretize the unit square:
 * concave meshes (each square split into two congruent polygons with a
   reflex vertex by a zigzag interface; h halves exactly under n -> 2n).
 
-Hanging nodes created by local quad refinement are ordinary vertices in
-the coarse neighbor's loop; no closure refinement is performed.
+Local refinement splits quad-derived cells into four and finds each side
+midpoint by topology: a vertex of the side already there, or one new vertex
+for the mesh edge that contains it, shared by the cells on that edge.  Every
+loop gains the midpoints of its split edges, so a hanging node is an
+ordinary vertex in the coarse neighbor's loop and no closure refinement is
+performed.
 """
 
 from __future__ import annotations
@@ -106,9 +110,10 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
 
 
-def triangulate_polygons(coords: np.ndarray):
-    """Split a (G, m, 2) stack of CCW polygons into triangles by ear
-    clipping, all rows at once.
+def triangulate_polygons(coords: np.ndarray, area: np.ndarray, diameter: np.ndarray):
+    """Split a (G, m, 2) stack of CCW polygons, with their signed areas and
+    diameters from ``polygon_geometry``, into triangles by ear clipping,
+    all rows at once.
 
     Each of the m-3 steps removes one vertex per row: the first one,
     scanning the remaining loop from position 1, that is an ear tip (the
@@ -124,11 +129,9 @@ def triangulate_polygons(coords: np.ndarray):
     triangles (a self-intersecting loop).  Flat means an area of at most
     1e-12 d**2 for the polygon's diameter d, as in ``PolyMesh``.
     """
-    coords = np.asarray(coords, dtype=float)
     g, m = coords.shape[:2]
-    poly_area, _, diameter = polygon_geometry(coords)[:3]
     tol = _FLAT * diameter**2
-    failed = poly_area <= tol
+    failed = area <= tol
 
     rows = np.arange(g)
     loops = np.broadcast_to(np.arange(m), (g, m))
@@ -139,8 +142,8 @@ def triangulate_polygons(coords: np.ndarray):
         pts = coords[rows[:, None], loops]
         # candidate j clips the tip at position j + 1 between positions j and j + 2
         abc = np.stack([pts, np.roll(pts, -1, axis=1), np.roll(pts, -2, axis=1)], axis=2)
-        area = triangle_areas(abc)
-        flat = np.abs(area) <= tol_r
+        ear_area = triangle_areas(abc)
+        flat = np.abs(ear_area) <= tol_r
         # side [j, p] of each remaining vertex p of the edges of ear j: the
         # loop edges a-b (j to j + 1) and b-c, and the new edge c-a
         rel = pts[:, None] - pts[:, :, None]  # [u, p]: vertex p less vertex u
@@ -152,7 +155,7 @@ def triangulate_polygons(coords: np.ndarray):
         # a vertex blocks the ear if it lies strictly inside it, or on c-a
         # where the loop turns (clipping would pinch the loop there)
         ca_blocks = np.where(np.roll(flat, 1, axis=1)[:, None], ca > tol_rr, ca >= -tol_rr)
-        ear = (area > tol_r) & ~((ab > tol_rr) & (bc > tol_rr) & ca_blocks).any(axis=2)
+        ear = (ear_area > tol_r) & ~((ab > tol_rr) & (bc > tol_rr) & ca_blocks).any(axis=2)
         ahead = (edge * np.roll(edge, -1, axis=1)).sum(axis=-1) > 0
         pick = ear | (flat & ahead)
         j = pick.argmax(axis=1)
@@ -164,7 +167,7 @@ def triangulate_polygons(coords: np.ndarray):
     made[:, -1] = triangle_areas(tris[:, -1]) > tol
     counts = made.sum(axis=1)
     covered = np.where(made, triangle_areas(tris), 0.0).sum(axis=1)
-    failed |= np.abs(covered - poly_area) > 1e-9 * diameter**2
+    failed |= np.abs(covered - area) > 1e-9 * diameter**2
 
     groups = []
     for t in np.unique(counts[~failed]):
@@ -286,7 +289,7 @@ class PolyMesh:
             area, centroid, diameter, lengths, normals = polygon_geometry(coords)
             flat = area <= _FLAT * diameter**2
             short = ~flat & (lengths.min(axis=1) <= _FLAT * diameter)
-            pieces, tangled = triangulate_polygons(coords)
+            pieces, tangled = triangulate_polygons(coords, area, diameter)
             bad += [(idx[p], f"is degenerate or not CCW (signed area {area[p]:.3e})")
                     for p in np.flatnonzero(flat)]
             bad += [(idx[p], "has a zero-length edge") for p in np.flatnonzero(short)]
@@ -485,6 +488,8 @@ def _voronoi_cells_in_square(seeds: np.ndarray):
     return vor.vertices.copy(), loops, centroids
 
 
+# absolute snap of Voronoi vertices, which lie in the unit square; nothing
+# else compares coordinates on a fixed grid
 _SNAP = 1e-9
 
 
@@ -609,32 +614,26 @@ def _find_corners(coords: np.ndarray) -> list[int]:
 
 
 def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
-    """Split each marked quad-derived cell into 4 children at the edge
-    midpoints and corner centroid.  Unmarked neighbors keep their polygon
-    but gain the midpoint as an extra (hanging) vertex in their loop.
+    """Split each marked quad-derived cell into 4 children at its side
+    midpoints and corner centroid.
+
+    A side's midpoint is found by topology, not by coordinates: a vertex of
+    the side's chain that sits there (within ``_FLAT`` of the side length)
+    is reused; otherwise one new vertex splits the mesh edge that contains
+    the midpoint, shared by both cells on that edge.  Every cell's loop,
+    marked or not, then gains the midpoints of its split edges (an unmarked
+    neighbor's become hanging vertices), and each marked cell's loop is cut
+    into its children at its corners and midpoints.  An edge that two cells
+    would split at different points raises a ``MeshError``.
     """
     marked = sorted({int(c) for c in marked})
     if any(c < 0 or c >= mesh.num_cells for c in marked):
         raise MeshError("marked cell index out of range")
-    if not marked:
-        return PolyMesh(mesh.vertices, mesh.cells)
 
-    verts = [tuple(v) for v in mesh.vertices]
-    snap: dict[tuple[int, int], int] = {}
-    for i, (x, y) in enumerate(verts):
-        snap[(int(round(x / _SNAP)), int(round(y / _SNAP)))] = i
-
-    def get_vertex(x: float, y: float) -> int:
-        key = (int(round(x / _SNAP)), int(round(y / _SNAP)))
-        if key not in snap:
-            snap[key] = len(verts)
-            verts.append((x, y))
-        return snap[key]
-
-    marked_set = set(marked)
-    split_edges: dict[tuple[int, int], int] = {}
-    children: dict[int, list[np.ndarray]] = {}
-
+    nv = mesh.num_vertices
+    new: list[np.ndarray] = []  # coordinates of vertex nv + i
+    split = np.full(mesh.num_edges, -1, dtype=np.int64)  # vertex splitting each edge
+    cuts = {}  # marked cell: (centroid vertex, [corner 0, mid 0, ..., corner 3, mid 3])
     for ci in marked:
         loop = mesh.cells[ci]
         coords = mesh.vertices[loop]
@@ -643,58 +642,46 @@ def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
             raise MeshError(
                 f"cell {ci} is not quad-derived ({len(corners)} corners); cannot refine"
             )
-        cxy = coords[corners].mean(axis=0)
-        center = get_vertex(cxy[0], cxy[1])
-        m = len(loop)
-        sides = []  # per side: ordered vertex ids corner..corner incl. midpoint
-        mids = []
-        for s in range(4):
-            p0, p1 = corners[s], corners[(s + 1) % 4]
-            chain = []
-            pos = (p0 + 1) % m
-            while pos != p1:
-                chain.append(int(loop[pos]))
-                pos = (pos + 1) % m
-            A, B = coords[p0], coords[p1]
-            mid_xy = 0.5 * (A + B)
-            mid = get_vertex(mid_xy[0], mid_xy[1])
-            nodes = [int(loop[p0])] + chain + [int(loop[p1])]
-            if mid not in chain:
-                # order chain nodes by parameter along the side, insert mid
-                seg = B - A
-                denom = float(seg @ seg)
-                params = [0.0]
-                params += [float((np.array(verts[v]) - A) @ seg) / denom for v in chain]
-                params.append(1.0)
-                at = next(idx for idx in range(len(nodes) - 1) if params[idx] < 0.5 <= params[idx + 1])
-                u, v = nodes[at], nodes[at + 1]
-                split_edges[(min(u, v), max(u, v))] = mid
-                nodes = nodes[: at + 1] + [mid] + nodes[at + 1 :]
-            sides.append(nodes)
-            mids.append(mid)
-        kids = []
-        for q in range(4):
-            this = sides[q]
-            prev = sides[(q + 3) % 4]
-            first = this[: this.index(mids[q]) + 1]
-            tail = prev[prev.index(mids[(q + 3) % 4]) : -1]
-            kids.append(np.array(first + [center] + tail, dtype=np.int64))
-        children[ci] = kids
+        cut = []
+        cuts[ci] = (nv + len(new), cut)
+        new.append(coords[corners].mean(axis=0))
+        # sides run from corner to corner along the loop taken twice
+        twice, coords = np.concatenate([loop, loop]), np.concatenate([coords, coords])
+        edges = np.concatenate([mesh.cell_edge_ids(loop)[0]] * 2)
+        for p0, p1 in zip(corners, corners[1:] + [corners[0] + len(loop)]):
+            a, b = coords[p0], coords[p1]
+            t = (coords[p0 : p1 + 1] - a) @ (b - a) / ((b - a) @ (b - a))  # 0 to 1 along the side
+            near = np.abs(t - 0.5).argmin()
+            mid = twice[p0 + near]
+            if abs(t[near] - 0.5) > _FLAT:  # no vertex there: split the edge across t = 0.5
+                e = edges[p0 + np.searchsorted(t, 0.5) - 1]
+                if split[e] < 0:
+                    split[e] = nv + len(new)
+                    new.append(0.5 * (a + b))
+                elif np.hypot(*(new[split[e] - nv] - 0.5 * (a + b))) > _FLAT * np.hypot(*(b - a)):
+                    raise MeshError(f"cell {ci} would split edge {tuple(mesh.edges[e].tolist())} "
+                                    "at a second point", cell=ci)
+                mid = split[e]
+            cut += [loop[p0], mid]
 
-    new_cells: list[np.ndarray] = []
-    for ci, loop in enumerate(mesh.cells):
-        if ci in marked_set:
-            new_cells.extend(children[ci])
+    # one pass puts the midpoints into every loop; marked loops are then cut
+    cells = list(mesh.cells)
+    for idx, loops in stack_by_size(mesh.cells):
+        both = np.stack([loops, split[mesh.cell_edge_ids(loops)[0]]], axis=2)
+        for ci, row in zip(idx, both.reshape(len(idx), -1)):
+            cells[ci] = row[row >= 0]
+    new_cells = []
+    for ci, loop in enumerate(cells):
+        if ci not in cuts:
+            new_cells.append(loop)
             continue
-        out = []
-        for a, b in zip(loop, np.roll(loop, -1)):
-            out.append(int(a))
-            mid = split_edges.get((int(min(a, b)), int(max(a, b))))
-            if mid is not None:
-                out.append(mid)
-        new_cells.append(np.array(out, dtype=np.int64))
-
-    return PolyMesh(np.array(verts, dtype=float), new_cells)
+        center, cut = cuts[ci]
+        loop = np.roll(loop, -np.flatnonzero(loop == cut[0])[0])
+        parts = np.split(loop, np.flatnonzero((loop[:, None] == cut).any(axis=1))[1:])
+        # child q: corner q to mid q, the centroid, mid q-1 up to corner q
+        new_cells += [np.concatenate([parts[2 * q], [cut[2 * q + 1], center], parts[2 * q - 1]])
+                      for q in range(4)]
+    return PolyMesh(np.concatenate([mesh.vertices, np.reshape(new, (-1, 2))]), new_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,20 @@ def total_area(mesh):
     return sum(g.area.sum() for g in mesh.cell_groups)
 
 
+@st.composite
+def _grids(draw):
+    """Distorted grids with some cells refined in two rounds (hanging nodes,
+    also on the sides of refined cells' children)."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    mesh = M.generate_distorted_square_mesh(
+        n, draw(st.floats(0.0, 0.3)), seed=draw(st.integers(0, 1000))
+    )
+    for _ in range(2):
+        marked = draw(st.lists(st.integers(0, mesh.num_cells - 1), max_size=3, unique=True))
+        mesh = M.refine_cells(mesh, marked)
+    return mesh
+
+
 class TestPolyMeshBasics:
     def test_unit_square_cell(self):
         mesh = M.PolyMesh(UNIT_SQUARE, [[0, 1, 2, 3]])
@@ -295,6 +309,44 @@ class TestRefinement:
         assert same.num_cells == mesh.num_cells
         np.testing.assert_array_equal(same.vertices, mesh.vertices)
 
+    def test_child_and_coarser_neighbor_refined_together(self):
+        """Cell 5 is a child of a refined cell and cell 1 its coarser
+        neighbor below: refined in one call, both sides of their shared edge
+        take the child's new midpoint, so every boundary edge lies on a side
+        of the unit square."""
+        mesh = M.refine_cells(M.generate_distorted_square_mesh(4, 0.2, seed=1), [5])
+        fine = M.refine_cells(mesh, [5, 1])
+        ends = fine.vertices[fine.edges[fine.boundary_edges]]  # (edge, end, axis)
+        on_side = (ends[:, 0] == ends[:, 1]) & np.isin(ends[:, 0], [0.0, 1.0])
+        assert on_side.any(axis=1).all()
+        assert total_area(fine) == pytest.approx(1.0, abs=1e-13)
+
+    def test_edge_split_at_two_points_raises(self):
+        """Cell 0's top side has a hanging vertex at x = 0.3, so its midpoint
+        falls inside the bottom side of cell 2, whose own midpoint is at
+        x = 0.65: refining both would split one edge twice."""
+        vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.3, 1.0], [0.0, 1.0],
+                    [0.3, 2.0], [0.0, 2.0], [1.0, 2.0]]
+        mesh = M.PolyMesh(vertices, [[0, 1, 2, 3, 4], [4, 3, 5, 6], [3, 2, 7, 5]])
+        assert M.refine_cells(mesh, [0, 1]).num_cells == 9
+        with pytest.raises(M.MeshError, match=r"^cell 2 would split edge \(2, 3\) at a second"):
+            M.refine_cells(mesh, [0, 2])
+
+    @pytest.mark.parametrize("scale, shift", [(1e-9, (0.0, 0.0)), (1e-12, (0.0, 0.0)),
+                                              (1e3, (700.0, -2500.0))])
+    @settings(max_examples=40, deadline=None)
+    @given(mesh=_grids(), data=st.data())
+    def test_refinement_follows_scale_and_shift(self, scale, shift, mesh, data):
+        """Refining a scaled and shifted mesh gives the same loops, and the
+        vertices of the refined mesh moved the same way."""
+        marked = data.draw(st.lists(st.integers(0, mesh.num_cells - 1), min_size=1, max_size=4,
+                                    unique=True))
+        fine = M.refine_cells(mesh, marked)
+        moved = M.refine_cells(M.PolyMesh(mesh.vertices * scale + shift, mesh.cells), marked)
+        assert [c.tolist() for c in moved.cells] == [c.tolist() for c in fine.cells]
+        np.testing.assert_allclose(moved.vertices, fine.vertices * scale + shift,
+                                   rtol=0, atol=1e-12 * moved.h)
+
 
 class TestMeshIO:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -366,17 +418,6 @@ class TestMeshIO:
         path.write_bytes(self.TRIANGLE.replace("1.0 0.0", "1.0\xe9 0.0").encode("latin-1"))
         with pytest.raises(M.MeshError, match="^line 4: bad coordinate"):
             M.read_mesh(path)
-
-
-@st.composite
-def _grids(draw):
-    """Distorted grids, some cells refined (hanging nodes)."""
-    n = draw(st.integers(min_value=2, max_value=3))
-    mesh = M.generate_distorted_square_mesh(
-        n, draw(st.floats(0.0, 0.3)), seed=draw(st.integers(0, 1000))
-    )
-    marked = draw(st.lists(st.integers(0, mesh.num_cells - 1), max_size=3, unique=True))
-    return M.refine_cells(mesh, marked)
 
 
 @st.composite

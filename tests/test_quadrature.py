@@ -14,6 +14,7 @@ from polyvem.mesh import (
     generate_concave_mesh,
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
+    polygon_geometry,
     refine_cells,
     triangulate_polygons,
 )
@@ -22,9 +23,16 @@ REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def clip(stack):
+    """``triangulate_polygons`` on a (G, m, 2) stack, given its areas and
+    diameters as ``PolyMesh`` gives them."""
+    area, _, diameter = polygon_geometry(stack)[:3]
+    return triangulate_polygons(stack, area, diameter)
+
+
 def triangulate(coords):
     """Triangulation of one polygon, triangulated as a stack of one."""
-    [(rows, tris)], failed = triangulate_polygons(np.asarray(coords, dtype=float)[None])
+    [(rows, tris)], failed = clip(np.asarray(coords, dtype=float)[None])
     assert rows.tolist() == [0] and failed.size == 0
     return tris[0]
 
@@ -187,7 +195,7 @@ class TestPolygonRules:
         hanging = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         reflex = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0]])
         stack = np.stack([pentagon, hanging, reflex, 2.0 * hanging, pentagon + 1.0])
-        groups, failed = triangulate_polygons(stack)
+        groups, failed = clip(stack)
         assert failed.size == 0
         assert [(rows.tolist(), tris.shape) for rows, tris in groups] == [
             ([1, 3], (2, 2, 3, 2)),
@@ -237,7 +245,7 @@ class TestPolygonRules:
         ell = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
         stack = np.stack([halves[0], tangled, reflex, hanging, halves[1]]
                          + [np.roll(ell, -s, axis=0) for s in range(6)])
-        groups, failed = triangulate_polygons(stack)
+        groups, failed = clip(stack)
         assert failed.tolist() == [1]
         assert sorted(row for rows, _ in groups for row in rows) == [0, *range(2, 11)]
         rule = Q.triangle_rule(4)
@@ -256,7 +264,7 @@ class TestPolygonRules:
         """The triangulation reports a tangled polygon's row, and the mesh
         rejects it as a cell."""
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        groups, failed = triangulate_polygons(bowtie[None])
+        groups, failed = clip(bowtie[None])
         assert groups == [] and failed.tolist() == [0]
         with pytest.raises(MeshError, match="^cell 0 "):
             PolyMesh(bowtie, [[0, 1, 2, 3]])
