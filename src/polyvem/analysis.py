@@ -250,7 +250,11 @@ def run_convergence_sweep(
     problem = get_problem(problem_name) if isinstance(problem_name, str) else problem_name
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    workers = max(1, int(os.environ.get("POLYVEM_THREADS", "1")))
+    threads = os.environ.get("POLYVEM_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise ValueError(f"POLYVEM_THREADS must be an integer, got {threads!r}") from None
     args = [(problem, family, k, level, tau, t_end, seed) for level in range(levels)]
     if workers == 1 or levels == 1:
         pairs = [_solve_level(*a) for a in args]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import runpy
 import sys
+import traceback
 from pathlib import Path
 
 from .analysis import (
@@ -51,7 +52,12 @@ def _resolve_problem(spec: str) -> SobolevProblem:
         return get_problem(spec)
     path = Path(spec)
     if path.suffix == ".py" and path.exists():
-        namespace = runpy.run_path(str(path))
+        try:
+            namespace = runpy.run_path(spec)
+        except Exception as exc:  # name the file's line that raised; a SyntaxError has its own
+            at = [f.lineno for f in traceback.extract_tb(exc.__traceback__) if f.filename == spec]
+            line = at[-1] if at else getattr(exc, "lineno", "?")
+            raise ValueError(f"{spec}: line {line}: {type(exc).__name__}: {exc}") from exc
         problem = namespace.get("PROBLEM")
         if not isinstance(problem, SobolevProblem):
             raise ValueError(f"{spec}: file must define PROBLEM as a SobolevProblem")

@@ -1,4 +1,5 @@
-"""Polygonal mesh data model, mesh family generators, refinement and I/O.
+"""Polygonal mesh data model, mesh family generators, refinement and I/O; the
+mesh file is read with the shared rules of ``polyvem.textfile``.
 
 Meshes are immutable after construction: generators and ``refine_cells``
 always return new ``PolyMesh`` objects.  Cells are stored as CCW vertex
@@ -39,6 +40,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import Voronoi
+
+from .textfile import LineReader, read_text, write_text
 
 __all__ = [
     "MeshError",
@@ -518,6 +521,8 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
     seeds = np.asarray(seeds, dtype=float).copy()
     if len(seeds) < 4:
         raise ValueError("need at least 4 seeds")
+    if lloyd_iterations < 0:
+        raise ValueError(f"lloyd_iterations must be >= 0, got {lloyd_iterations}")
     if seeds.min() <= 0.0 or seeds.max() >= 1.0:
         raise MeshError("seeds must lie strictly inside (0,1)^2")
     for sweep in range(20):
@@ -693,84 +698,37 @@ def mesh_to_string(mesh: PolyMesh) -> str:
     lines = ["polymesh 1", f"vertices {mesh.num_vertices}"]
     lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices)
     lines.append(f"cells {mesh.num_cells}")
-    for loop in mesh.cells:
-        lines.append(" ".join([str(len(loop))] + [str(int(v)) for v in loop]))
+    lines.extend(" ".join(map(str, [len(loop), *loop.tolist()])) for loop in mesh.cells)
     return "\n".join(lines) + "\n"
 
 
 def write_mesh(path, mesh: PolyMesh) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(mesh_to_string(mesh))
+    write_text(path, mesh_to_string(mesh))
 
 
 def mesh_from_string(text: str) -> PolyMesh:
-    """Parse the text written by ``mesh_to_string``.
-
-    Malformed input raises a ``MeshError`` that names its line: a bad
-    header, a bad, negative or overlong count, a bad or non-finite vertex,
-    a bad cell line, any line after the cell block (trailing blank lines
-    are allowed), and a cell that ``PolyMesh`` rejects, such as a
-    clockwise or degenerate one.
-    """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-
-    def parse_error(lineno, msg):
-        return MeshError(f"line {lineno + 1}: {msg}")
-
-    def block_size(ln, key, noun):
-        head = lines[ln].split() if ln < len(lines) else []
-        if len(head) != 2 or head[0] != key:
-            raise parse_error(ln, f"expected '{key} <count>'")
-        try:
-            count = int(head[1])
-        except ValueError:
-            raise parse_error(ln, f"bad {noun} count") from None
-        if count < 0:
-            raise parse_error(ln, f"negative {noun} count {count}")
-        if ln + 1 + count > len(lines):
-            raise parse_error(len(lines), f"unexpected end of file in {noun} block")
-        return count
-
-    if not lines or lines[0].strip() != "polymesh 1":
-        raise parse_error(0, "expected header 'polymesh 1'")
-    nv = block_size(1, "vertices", "vertex")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        parts = lines[2 + i].split()
-        if len(parts) != 2:
-            raise parse_error(2 + i, "expected 'x y'")
-        try:
-            verts[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise parse_error(2 + i, "bad coordinate") from None
-        if not np.isfinite(verts[i]).all():
-            raise parse_error(2 + i, "non-finite coordinate")
-    nc = block_size(2 + nv, "cells", "cell")
-    ln = 3 + nv
-    if ln + nc < len(lines):
-        raise parse_error(ln + nc, f"extra line after the {nc} cell rows")
+    """Parse the text written by ``mesh_to_string``.  A cell row is its vertex
+    count, then its vertex indices; a bad row, or a cell that ``PolyMesh``
+    rejects, raises a ``MeshError`` that names the row's line."""
+    reader = LineReader(text, "polymesh 1", MeshError)
+    verts = reader.floats(reader.count("vertices", "vertex"), 2)
+    nc = reader.count("cells", "cell")
+    first = reader.at
     cells = []
-    for i in range(nc):
-        try:
-            vals = [int(p) for p in lines[ln + i].split()]
-        except ValueError:
-            raise parse_error(ln + i, "bad cell line") from None
+    for line in range(first, first + nc):
+        vals = [reader.number(p, int) for p in reader.tokens()]
         if not vals or len(vals) != vals[0] + 1:
-            raise parse_error(ln + i, "cell vertex count mismatch")
+            raise reader.fail(line, "cell vertex count mismatch")
         cells.append(np.array(vals[1:], dtype=np.int64))
+    reader.end()
     try:
         return PolyMesh(verts, cells)
     except MeshError as exc:
         if exc.cell is None:
             raise
         # a content error names its cell, and so the line of that cell
-        raise parse_error(ln + exc.cell, f"invalid mesh: {exc}") from exc
+        raise reader.fail(first + exc.cell, f"invalid mesh: {exc}") from exc
 
 
 def read_mesh(path) -> PolyMesh:
-    # a non-ASCII byte decodes to a lone surrogate, which no field of the
-    # format accepts, so the parser reports it with its line number
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return mesh_from_string(fh.read())
+    return mesh_from_string(read_text(path))

@@ -25,12 +25,14 @@ dof array per group, assembly builds each group's elements, forms and
 load block as stacks and scatters them with one COO index build, and the
 initial projection, errors and indicators zip groups with their dofs.
 Per-cell access (``GlobalSystem.elements``, ``GlobalDofMap.cell_dofs``)
-goes through the mesh's (group, position) slot of the cell.
+goes through the mesh's (group, position) slot of the cell.  Snapshots are
+read with the rules of ``polyvem.textfile`` that the mesh file shares.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +50,7 @@ from .projectors import (
     polynomial_dimension,
 )
 from .quadrature import at_points, lobatto_edge_points
+from .textfile import LineReader, read_text, write_text
 
 __all__ = [
     "SolverError",
@@ -61,7 +64,6 @@ __all__ = [
     "dirichlet_values",
     "project_initial",
     "run_time_loop",
-    "solve_linear",
     "LinearSolver",
     "solution_to_string",
     "write_solution",
@@ -304,11 +306,6 @@ class LinearSolver:
         return np.asarray(x_hp, dtype=float)
 
 
-def solve_linear(matrix, rhs) -> np.ndarray:
-    """One-shot solve honoring the relative-residual contract."""
-    return LinearSolver(matrix).solve(rhs)
-
-
 # ---------------------------------------------------------------------------
 # initial datum
 # ---------------------------------------------------------------------------
@@ -365,7 +362,7 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
     b_act = rhs[act] - m2[np.ix_(act, bdry)] @ u[bdry]
     if not np.any(b_act) and not np.any(u[bdry]):
         return u  # zero datum stays exactly zero
-    u[act] = solve_linear(m2[np.ix_(act, act)], b_act)
+    u[act] = LinearSolver(m2[np.ix_(act, act)]).solve(b_act)
     return u
 
 
@@ -381,13 +378,14 @@ class TimeStepperConfig:
 
     def num_steps(self) -> int:
         for name, value in (("tau", self.tau), ("t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        n = round(self.t_end / self.tau)
+        ratio = self.t_end / self.tau
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(n * self.tau - self.t_end) > 1e-12 * max(1.0, self.t_end):
-            raise ValueError(
-                f"t_end/tau = {self.t_end / self.tau!r} is not an integer step count"
-            )
+            raise ValueError(f"t_end/tau = {ratio!r} is not an integer step count")
         return n
 
 
@@ -439,12 +437,7 @@ def run_time_loop(
 
 def solution_to_string(system: GlobalSystem, result: TimeResult) -> str:
     """Text snapshot: dof vector plus per-cell L2-projection coefficients."""
-    lines = [
-        "solution 1",
-        f"k {system.k}",
-        f"time {float(result.t)!r}",
-        f"dofs {system.size}",
-    ]
+    lines = ["solution 1", f"k {system.k}", f"time {float(result.t)!r}", f"dofs {system.size}"]
     lines.extend(f"{float(v)!r}" for v in result.u)
     lines.append(f"cells {system.mesh.num_cells}")
     for group, pos in system.mesh.cell_slot:
@@ -455,76 +448,23 @@ def solution_to_string(system: GlobalSystem, result: TimeResult) -> str:
 
 
 def write_solution(path, system: GlobalSystem, result: TimeResult) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(solution_to_string(system, result))
+    write_text(path, solution_to_string(system, result))
 
 
 def solution_from_string(text: str):
     """Parse a snapshot; returns (k, t, dof vector, per-cell coefficient rows).
-
-    Every malformed line raises a ``ValueError`` that names it: a bad or
-    missing preamble field, dof value or cell count, a non-finite number,
-    a cell row whose length is not dim P_k, and too few or too many rows.
-    """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-
-    def err(lineno, msg):
-        return ValueError(f"line {lineno + 1}: {msg}")
-
-    def field(lineno, key, kind):
-        if lineno >= len(lines):
-            raise err(lineno, f"unexpected end of file, expected '{key} <value>'")
-        parts = lines[lineno].split()
-        if len(parts) != 2 or parts[0] != key:
-            raise err(lineno, f"expected '{key} <value>'")
-        try:
-            return kind(parts[1])
-        except ValueError:
-            raise err(lineno, f"bad {key} value {parts[1]!r}") from None
-
-    def values(lineno, count):
-        tokens = lines[lineno].split()
-        if len(tokens) != count:
-            raise err(lineno, f"expected {count} value(s), found {len(tokens)}")
-        try:
-            row = [float(v) for v in tokens]
-        except ValueError:
-            raise err(lineno, "bad number in value line") from None
-        if not np.isfinite(row).all():
-            raise err(lineno, "non-finite value")
-        return row
-
-    if not lines or lines[0].strip() != "solution 1":
-        raise err(0, "expected header 'solution 1'")
-    k = field(1, "k", int)
+    A bad line raises a ``ValueError`` that names it; k must be a supported
+    order, and each cell row holds dim P_k values."""
+    reader = LineReader(text, "solution 1", ValueError)
+    k = reader.field("k", int)
     if k not in SUPPORTED_ORDERS:
-        raise err(1, f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
-    t = field(2, "time", float)
-    if not np.isfinite(t):
-        raise err(2, "non-finite value")
-    n = field(3, "dofs", int)
-    if n < 0:
-        raise err(3, f"negative dof count {n}")
-    pos = 4 + n
-    if len(lines) <= pos:
-        raise err(len(lines), "unexpected end of file in dof block")
-    u = np.array([values(4 + i, 1)[0] for i in range(n)])
-    nc = field(pos, "cells", int)
-    if nc < 0:
-        raise err(pos, f"negative cell count {nc}")
-    if len(lines) < pos + 1 + nc:
-        raise err(len(lines), f"unexpected end of file in cell block ({nc} rows expected)")
-    if len(lines) > pos + 1 + nc:
-        raise err(pos + 1 + nc, f"extra line after the {nc} cell rows")
-    width = polynomial_dimension(k)
-    coeffs = [np.array(values(pos + 1 + i, width)) for i in range(nc)]
-    return k, t, u, coeffs
+        raise reader.fail(1, f"order k={k} not supported; choose one of {SUPPORTED_ORDERS}")
+    t = reader.field("time", float)
+    u = reader.floats(reader.count("dofs", "dof"), 1).ravel()
+    coeffs = reader.floats(reader.count("cells", "cell"), polynomial_dimension(k))
+    reader.end()
+    return k, t, u, list(coeffs)
 
 
 def read_solution(path):
-    # a non-ASCII byte decodes to a lone surrogate, which no field of the
-    # format accepts, so the parser reports it with its line number
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return solution_from_string(fh.read())
+    return solution_from_string(read_text(path))

@@ -525,6 +525,11 @@ class TestSweeps:
         with pytest.raises(ValueError, match="levels"):
             run_convergence_sweep("variable", "distorted", 1, levels=0)
 
+    def test_non_integer_thread_count_named(self, monkeypatch):
+        monkeypatch.setenv("POLYVEM_THREADS", "two")
+        with pytest.raises(ValueError, match="^POLYVEM_THREADS must be an integer, got 'two'$"):
+            run_convergence_sweep("variable", "distorted", 1, levels=1)
+
     def test_thread_count_does_not_change_results(self, monkeypatch):
         problem = polynomial_patch(2)
         monkeypatch.setenv("POLYVEM_THREADS", "1")

@@ -230,6 +230,14 @@ class TestSolveCommand:
         assert err.startswith("error: ValueError:")
         assert "PROBLEM" in err
 
+    def test_problem_file_that_raises_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "raises.py"
+        bad.write_text("import math\n\nPROBLEM = undefined_name\n", encoding="utf-8")
+        assert main(["solve", "--problem", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {bad}: line 3: NameError: ")
+        assert "undefined_name" in err
+
 
 class TestConvergeCommand:
     def test_writes_one_csv_per_order_and_one_plot(self, tmp_path, capsys):

@@ -197,6 +197,10 @@ class TestVoronoiFamily:
         mesh = M.generate_voronoi_mesh(16, lloyd_iterations=3, seed=0)
         assert 0.25 <= mesh.h <= 0.4
 
+    def test_negative_lloyd_iterations_rejected(self):
+        with pytest.raises(ValueError, match="lloyd_iterations must be >= 0, got -3"):
+            M.generate_voronoi_mesh(16, lloyd_iterations=-3)
+
     def test_lloyd_reduces_spread(self):
         rough = M.generate_voronoi_mesh(49, lloyd_iterations=0, seed=2)
         smooth = M.generate_voronoi_mesh(49, lloyd_iterations=4, seed=2)
@@ -370,7 +374,7 @@ class TestMeshIO:
         """An early end of file names the first missing line."""
         with pytest.raises(M.MeshError, match="^line 4: unexpected end of file in vertex"):
             M.mesh_from_string("polymesh 1\nvertices 5\n0 0\n")
-        with pytest.raises(M.MeshError, match="^line 6: expected 'cells <count>'"):
+        with pytest.raises(M.MeshError, match="^line 6: expected 'cells <value>'"):
             M.mesh_from_string(self.TRIANGLE.split("cells")[0])
         with pytest.raises(M.MeshError, match="^line 7: unexpected end of file in cell"):
             M.mesh_from_string(self.TRIANGLE.replace("cells 1\n3 0 1 2\n", "cells 1\n"))
@@ -394,7 +398,7 @@ class TestMeshIO:
         with pytest.raises(M.MeshError, match="^line 9: invalid mesh: edge"):
             M.mesh_from_string(three)
         nan = text.replace("1.0 0.0\n", "nan 0.0\n")
-        with pytest.raises(M.MeshError, match="^line 4: non-finite coordinate"):
+        with pytest.raises(M.MeshError, match="^line 4: non-finite value"):
             M.mesh_from_string(nan)
 
     TRIANGLE = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 1 2\n"
@@ -416,7 +420,7 @@ class TestMeshIO:
     def test_non_ascii_byte_names_its_line(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_bytes(self.TRIANGLE.replace("1.0 0.0", "1.0\xe9 0.0").encode("latin-1"))
-        with pytest.raises(M.MeshError, match="^line 4: bad coordinate"):
+        with pytest.raises(M.MeshError, match="^line 4: bad number"):
             M.read_mesh(path)
 
 

@@ -38,7 +38,6 @@ from polyvem.system import (
     run_time_loop,
     solution_from_string,
     solution_to_string,
-    solve_linear,
     write_solution,
 )
 
@@ -250,10 +249,10 @@ class TestAssembly:
 class TestLinearSolver:
     def test_identity(self):
         rhs = np.arange(5.0)
-        assert np.allclose(solve_linear(np.eye(5), rhs), rhs)
+        assert np.allclose(LinearSolver(np.eye(5)).solve(rhs), rhs)
 
     def test_small_system(self):
-        x = solve_linear(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
+        x = LinearSolver(np.array([[2.0, 1.0], [1.0, 2.0]])).solve(np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_random_spd_residual_contract(self):
@@ -261,20 +260,20 @@ class TestLinearSolver:
         r = rng.standard_normal((50, 50))
         a = r @ r.T + 50.0 * np.eye(50)
         b = rng.standard_normal(50)
-        x = solve_linear(a, b)
+        x = LinearSolver(a).solve(b)
         res = np.linalg.norm(a @ x - b)
         scale = np.linalg.norm(a, ord=np.inf) * np.linalg.norm(x) + np.linalg.norm(b)
         assert res <= 1e-12 * scale
 
     def test_sparse_input(self):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        x = solve_linear(a, np.array([1.0, 2.0]))
+        x = LinearSolver(a).solve(np.array([1.0, 2.0]))
         assert np.allclose(a @ x, [1.0, 2.0], atol=1e-14)
 
     def test_singular_matrix_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SolverError):
-            solve_linear(a, np.array([1.0, 0.0]))
+            LinearSolver(a).solve(np.array([1.0, 0.0]))
 
     def test_factorization_reused_across_solves(self):
         rng = np.random.default_rng(3)
@@ -346,6 +345,15 @@ class TestTimeStepper:
         for t_end in (-1.0, 0.0):
             with pytest.raises(ValueError, match="^t_end must be positive$"):
                 TimeStepperConfig(tau=0.1, t_end=t_end).num_steps()
+        for tau, t_end, match in [
+            (np.nan, 1.0, "^tau must be finite"),
+            (np.inf, 1.0, "^tau must be finite"),
+            (0.1, np.nan, "^t_end must be finite"),
+            (0.1, np.inf, "^t_end must be finite"),
+            (1e-300, 1e300, "not an integer step count"),  # t_end/tau overflows
+        ]:
+            with pytest.raises(ValueError, match=match):
+                TimeStepperConfig(tau=tau, t_end=t_end).num_steps()
 
     def test_zero_problem_stays_zero(self):
         mesh = generate_distorted_square_mesh(3, 0.2, seed=2)
@@ -396,7 +404,7 @@ class TestTimeStepper:
         load = system.load_map @ problem.f(qp[:, 0], qp[:, 1], tau)
         rhs = (g_mat @ u0)[act] + tau * load[act]
         rhs -= lhs[np.ix_(act, bdry)] @ g_b
-        u_act = solve_linear(lhs[np.ix_(act, act)], rhs)
+        u_act = LinearSolver(lhs[np.ix_(act, act)]).solve(rhs)
         scale = max(1.0, np.max(np.abs(u_act)))
         assert np.max(np.abs(result.u[act] - u_act)) <= 1e-12 * scale
 
@@ -528,8 +536,15 @@ class TestSnapshots:
     def test_bad_cell_count_names_its_line(self):
         lines, n = self._lines()
         lines[4 + n] = "cells many"
-        with pytest.raises(ValueError, match=f"line {5 + n}: bad cells value"):
+        with pytest.raises(ValueError, match=f"line {5 + n}: bad number"):
             solution_from_string("\n".join(lines))
+
+    def test_missing_cells_line_named(self):
+        """A complete dof block followed by end of file names the missing
+        ``cells`` line itself."""
+        lines, n = self._lines()
+        with pytest.raises(ValueError, match=f"^line {5 + n}: expected 'cells <value>'$"):
+            solution_from_string("\n".join(lines[: 4 + n]))
 
     def test_short_coefficient_row_rejected(self):
         lines, n = self._lines()
