@@ -11,6 +11,9 @@ measurement error stays well below the discretization error being
 measured.  Errors and indicators run over the mesh's cell groups, each
 group zipped with its dof array: one basis evaluation and one
 exact-solution call per group.
+
+The adaptive study's uniform ladder starts on the adaptive study's first
+mesh, which is solved once for both histories.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .mesh import (
     refine_cells,
 )
 from .forms import constant_coefficient_scales
-from .problems import SobolevProblem, get_problem
+from .problems import SobolevProblem
 from .projectors import polynomial_dimension
 from .quadrature import at_points, map_to_triangle, triangle_rule
 from .system import GlobalSystem, TimeStepperConfig, assemble, run_time_loop
@@ -107,27 +111,11 @@ class ConvergenceRecord:
         return np.array([p.e1 for p in self.pairs])
 
     @property
-    def dofs(self) -> np.ndarray:
-        return np.array([p.num_dofs for p in self.pairs])
-
-    @property
     def active_dofs(self) -> np.ndarray:
         return np.array([p.num_active for p in self.pairs])
 
-    def eoc0(self) -> np.ndarray:
-        return compute_eoc(self.h, self.e0)
 
-    def eoc1(self) -> np.ndarray:
-        return compute_eoc(self.h, self.e1)
-
-
-def compute_errors(
-    system: GlobalSystem,
-    u: np.ndarray,
-    t: float,
-    *,
-    seconds: float = 0.0,
-) -> ErrorPair:
+def compute_errors(system: GlobalSystem, u: np.ndarray, t: float) -> ErrorPair:
     """Measure E0h and E1h of a dof vector against the exact solution at t."""
     problem = system.problem
     if problem.u_exact is None or problem.grad_u_exact is None:
@@ -163,7 +151,6 @@ def compute_errors(
         e1=math.sqrt(max(e1_sq, 0.0)),
         num_dofs=dofmap.size,
         num_active=len(dofmap.active),
-        seconds=seconds,
     )
 
 
@@ -234,7 +221,7 @@ def _solve_level(problem, family, k, level, tau, t_end, seed):
 
 
 def run_convergence_sweep(
-    problem_name: str,
+    problem: SobolevProblem,
     family: str,
     k: int,
     levels: int = 4,
@@ -244,10 +231,10 @@ def run_convergence_sweep(
 ) -> ConvergenceRecord:
     """Solve the problem on ``levels`` nested meshes and collect errors.
 
-    Levels are independent solves; POLYVEM_THREADS > 1 runs them in parallel
-    with results merged in level order, so output is scheduling-independent.
+    Levels are independent solves on a pool of POLYVEM_THREADS threads
+    (default 1), with results merged in level order, so output is
+    scheduling-independent.
     """
-    problem = get_problem(problem_name) if isinstance(problem_name, str) else problem_name
     if levels < 1:
         raise ValueError("levels must be >= 1")
     threads = os.environ.get("POLYVEM_THREADS", "1")
@@ -255,14 +242,10 @@ def run_convergence_sweep(
         workers = max(1, int(threads))
     except ValueError:
         raise ValueError(f"POLYVEM_THREADS must be an integer, got {threads!r}") from None
-    args = [(problem, family, k, level, tau, t_end, seed) for level in range(levels)]
-    if workers == 1 or levels == 1:
-        pairs = [_solve_level(*a) for a in args]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(lambda a: _solve_level(*a), args))
-    name = problem.name if not isinstance(problem_name, str) else problem_name
-    return ConvergenceRecord(problem=name, family=family, k=k, pairs=pairs)
+    solve = partial(_solve_level, problem, family, k, tau=tau, t_end=t_end, seed=seed)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pairs = list(pool.map(solve, range(levels)))
+    return ConvergenceRecord(problem=problem.name, family=family, k=k, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +305,12 @@ def _solve_on_mesh(mesh, k, problem, tau, t_end):
     system = assemble(mesh, k, problem)
     result = run_time_loop(system, TimeStepperConfig(tau=tau, t_end=t_end))
     seconds = time.perf_counter() - t0
-    pair = compute_errors(system, result.u, result.t, seconds=seconds)
+    pair = replace(compute_errors(system, result.u, result.t), seconds=seconds)
     return system, result, pair
 
 
 def run_adaptive_study(
-    problem_name: str = "gaussian",
+    problem: SobolevProblem,
     k: int = 1,
     cycles: int = 4,
     start_n: int = 8,
@@ -338,10 +321,9 @@ def run_adaptive_study(
     """Compare uniform square refinement against indicator-driven refinement.
 
     The adaptive loop is solve -> estimate -> Doerfler-mark -> refine; the
-    uniform ladder doubles n each cycle.  Both histories record (dofs, E0h)
-    so the curves can be compared at matched dof counts.
+    uniform ladder doubles n each cycle from the loop's first solve.  Both
+    histories record (dofs, E0h) to be compared at matched dof counts.
     """
-    problem = get_problem(problem_name) if isinstance(problem_name, str) else problem_name
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
 
@@ -362,10 +344,10 @@ def run_adaptive_study(
             marked = dorfler_marking(eta, theta=theta)
             mesh = refine_cells(mesh, marked)
 
-    uniform = ConvergenceRecord(problem=problem.name, family="uniform", k=k)
-    for cycle in range(cycles):
+    uniform = ConvergenceRecord(problem.name, "uniform", k, pairs=adaptive.pairs[:1])
+    for cycle in range(1, cycles):
         n = start_n * 2**cycle
-        if uniform.pairs and uniform.pairs[-1].num_active >= adaptive.pairs[-1].num_active:
+        if uniform.pairs[-1].num_active >= adaptive.pairs[-1].num_active:
             break  # uniform ladder already covers the adaptive dof range
         umesh = generate_distorted_square_mesh(n, 0.0, seed=0)
         _, _, pair = _solve_on_mesh(umesh, k, problem, tau, t_end)

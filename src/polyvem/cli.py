@@ -9,10 +9,11 @@ converge  run a refinement ladder per order; emit CSV tables and an SVG plot
 adaptive  compare uniform and indicator-driven refinement; emit CSV, SVG,
           and the final adaptively refined mesh
 
-Problems are selected by catalog name or by the numeric shorthands 1, 2, 3
-(variable-coefficient sine, convection-dominated, Gaussian bump), or by a
-Python file that defines a module-level ``PROBLEM``.  Convergence levels of
-a sweep are independent; set POLYVEM_THREADS to solve them in parallel.
+Problems are selected by any name ``problems.get_problem`` knows (a catalog
+name or the paper's example numbers 1, 2, 3: variable-coefficient sine,
+convection-dominated, Gaussian bump), or by a Python file that defines a
+module-level ``PROBLEM``.  Convergence levels of a sweep are independent;
+set POLYVEM_THREADS to solve them in parallel.
 """
 
 from __future__ import annotations
@@ -39,17 +40,12 @@ from .mesh import (
     write_mesh,
 )
 from .problems import PROBLEM_NAMES, SobolevProblem, get_problem
+from .projectors import SUPPORTED_ORDERS
 from .svgplot import Curve, loglog_svg
 from .system import TimeStepperConfig, assemble, run_time_loop, write_solution
 
-_EXAMPLE_IDS = {"1": "variable", "2": "convection", "3": "gaussian"}
-
 
 def _resolve_problem(spec: str) -> SobolevProblem:
-    if spec in _EXAMPLE_IDS:
-        return get_problem(_EXAMPLE_IDS[spec])
-    if spec in PROBLEM_NAMES:
-        return get_problem(spec)
     path = Path(spec)
     if path.suffix == ".py" and path.exists():
         try:
@@ -62,10 +58,13 @@ def _resolve_problem(spec: str) -> SobolevProblem:
         if not isinstance(problem, SobolevProblem):
             raise ValueError(f"{spec}: file must define PROBLEM as a SobolevProblem")
         return problem
-    raise ValueError(
-        f"unknown problem {spec!r}; expected 1|2|3, one of {sorted(PROBLEM_NAMES)}, "
-        "or a .py file defining PROBLEM"
-    )
+    try:
+        return get_problem(spec)
+    except KeyError:
+        raise ValueError(
+            f"unknown problem {spec!r}; expected 1|2|3, one of {sorted(PROBLEM_NAMES)}, "
+            "or a .py file defining PROBLEM"
+        ) from None
 
 
 def _build_mesh(args):
@@ -117,11 +116,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _slope_guides(orders) -> tuple:
-    guides = sorted({k for k in orders} | {k + 1 for k in orders})
-    return tuple(guides)
-
-
 def cmd_converge(args) -> int:
     problem = _resolve_problem(args.problem)
     outdir = Path(args.outdir)
@@ -156,7 +150,7 @@ def cmd_converge(args) -> int:
                 title=f"{problem.name} on {args.family} meshes",
                 xlabel="h",
                 ylabel="error",
-                slope_guides=_slope_guides(args.k),
+                slope_guides=tuple(sorted({*args.k, *(k + 1 for k in args.k)})),
             ),
             encoding="utf-8",
         )
@@ -231,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--family", choices=MESH_FAMILIES, default="distorted")
     _add_mesh_flags(p_solve)
     p_solve.add_argument("--mesh", help="mesh file (overrides family flags)")
-    p_solve.add_argument("--k", type=int, default=1, choices=(1, 2, 3))
+    p_solve.add_argument("--k", type=int, default=1, choices=SUPPORTED_ORDERS)
     p_solve.add_argument("--tau", type=float, default=1e-3)
     p_solve.add_argument("--t-end", type=float, default=1.0)
     p_solve.add_argument("-o", "--output", help="output solution file")
@@ -240,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", help="run a convergence sweep")
     p_conv.add_argument("--problem", default="1")
     p_conv.add_argument("--family", choices=MESH_FAMILIES, default="voronoi")
-    p_conv.add_argument("--k", type=int, nargs="+", default=[1, 2, 3], choices=(1, 2, 3))
+    p_conv.add_argument("--k", type=int, nargs="+", choices=SUPPORTED_ORDERS,
+                        default=SUPPORTED_ORDERS)
     p_conv.add_argument("--levels", type=int, default=4)
     p_conv.add_argument("--tau", type=float, default=1e-3)
     p_conv.add_argument("--t-end", type=float, default=1.0)
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adapt = sub.add_parser("adaptive", help="uniform vs adaptive refinement study")
     p_adapt.add_argument("--problem", default="3")
-    p_adapt.add_argument("--k", type=int, default=1, choices=(1, 2, 3))
+    p_adapt.add_argument("--k", type=int, default=1, choices=SUPPORTED_ORDERS)
     p_adapt.add_argument("--levels", type=int, default=4, help="refinement cycles")
     p_adapt.add_argument("--start-n", type=int, default=8)
     p_adapt.add_argument("--theta", type=float, default=0.3)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import Voronoi
+from scipy.spatial import Voronoi, cKDTree
 
 from .textfile import LineReader, read_text, write_text
 
@@ -526,10 +526,7 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
     if seeds.min() <= 0.0 or seeds.max() >= 1.0:
         raise MeshError("seeds must lie strictly inside (0,1)^2")
     for sweep in range(20):
-        diff = seeds[:, None, :] - seeds[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        dup_rows = np.nonzero((dist < 1e-9).any(axis=1))[0]
+        dup_rows = np.unique(cKDTree(seeds).query_pairs(1e-9, output_type="ndarray"))
         if len(dup_rows) == 0:
             break
         for r in dup_rows[1::2]:  # jitter the second of each coincident pair
@@ -719,7 +716,10 @@ def mesh_from_string(text: str) -> PolyMesh:
         vals = [reader.number(p, int) for p in reader.tokens()]
         if not vals or len(vals) != vals[0] + 1:
             raise reader.fail(line, "cell vertex count mismatch")
-        cells.append(np.array(vals[1:], dtype=np.int64))
+        try:
+            cells.append(np.array(vals[1:], dtype=np.int64))
+        except OverflowError:  # beyond int64, so beyond any vertex count
+            raise reader.fail(line, "vertex index out of range") from None
     reader.end()
     try:
         return PolyMesh(verts, cells)

@@ -312,11 +312,15 @@ _CATALOG = {
 
 PROBLEM_NAMES = tuple(_CATALOG)
 
+#: The paper's example numbers, accepted wherever a problem name is.
+_EXAMPLES = {"1": "variable", "2": "convection", "3": "gaussian"}
+
 
 def get_problem(name: str) -> SobolevProblem:
+    """The catalog problem with this name or example number (1, 2, 3)."""
     try:
-        return _CATALOG[name]()
+        return _CATALOG[_EXAMPLES.get(name, name)]()
     except KeyError:
         raise KeyError(
-            f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}"
+            f"unknown problem {name!r}; available: 1|2|3, {', '.join(PROBLEM_NAMES)}"
         ) from None

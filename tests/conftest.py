@@ -11,6 +11,7 @@ import re
 import pytest
 
 from polyvem.analysis import run_convergence_sweep
+from polyvem.problems import get_problem
 
 _CACHE = {}
 
@@ -21,7 +22,7 @@ def sweep_cache():
         key = (problem, family, k, levels, tau, seed)
         if key not in _CACHE:
             _CACHE[key] = run_convergence_sweep(
-                problem, family, k, levels=levels, tau=tau, seed=seed
+                get_problem(problem), family, k, levels=levels, tau=tau, seed=seed
             )
         return _CACHE[key]
 

@@ -81,10 +81,10 @@ class TestErrorPair:
         assert np.allclose(rec.h, [0.5, 0.25])
         assert np.allclose(rec.e0, [1.0, 0.25])
         assert np.allclose(rec.e1, [2.0, 1.0])
-        assert rec.dofs.tolist() == [10, 30]
+        assert [p.num_dofs for p in rec.pairs] == [10, 30]
         assert rec.active_dofs.tolist() == [4, 20]
-        assert rec.eoc0()[1] == pytest.approx(2.0)
-        assert rec.eoc1()[1] == pytest.approx(1.0)
+        assert compute_eoc(rec.h, rec.e0)[1] == pytest.approx(2.0)
+        assert compute_eoc(rec.h, rec.e1)[1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +157,11 @@ class TestComputeErrors:
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(3, 0.0, seed=0)
         system = assemble(mesh, 2, problem)
-        pair = compute_errors(
-            system, np.zeros(system.dofmap.size), 1.0, seconds=2.5
-        )
+        pair = compute_errors(system, np.zeros(system.dofmap.size), 1.0)
         assert pair.h == system.mesh.h
         assert pair.num_dofs == system.dofmap.size
         assert pair.num_active == len(system.dofmap.active)
-        assert pair.seconds == 2.5
+        assert pair.seconds == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +517,16 @@ class TestSweeps:
         assert len(rec.pairs) == 2
         assert np.all(rec.e0 < 1e-9)
         assert rec.h[0] > rec.h[1]
-        assert rec.dofs[1] > rec.dofs[0]
+        assert rec.pairs[1].num_dofs > rec.pairs[0].num_dofs
 
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError, match="levels"):
-            run_convergence_sweep("variable", "distorted", 1, levels=0)
+            run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=0)
 
     def test_non_integer_thread_count_named(self, monkeypatch):
         monkeypatch.setenv("POLYVEM_THREADS", "two")
         with pytest.raises(ValueError, match="^POLYVEM_THREADS must be an integer, got 'two'$"):
-            run_convergence_sweep("variable", "distorted", 1, levels=1)
+            run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=1)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         problem = polynomial_patch(2)
@@ -581,7 +579,7 @@ class TestSweeps:
 @pytest.fixture(scope="module")
 def quick_adaptive_study():
     return run_adaptive_study(
-        "gaussian", k=1, cycles=4, start_n=8, theta=0.3, tau=0.1
+        get_problem("gaussian"), k=1, cycles=4, start_n=8, theta=0.3, tau=0.1
     )
 
 
@@ -619,4 +617,22 @@ class TestAdaptiveStudy:
 
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError, match="cycles"):
-            run_adaptive_study("gaussian", cycles=0)
+            run_adaptive_study(get_problem("gaussian"), cycles=0)
+
+    def test_first_mesh_is_solved_once(self, monkeypatch):
+        """The uniform ladder starts from adaptive cycle 0: one assembly
+        per adaptive cycle plus one per further uniform level."""
+        calls = []
+
+        def counting_assemble(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(A, "assemble", counting_assemble)
+        study = run_adaptive_study(get_problem("gaussian"), k=1, cycles=3, tau=0.5)
+        assert len(study.uniform.pairs) >= 2
+        assert len(calls) == 3 + len(study.uniform.pairs) - 1
+        first, start = study.uniform.pairs[0], study.adaptive.pairs[0]
+        for name in ("h", "e0", "e1", "num_dofs", "num_active"):
+            assert getattr(first, name) == getattr(start, name)
+        assert all(pair.seconds > 0 for pair in study.adaptive.pairs + study.uniform.pairs)

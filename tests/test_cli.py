@@ -5,12 +5,15 @@ argparse still runs); one smoke test execs the installed console script to
 make sure the packaging entry point resolves.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyvem
 from polyvem.cli import build_parser, main
 from polyvem.mesh import read_mesh
 from polyvem.system import read_solution
@@ -374,10 +377,14 @@ class TestParser:
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "tiny.mesh"
+        # the child imports the package under test, installed or not
+        src = str(Path(polyvem.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "polyvem.cli", "mesh", "concave",
              "--n", "2", "-o", str(out)],
             capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert "cells=8" in proc.stdout

@@ -336,6 +336,10 @@ class TestProblemCatalog:
     def test_catalog_names(self):
         assert set(PR.PROBLEM_NAMES) == {"variable", "convection", "gaussian"}
 
+    def test_example_numbers_name_the_catalog(self):
+        for number, name in (("1", "variable"), ("2", "convection"), ("3", "gaussian")):
+            assert PR.get_problem(number).name == name
+
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown problem"):
             PR.get_problem("nope")

@@ -211,6 +211,14 @@ class TestVoronoiFamily:
 
         assert spread(smooth) < spread(rough)
 
+    def test_coincident_seeds_are_jittered_apart(self):
+        """A repeated seed is nudged along the diagonal, so the Voronoi
+        edge between the two copies splits their quadrant on the anti-diagonal."""
+        quadrants = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
+        mesh = M.voronoi_mesh_from_seeds(np.array(quadrants + [(0.75, 0.75)]))
+        areas = sorted(mesh.cell_geometry(i).area for i in range(mesh.num_cells))
+        np.testing.assert_allclose(areas, [0.125, 0.125, 0.25, 0.25, 0.25], atol=1e-8)
+
     def test_determinism(self):
         a = M.generate_voronoi_mesh(36, 2, seed=5)
         b = M.generate_voronoi_mesh(36, 2, seed=5)
@@ -402,6 +410,11 @@ class TestMeshIO:
             M.mesh_from_string(nan)
 
     TRIANGLE = "polymesh 1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\ncells 1\n3 0 1 2\n"
+
+    def test_vertex_index_beyond_int64_names_its_line(self):
+        text = self.TRIANGLE.replace("3 0 1 2\n", "3 0 1 99999999999999999999\n")
+        with pytest.raises(M.MeshError, match="^line 7: vertex index out of range"):
+            M.mesh_from_string(text)
 
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(M.MeshError, match="^line 2: negative vertex count -1"):
