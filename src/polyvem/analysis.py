@@ -93,7 +93,6 @@ class ErrorPair:
 class ConvergenceRecord:
     """Errors over a refinement ladder for one polynomial order."""
 
-    problem: str
     family: str
     k: int
     pairs: list[ErrorPair] = field(default_factory=list)
@@ -245,7 +244,7 @@ def run_convergence_sweep(
     solve = partial(_solve_level, problem, family, k, tau=tau, t_end=t_end, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pairs = list(pool.map(solve, range(levels)))
-    return ConvergenceRecord(problem=problem.name, family=family, k=k, pairs=pairs)
+    return ConvergenceRecord(family=family, k=k, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,7 @@ def run_adaptive_study(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
 
-    adaptive = ConvergenceRecord(problem=problem.name, family="adaptive", k=k)
+    adaptive = ConvergenceRecord(family="adaptive", k=k)
     mesh = generate_distorted_square_mesh(start_n, 0.0, seed=0)
     for cycle in range(cycles):
         system, result, pair = _solve_on_mesh(mesh, k, problem, tau, t_end)
@@ -344,7 +343,7 @@ def run_adaptive_study(
             marked = dorfler_marking(eta, theta=theta)
             mesh = refine_cells(mesh, marked)
 
-    uniform = ConvergenceRecord(problem.name, "uniform", k, pairs=adaptive.pairs[:1])
+    uniform = ConvergenceRecord("uniform", k, pairs=adaptive.pairs[:1])
     for cycle in range(1, cycles):
         n = start_n * 2**cycle
         if uniform.pairs[-1].num_active >= adaptive.pairs[-1].num_active:

@@ -466,21 +466,32 @@ def generate_distorted_square_mesh(n: int, distortion: float = 0.3, seed: int = 
 def _voronoi_cells_in_square(seeds: np.ndarray):
     """Voronoi cells of seeds in [0,1]^2, exactly clipped via mirroring.
 
-    Reflecting the seeds across all four sides makes every original
-    region bounded, with its boundary lying exactly on the square sides.
-    Returns (global vertex coordinates, list of CCW index loops, (n, 2)
-    cell centroids).
+    A seed is mirrored across a side only within the reach r = 1.5/sqrt(n)
+    of it (PolyMesher's 1.5 sqrt(|square|/n)).  Inside the square a mirror
+    is never nearer than its own seed, so mirrors only cut cells off at the
+    sides: the diagram is exact when every original region is bounded, lies
+    in the square within ``_SNAP``, and comes within ``_SNAP`` of a side only
+    if its seed was mirrored across it.  Otherwise the same code runs with
+    r = inf, mirroring every seed across every side.  Returns (global vertex
+    coordinates, list of CCW index loops, (n, 2) cell centroids).
     """
-    reflect = [
-        seeds * [-1.0, 1.0],
-        np.column_stack([2.0 - seeds[:, 0], seeds[:, 1]]),
-        seeds * [1.0, -1.0],
-        np.column_stack([seeds[:, 0], 2.0 - seeds[:, 1]]),
-    ]
-    vor = Voronoi(np.vstack([seeds] + reflect))
-    regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
-    if any(-1 in region or len(region) < 3 for region in regions):
-        raise MeshError("unbounded Voronoi region; seeds outside (0,1)^2?")
+    for reach in (1.5 / np.sqrt(len(seeds)), np.inf):
+        mirrored = np.hstack([seeds < reach, seeds > 1.0 - reach])  # sides x=0, y=0, x=1, y=1
+        images = [np.where(np.arange(2) == s % 2, 2.0 * (s // 2) - seeds, seeds) for s in range(4)]
+        vor = Voronoi(np.vstack([seeds] + [image[m] for image, m in zip(images, mirrored.T)]))
+        regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
+        sizes = np.array([len(region) for region in regions])
+        if sizes.min() < 3:
+            continue
+        # per vertex: near each side, then outside the square; -1 (no vertex) sets all
+        v = vor.vertices
+        flags = np.column_stack([v < _SNAP, v > 1.0 - _SNAP, np.abs(v - 0.5).max(1) > 0.5 + _SNAP])
+        flags = np.vstack([flags, np.ones(5, dtype=bool)])
+        hit = np.logical_or.reduceat(flags[np.concatenate(regions)], np.cumsum(sizes) - sizes)
+        if not hit[:, 4].any() and (hit[:, :4] <= mirrored).all():
+            break
+    else:
+        raise MeshError("Voronoi region unbounded or outside the square; seeds outside (0,1)^2?")
     loops = [None] * len(seeds)
     centroids = np.empty((len(seeds), 2))
     for idx, stack in stack_by_size(regions):
@@ -525,12 +536,17 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
         raise ValueError(f"lloyd_iterations must be >= 0, got {lloyd_iterations}")
     if seeds.min() <= 0.0 or seeds.max() >= 1.0:
         raise MeshError("seeds must lie strictly inside (0,1)^2")
-    for sweep in range(20):
-        dup_rows = np.unique(cKDTree(seeds).query_pairs(1e-9, output_type="ndarray"))
-        if len(dup_rows) == 0:
-            break
-        for r in dup_rows[1::2]:  # jitter the second of each coincident pair
-            seeds[r] += 1e-9 * (r + 1)
+    # the m copies of a point (seeds chained within _SNAP) go round the circle with
+    # diameter c to c + m/2 * _SNAP * (r + 1) * (+-1, +-1) for c the first copy, r the row
+    # of the second, signs into the square: in convex position no cell shrinks to the snap
+    label = np.arange(len(seeds))
+    for a, b in cKDTree(seeds).query_pairs(_SNAP, output_type="ndarray"):
+        label[label == label[b]] = label[a]
+    for rows in (np.flatnonzero(label == g) for g in np.flatnonzero(np.bincount(label) > 1)):
+        turn = np.exp(2j * np.pi * np.arange(len(rows)) / len(rows))
+        ring = 0.25 * len(rows) * _SNAP * (rows[1] + 1) * (1 + 1j) * (1 - turn)
+        offset = np.column_stack([ring.real, ring.imag])
+        seeds[rows] = seeds[rows[0]] + np.where(seeds[rows[0]] + offset.max(0) < 1, offset, -offset)
     for _ in range(lloyd_iterations):
         seeds = _voronoi_cells_in_square(seeds)[2]
     coords, loops, _ = _voronoi_cells_in_square(seeds)

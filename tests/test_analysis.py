@@ -29,7 +29,12 @@ from polyvem.analysis import (
     run_convergence_sweep,
 )
 from polyvem.forms import constant_coefficient_scales
-from polyvem.mesh import generate_distorted_square_mesh, generate_voronoi_mesh, refine_cells
+from polyvem.mesh import (
+    PolyMesh,
+    generate_distorted_square_mesh,
+    generate_voronoi_mesh,
+    refine_cells,
+)
 from polyvem.problems import get_problem, polynomial_patch
 from polyvem.quadrature import map_to_triangle, triangle_rule
 from polyvem.system import (
@@ -75,7 +80,7 @@ class TestErrorPair:
             ErrorPair(h=0.1, e0=0.0, e1=bad, num_dofs=9, num_active=1)
 
     def test_record_arrays(self):
-        rec = ConvergenceRecord(problem="p", family="f", k=2)
+        rec = ConvergenceRecord(family="f", k=2)
         rec.pairs.append(ErrorPair(h=0.5, e0=1.0, e1=2.0, num_dofs=10, num_active=4))
         rec.pairs.append(ErrorPair(h=0.25, e0=0.25, e1=1.0, num_dofs=30, num_active=20))
         assert np.allclose(rec.h, [0.5, 0.25])
@@ -162,6 +167,34 @@ class TestComputeErrors:
         assert pair.num_dofs == system.dofmap.size
         assert pair.num_active == len(system.dofmap.active)
         assert pair.seconds == 0.0
+
+
+def _errors_at_t1(mesh, k):
+    problem = get_problem("variable")
+    system = assemble(mesh, k, problem)
+    result = run_time_loop(system, TimeStepperConfig(tau=1e-2, t_end=1.0))
+    pair = compute_errors(system, result.u, result.t)
+    return pair.e0, pair.e1
+
+
+class TestRenumberingInvariance:
+    """The discretization depends on the cells, not on how the mesh numbers
+    its cells and vertices (each loop keeps its first vertex)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["distorted", "concave", "voronoi", "hanging"])
+    def test_permuted_mesh_gives_same_errors(self, family, k):
+        if family == "hanging":
+            mesh = refine_cells(generate_distorted_square_mesh(4, 0.2, seed=1), [2, 9])
+        else:
+            mesh = family_mesh(family, 0)
+        rng = np.random.default_rng(k)
+        cell_order = rng.permutation(mesh.num_cells)
+        vertex_order = rng.permutation(mesh.num_vertices)
+        new_index = np.argsort(vertex_order)
+        loops = [new_index[mesh.cells[c]] for c in cell_order]
+        permuted = PolyMesh(mesh.vertices[vertex_order], loops)
+        np.testing.assert_allclose(_errors_at_t1(permuted, k), _errors_at_t1(mesh, k), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +453,7 @@ class TestDorflerMarking:
 
 
 def _make_record(hs, e0s, e1s, k=1, seconds=0.0):
-    rec = ConvergenceRecord(problem="p", family="f", k=k)
+    rec = ConvergenceRecord(family="f", k=k)
     for h, e0, e1 in zip(hs, e0s, e1s):
         rec.pairs.append(
             ErrorPair(h=h, e0=e0, e1=e1, num_dofs=10, num_active=5, seconds=seconds)
@@ -469,7 +502,7 @@ class TestCsvOutput:
 class TestMatchedDofComparison:
     def _study(self, uniform_pts, adaptive_pts):
         def rec(family, pts):
-            r = ConvergenceRecord(problem="p", family=family, k=1)
+            r = ConvergenceRecord(family=family, k=1)
             for n, e in pts:
                 r.pairs.append(
                     ErrorPair(h=0.1, e0=e, e1=e, num_dofs=n, num_active=n)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvem import mesh as M
+from polyvem.analysis import family_mesh
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -219,10 +220,70 @@ class TestVoronoiFamily:
         areas = sorted(mesh.cell_geometry(i).area for i in range(mesh.num_cells))
         np.testing.assert_allclose(areas, [0.125, 0.125, 0.25, 0.25, 0.25], atol=1e-8)
 
+    @pytest.mark.parametrize("seeds", [
+        [(0.5, 0.5)] * 6,
+        [(0.3, 0.3)] * 3 + [(0.7, 0.3), (0.3, 0.7), (0.7, 0.7)],
+    ], ids=["six-copies", "three-of-six"])
+    def test_many_coincident_seeds_get_one_cell_each(self, seeds):
+        """Three or more copies of a point are spread in distinct directions,
+        so each gets a convex cell of its own instead of a winding error."""
+        mesh = M.voronoi_mesh_from_seeds(np.array(seeds))
+        assert mesh.num_cells == 6
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
+        for group in mesh.cell_groups:
+            assert (group.area > 1e-3).all()
+            c = group.coords
+            turns = M.triangle_areas(np.stack([c, np.roll(c, -1, 1), np.roll(c, -2, 1)], axis=2))
+            assert (turns > -1e-15).all()
+
     def test_determinism(self):
         a = M.generate_voronoi_mesh(36, 2, seed=5)
         b = M.generate_voronoi_mesh(36, 2, seed=5)
         np.testing.assert_array_equal(a.vertices, b.vertices)
+
+
+class TestVoronoiMirroring:
+    """Seeds are mirrored only across the sides they lie near; the clipped
+    diagram must still be the Voronoi diagram of the seeds in the square,
+    and a seed set whose cells reach sides its seeds are far from must fall
+    back to mirroring every seed."""
+
+    @staticmethod
+    def build(monkeypatch, make):
+        """The mesh, its seeds (the first rows of the last diagram) and the
+        number of Voronoi diagrams computed on the way."""
+        calls, voronoi_diagram = [], M.Voronoi
+
+        def voronoi(points):
+            calls.append(points)
+            return voronoi_diagram(points)
+
+        monkeypatch.setattr(M, "Voronoi", voronoi)
+        mesh = make()
+        monkeypatch.undo()
+        return mesh, calls[-1][: mesh.num_cells], len(calls)
+
+    @staticmethod
+    def assert_voronoi_partition(mesh, seeds):
+        for ci, loop in enumerate(mesh.cells):
+            pts = mesh.vertices[loop]
+            dist = np.hypot(*(pts[:, None, :] - seeds[None, :, :]).transpose(2, 0, 1))
+            assert (dist[:, ci] <= dist.min(axis=1) + 1e-12).all(), f"cell {ci}"
+        assert ((mesh.vertices >= 0.0) & (mesh.vertices <= 1.0)).all()
+        assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_ladder_is_voronoi_without_fallback(self, monkeypatch, level):
+        mesh, seeds, calls = self.build(monkeypatch, lambda: family_mesh("voronoi", level))
+        self.assert_voronoi_partition(mesh, seeds)
+        assert calls == 11  # ten Lloyd steps and the final diagram, one each
+
+    def test_clustered_seeds_fall_back_to_full_mirroring(self, monkeypatch):
+        cluster = 0.4 + 0.2 * np.random.default_rng(0).random((40, 2))
+        mesh, seeds, calls = self.build(monkeypatch, lambda: M.voronoi_mesh_from_seeds(cluster))
+        self.assert_voronoi_partition(mesh, seeds)
+        assert calls == 2  # no seed lies near a side: the band diagram is unbounded
+        np.testing.assert_array_equal(seeds, cluster)
 
 
 class TestConcaveFamily:
