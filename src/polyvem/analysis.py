@@ -55,13 +55,25 @@ __all__ = [
     "run_adaptive_study",
     "matched_dof_comparison",
     "record_to_csv",
+    "MESH_GENERATORS",
     "MESH_FAMILIES",
     "family_mesh",
 ]
 
 logger = logging.getLogger(__name__)
 
-MESH_FAMILIES = ("voronoi", "distorted", "concave")
+#: The generator of each mesh family, called as (size, distortion, Lloyd
+#: iterations, seed); size is the grid resolution n, or the Voronoi seed count.
+MESH_GENERATORS = {
+    "voronoi": lambda size, distortion, lloyd, seed: generate_voronoi_mesh(
+        size, lloyd_iterations=lloyd, seed=seed
+    ),
+    "distorted": lambda size, distortion, lloyd, seed: generate_distorted_square_mesh(
+        size, distortion, seed=seed
+    ),
+    "concave": lambda size, distortion, lloyd, seed: generate_concave_mesh(size),
+}
+MESH_FAMILIES = tuple(MESH_GENERATORS)
 
 #: Seed counts whose Voronoi tessellations roughly halve h every other level.
 VORONOI_LEVEL_SEEDS = (16, 30, 120, 224, 480, 960)
@@ -190,17 +202,15 @@ def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
     """
     if level < 0:
         raise ValueError(f"mesh level must be non-negative, got {level}")
-    if family == "distorted":
-        return generate_distorted_square_mesh(5 * 2**level, 0.3, seed=seed + level)
+    if family not in MESH_GENERATORS:
+        raise ValueError(f"unknown mesh family {family!r}; expected one of {MESH_FAMILIES}")
     if family == "voronoi":
         if level >= len(VORONOI_LEVEL_SEEDS):
             raise ValueError(f"voronoi ladder defines {len(VORONOI_LEVEL_SEEDS)} levels")
-        return generate_voronoi_mesh(
-            VORONOI_LEVEL_SEEDS[level], lloyd_iterations=10, seed=seed + level
-        )
-    if family == "concave":
-        return generate_concave_mesh(2 * 2**level)
-    raise ValueError(f"unknown mesh family {family!r}; expected one of {MESH_FAMILIES}")
+        size = VORONOI_LEVEL_SEEDS[level]
+    else:
+        size = (5 if family == "distorted" else 2) * 2**level
+    return MESH_GENERATORS[family](size, 0.3, 10, seed + level)
 
 
 def _solve_level(problem, family, k, level, tau, t_end, seed):

@@ -26,19 +26,13 @@ from pathlib import Path
 
 from .analysis import (
     MESH_FAMILIES,
+    MESH_GENERATORS,
     compute_errors,
     record_to_csv,
     run_adaptive_study,
     run_convergence_sweep,
 )
-from .mesh import (
-    compute_quality,
-    generate_concave_mesh,
-    generate_distorted_square_mesh,
-    generate_voronoi_mesh,
-    read_mesh,
-    write_mesh,
-)
+from .mesh import compute_quality, read_mesh, write_mesh
 from .problems import PROBLEM_NAMES, SobolevProblem, get_problem
 from .projectors import SUPPORTED_ORDERS
 from .svgplot import Curve, loglog_svg
@@ -68,14 +62,8 @@ def _resolve_problem(spec: str) -> SobolevProblem:
 
 
 def _build_mesh(args):
-    family = args.family
-    if family == "distorted":
-        return generate_distorted_square_mesh(args.n, args.distortion, seed=args.seed)
-    if family == "voronoi":
-        return generate_voronoi_mesh(args.seeds, lloyd_iterations=args.lloyd, seed=args.seed)
-    if family == "concave":
-        return generate_concave_mesh(args.n)
-    raise ValueError(f"unknown mesh family {family!r}")
+    size = args.seeds if args.family == "voronoi" else args.n
+    return MESH_GENERATORS[args.family](size, args.distortion, args.lloyd, args.seed)
 
 
 def _add_mesh_flags(parser):

@@ -23,6 +23,15 @@ The forms of a group of elements (see ``projectors``) are built at once,
 with one coefficient call per group and one batched product over the
 points per weighted mass matrix: each form is a (G, N, N) stack.
 
+This module is the one place that samples and checks the coefficients
+the forms use.  Each group evaluates mu, eps, beta and sigma once at its
+form points and checks the values before any product: a value that is
+not finite, or an mu or eps that is not positive definite, raises a
+``CoefficientError`` naming the field and the point.  The stability
+theory also assumes sigma >= 0; that is only warned about, so each group
+reports its lowest sigma and ``coefficient_notes`` turns the lowest of an
+assembly into one ``CoefficientWarning`` and one note.
+
 The forms integrate variable coefficients with the element's rule of
 degree 2k+2.  The load (f, pi0 phi_i) uses the element's own rule of
 degree 2k: pi0 phi_i lies in P_k, so that rule is exact for every f in
@@ -47,10 +56,10 @@ __all__ = [
     "CoefficientError",
     "CoefficientWarning",
     "LocalForms",
-    "check_coefficients",
     "constant_coefficient_scales",
     "build_stabilizations",
     "build_local_forms",
+    "coefficient_notes",
     "load_map_block",
 ]
 
@@ -62,54 +71,6 @@ class CoefficientError(Exception):
 
 class CoefficientWarning(UserWarning):
     """A coefficient violates an assumption that only weakens the theory."""
-
-
-def check_coefficients(problem, points: np.ndarray) -> list[str]:
-    """Validate coefficient assumptions at sample points.
-
-    Finite values of mu, eps, beta and sigma = gamma - div(beta)/2 and
-    positive definiteness of mu and eps are required (a violation raises a
-    ``CoefficientError`` naming the field and the point); non-negativity
-    of sigma is only assumed by the stability theory, so a violation emits
-    a ``CoefficientWarning`` and is reported back.
-    """
-    x, y = points[:, 0], points[:, 1]
-    notes = []
-    fields = {name: np.asarray(getattr(problem, name)(x, y), dtype=float)
-              for name in ("mu", "eps", "beta", "sigma")}
-    for name, values in fields.items():
-        finite = np.isfinite(values).reshape(len(x), -1).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise CoefficientError(f"{name} is not finite at ({x[bad]:.4g}, {y[bad]:.4g})")
-        if name in ("mu", "eps"):
-            sym = 0.5 * (values + np.transpose(values, (0, 2, 1)))
-            tr = sym[:, 0, 0] + sym[:, 1, 1]
-            det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
-            indefinite = ~((tr > 0) & (det > 0))
-            if indefinite.any():
-                bad = int(np.argmax(indefinite))
-                raise CoefficientError(
-                    f"{name} is not positive definite at ({x[bad]:.4g}, {y[bad]:.4g})"
-                )
-    sigma = fields["sigma"]
-    if (sigma < -1e-14).any():
-        bad = int(np.argmin(sigma))
-        # keep the warning text value-free so repeated assemblies of the
-        # same problem deduplicate; the sample point goes to the note/log
-        warnings.warn(
-            "sigma = gamma - div(beta)/2 takes negative values; "
-            "the stability theory assumes sigma >= 0",
-            CoefficientWarning,
-            stacklevel=2,
-        )
-        note = (
-            f"sigma = gamma - div(beta)/2 is negative (min {sigma[bad]:.4g} at "
-            f"({x[bad]:.4g}, {y[bad]:.4g}))"
-        )
-        logger.info(note)
-        notes.append(note)
-    return notes
 
 
 def constant_coefficient_scales(problem, centroids: np.ndarray):
@@ -137,12 +98,35 @@ def build_stabilizations(element: LocalElement, mu_k, eps_k, sigma_k):
 
 @dataclass
 class LocalForms:
-    """The four form matrices of a group, (G, N, N) each."""
+    """The four form matrices of a group, (G, N, N) each, and the lowest
+    sigma at the group's form points as (value, x, y)."""
 
     m1: np.ndarray
     m2: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    sigma_low: tuple
+
+
+def _sample(problem, name: str, points: np.ndarray) -> np.ndarray:
+    """Field ``name`` of the problem at points stacked as (..., 2), checked
+    before any form uses it: a value that is not finite, or an mu or eps
+    that is not positive definite, raises a ``CoefficientError`` naming
+    the field and the first bad point."""
+    values = at_points(getattr(problem, name), points)
+    xy = points.reshape(-1, 2)
+    rows = values.reshape(len(xy), -1)
+    bad, what = ~np.isfinite(rows).all(axis=1), "finite"
+    if not bad.any() and name in ("mu", "eps"):
+        m = rows.reshape(-1, 2, 2)
+        sym = 0.5 * (m + np.swapaxes(m, 1, 2))
+        tr = sym[:, 0, 0] + sym[:, 1, 1]
+        det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
+        bad, what = ~((tr > 0) & (det > 0)), "positive definite"
+    if bad.any():
+        x, y = xy[np.argmax(bad)]
+        raise CoefficientError(f"{name} is not {what} at ({x:.4g}, {y:.4g})")
+    return values
 
 
 def _weighted_mass(values_i: np.ndarray, weights: np.ndarray, values_j: np.ndarray) -> np.ndarray:
@@ -162,10 +146,7 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
     pig = np.moveaxis(element.pi0_grad_star, 1, 0)  # x and y components
     pig_t = np.swapaxes(pig, 2, 3)
 
-    mu = at_points(problem.mu, pts)
-    eps = at_points(problem.eps, pts)
-    beta = at_points(problem.beta, pts)
-    sigma = at_points(problem.sigma, pts)
+    mu, eps, beta, sigma = (_sample(problem, name, pts) for name in ("mu", "eps", "beta", "sigma"))
 
     mu_k, eps_k, sigma_k = constant_coefficient_scales(problem, element.geom.centroid)
     s1, s2, s3 = build_stabilizations(element, mu_k, eps_k, sigma_k)
@@ -183,7 +164,32 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
     x_conv = sum(pi0_t @ _weighted_mass(vk, w * beta[..., d], vk1) @ pig[d] for d in range(2))
 
     m1, m2, a = (0.5 * (mat + np.swapaxes(mat, 1, 2)) for mat in (m1, m2, a))
-    return LocalForms(m1=m1, m2=m2, a=a, b=0.5 * (x_conv - np.swapaxes(x_conv, 1, 2)))
+    low = np.argmin(sigma)
+    return LocalForms(
+        m1=m1, m2=m2, a=a, b=0.5 * (x_conv - np.swapaxes(x_conv, 1, 2)),
+        sigma_low=(sigma.flat[low], *pts.reshape(-1, 2)[low]),
+    )
+
+
+def coefficient_notes(sigma_lows) -> list[str]:
+    """Warn once, and return one note, if sigma = gamma - div(beta)/2 is
+    negative at a form point: ``sigma_lows`` are the groups'
+    ``LocalForms.sigma_low``, and the note names the lowest of them, the
+    earliest group's on a tie."""
+    value, x, y = min(sigma_lows, key=lambda low: low[0])
+    if value >= -1e-14:
+        return []
+    # keep the warning text value-free so repeated assemblies of the
+    # same problem deduplicate; the sample point goes to the note/log
+    warnings.warn(
+        "sigma = gamma - div(beta)/2 takes negative values; "
+        "the stability theory assumes sigma >= 0",
+        CoefficientWarning,
+        stacklevel=2,
+    )
+    note = f"sigma = gamma - div(beta)/2 is negative (min {value:.4g} at ({x:.4g}, {y:.4g}))"
+    logger.info(note)
+    return [note]
 
 
 def load_map_block(element: LocalElement) -> np.ndarray:

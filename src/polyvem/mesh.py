@@ -181,8 +181,8 @@ def triangulate_polygons(coords: np.ndarray, area: np.ndarray, diameter: np.ndar
 
 def stack_by_size(loops) -> list[tuple[np.ndarray, np.ndarray]]:
     """(ascending positions in ``loops``, (G, m) stacked loops) per length
-    m >= 3; shorter loops, and loops that are not 1-d, are left out."""
-    sizes = np.array([len(loop) if np.ndim(loop) == 1 else 0 for loop in loops])
+    m >= 3 of the 1-d ``loops``; shorter loops are left out."""
+    sizes = np.array([len(loop) for loop in loops])
     stacks = [np.flatnonzero(sizes == m) for m in np.unique(sizes[sizes >= 3])]
     return [(idx, np.array([loops[i] for i in idx], dtype=np.int64)) for idx in stacks]
 
@@ -246,10 +246,10 @@ class PolyMesh:
         if not self.cells:
             raise MeshError("a mesh needs at least one cell")
 
-        # loop checks, one array pass per vertex-count stack
+        # loop checks, one array pass per vertex-count stack of the 1-d loops
         bad = [(ci, "needs at least 3 vertices") for ci, loop in enumerate(self.cells)
                if loop.ndim != 1 or len(loop) < 3]
-        stacks = stack_by_size(self.cells)
+        stacks = stack_by_size([loop if loop.ndim == 1 else () for loop in self.cells])
         for idx, loops in stacks:
             outside = ((loops < 0) | (loops >= nv)).any(axis=1)
             repeats = (np.diff(np.sort(loops, axis=1), axis=1) == 0).any(axis=1)
@@ -327,7 +327,7 @@ class PolyMesh:
         group, pos = self.cell_slot[cell_index]
         return self.cell_groups[group][pos]
 
-    def edge_id(self, a, b):
+    def _edge_id(self, a, b):
         """Index of the edge joining vertices a and b (arrays broadcast)."""
         key = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
         ids = np.minimum(np.searchsorted(self._edge_keys, key), self.num_edges - 1)
@@ -340,7 +340,7 @@ class PolyMesh:
         (..., m), such as ``vertex_ids``; forward means the loop runs from
         the edge's lower to its higher vertex index."""
         nxt = np.roll(loops, -1, axis=-1)
-        return self.edge_id(loops, nxt), loops < nxt
+        return self._edge_id(loops, nxt), loops < nxt
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ which the mesh triangulates and groups once): the dof map keeps one (G, N)
 dof array per group, assembly builds each group's elements, forms and
 load block as stacks and scatters them with one COO index build, and the
 initial projection, errors and indicators zip groups with their dofs.
+The forms sample and check the coefficients once per group (see
+``forms``); assembly passes each group's lowest sigma to
+``forms.coefficient_notes``, which warns at most once per assembly.
 Per-cell access (``GlobalSystem.elements``, ``GlobalDofMap.cell_dofs``)
 goes through the mesh's (group, position) slot of the cell.  Snapshots are
 read with the rules of ``polyvem.textfile`` that the mesh file shares.
@@ -33,14 +36,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .forms import build_local_forms, check_coefficients, load_map_block
+from .forms import build_local_forms, coefficient_notes, load_map_block
 from .mesh import PolyMesh
 from .projectors import (
     SUPPORTED_ORDERS,
@@ -153,14 +156,13 @@ class GlobalSystem:
     problem: object
     dofmap: GlobalDofMap
     groups: list[LocalElement]  # one element group per mesh cell group
-    element_condition: np.ndarray  # monomial mass-matrix condition of each cell
     m1: sp.csr_matrix
     m2: sp.csr_matrix
     a: sp.csr_matrix
     b: sp.csr_matrix
     load_map: sp.csr_matrix  # size x n_quad
     quad_points: np.ndarray  # (n_quad, 2) load-rule points of every cell
-    coefficient_notes: list[str] = field(default_factory=list)
+    coefficient_notes: list[str]  # at most one, on negative sigma (see forms)
 
     @property
     def size(self) -> int:
@@ -179,15 +181,14 @@ def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
     n = dofmap.size
 
     groups = [build_element(geom, k) for geom in mesh.cell_groups]
-    condition = np.empty(mesh.num_cells)
-    rows, cols = [], []
+    rows, cols, sigma_lows = [], [], []
     vals = {name: [] for name in ("m1", "m2", "a", "b")}
     lrows, lcols, lvals = [], [], []
     offset = 0
     for group, gdofs in zip(groups, dofmap.groups):
-        condition[group.geom.index] = group.condition
         size, n_local = gdofs.shape
         lf = build_local_forms(group, problem)
+        sigma_lows.append(lf.sigma_low)
         rows.append(np.repeat(gdofs, n_local, axis=1).ravel())
         cols.append(np.tile(gdofs, n_local).ravel())
         for name in vals:
@@ -215,25 +216,19 @@ def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
         shape=(n, offset),
     ).tocsr()
 
-    # sample the coefficients where the forms evaluate them
-    notes = check_coefficients(
-        problem, np.concatenate([group.quad_points.reshape(-1, 2) for group in groups])
-    )
-
     return GlobalSystem(
         mesh=mesh,
         k=k,
         problem=problem,
         dofmap=dofmap,
         groups=groups,
-        element_condition=condition,
         m1=to_csr("m1"),
         m2=to_csr("m2"),
         a=to_csr("a"),
         b=to_csr("b"),
         load_map=load_map,
         quad_points=quad_points,
-        coefficient_notes=notes,
+        coefficient_notes=coefficient_notes(sigma_lows),
     )
 
 

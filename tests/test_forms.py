@@ -36,7 +36,7 @@ def cell_element(geom, k):
 def cell_forms(el, problem):
     """The four forms of one cell, built for its element as a group of one."""
     lf = F.build_local_forms(el[None], problem)
-    return F.LocalForms(m1=lf.m1[0], m2=lf.m2[0], a=lf.a[0], b=lf.b[0])
+    return dataclasses.replace(lf, m1=lf.m1[0], m2=lf.m2[0], a=lf.a[0], b=lf.b[0])
 
 
 def cell_stabilizations(el, *scales):
@@ -68,9 +68,8 @@ class TestCoefficientChecks:
             dirichlet=lambda x, y, t: np.zeros(np.shape(x)),
             u0=lambda x, y: np.zeros(np.shape(x)),
         )
-        pts = np.array([[0.5, 0.5], [0.25, 0.75]])
-        with pytest.raises(F.CoefficientError, match="positive definite"):
-            F.check_coefficients(bad, pts)
+        with pytest.raises(F.CoefficientError, match=r"^mu is not positive definite at"):
+            assemble(generate_distorted_square_mesh(2, 0.0), 1, bad)
 
     @pytest.mark.parametrize(
         "field, value, named",
@@ -93,21 +92,26 @@ class TestCoefficientChecks:
         assert 0.5 < x < 1.0 and 0.0 < y < 1.0
 
     def test_negative_sigma_warns_not_raises(self):
-        # the variable problem has sigma = x + y - 1 < 0 near the origin
+        # the variable problem has sigma = x + y - 1 < 0 near the origin;
+        # the note names the lowest sigma over every group's form points
         prob = PR.get_problem("variable")
-        pts = np.array([[0.1, 0.1], [0.9, 0.9]])
         with pytest.warns(F.CoefficientWarning, match="sigma"):
-            notes = F.check_coefficients(prob, pts)
-        assert len(notes) == 1
+            system = assemble(generate_distorted_square_mesh(4, 0.0), 1, prob)
+        pts = np.concatenate([g.quad_points.reshape(-1, 2) for g in system.groups])
+        sigma = prob.sigma(pts[:, 0], pts[:, 1])
+        low = np.argmin(sigma)
+        assert system.coefficient_notes == [
+            f"sigma = gamma - div(beta)/2 is negative (min {sigma[low]:.4g} at "
+            f"({pts[low, 0]:.4g}, {pts[low, 1]:.4g}))"
+        ]
 
     def test_clean_problem_passes_silently(self):
         prob = PR.get_problem("convection")
-        pts = np.array([[0.1, 0.1], [0.9, 0.9]])
         import warnings as w
 
         with w.catch_warnings():
             w.simplefilter("error")
-            assert F.check_coefficients(prob, pts) == []
+            assert assemble(generate_distorted_square_mesh(2, 0.0), 1, prob).coefficient_notes == []
 
 
 class TestStabilization:

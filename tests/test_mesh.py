@@ -65,7 +65,7 @@ class TestPolyMeshBasics:
             [[0, 1, 4, 5], [1, 2, 3, 4]],
         )
         assert mesh.num_edges == 7
-        shared = mesh.edge_id(1, 4)
+        shared = mesh.cell_edge_ids(mesh.cells[0])[0][1]  # cell 0's edge from vertex 1 to 4
         assert not mesh.boundary_edges[shared]
         assert set(mesh.edge_cells[shared]) == {0, 1}
         assert mesh.boundary_edges.sum() == 6
@@ -100,6 +100,13 @@ class TestPolyMeshBasics:
     def test_validation_errors(self, vertices, cells, fragment):
         with pytest.raises(M.MeshError, match=fragment.replace("(", r"\(")):
             M.PolyMesh(vertices, cells)
+
+    def test_two_dimensional_loop_rejected(self):
+        """A loop given as a 2-d array is a bad cell of its own, although
+        its length of 3 rows would stack it with the triangles."""
+        with pytest.raises(M.MeshError, match="^cell 1 needs at least 3 vertices") as info:
+            M.PolyMesh(TANGLED, [[5, 6, 7], [[5, 6], [6, 7], [7, 5]], [5, 6, 9]])
+        assert info.value.cell == 1
 
     def test_self_intersecting_cell_rejected(self):
         """Positive signed area, but no triangulation covers the loop."""

@@ -290,7 +290,8 @@ class TestConditioning:
         mesh = PolyMesh(vertices, cells)
         problem = get_problem("gaussian")
 
-        cond = assemble(mesh, 1, problem).element_condition
+        groups = assemble(mesh, 1, problem).groups
+        cond = np.array([groups[group].condition[pos] for group, pos in mesh.cell_slot])
         alone = [P.build_element(mesh.cell_geometry(ci)[None], 1).condition[0] for ci in range(5)]
         np.testing.assert_allclose(cond, alone, rtol=1e-12)
         assert cond[3] > cond[1] > 1e6 > max(cond[[0, 2, 4]])

@@ -1,6 +1,8 @@
 """Tests for global dof maps, assembly, solvers, time stepping, and snapshots."""
 
+import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvem import system as system_module
-from polyvem.forms import build_local_forms
+from polyvem.forms import CoefficientWarning, build_local_forms
 from polyvem.projectors import build_element
 from polyvem.mesh import (
     PolyMesh,
@@ -216,22 +217,39 @@ class TestAssembly:
         b = system.b.toarray()
         assert np.max(np.abs(b + b.T)) <= 1e-12
 
-    def test_coefficients_checked_at_form_points(self, monkeypatch):
-        """The definiteness check samples every point where the forms
-        evaluate mu, eps and sigma, not the sparser load points."""
-        seen = []
-        check = system_module.check_coefficients
+    def test_coefficients_sampled_once_at_form_points(self):
+        """Each coefficient field is evaluated once per assembly: at every
+        form point of every group, and mu, eps and sigma also at the
+        centroids, which scale the stabilization.  The lowest sigma of all
+        groups gives one warning."""
+        problem = get_problem("variable")
+        seen = {name: [] for name in ("mu", "eps", "beta", "gamma", "div_beta")}
 
-        def spy(problem, points):
-            seen.append(points)
-            return check(problem, points)
+        def spy(name):
+            field = getattr(problem, name)
 
-        monkeypatch.setattr(system_module, "check_coefficients", spy)
-        system = assemble(generate_voronoi_mesh(16, seed=2), 2, get_problem("convection"))
-        form_points = np.concatenate([g.quad_points.reshape(-1, 2) for g in system.groups])
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], form_points)
-        assert len(form_points) > len(system.quad_points)
+            def wrapped(x, y):
+                seen[name].append(np.column_stack([x, y]))
+                return field(x, y)
+
+            return wrapped
+
+        wrapped = dataclasses.replace(problem, **{name: spy(name) for name in seen})
+        mesh = generate_voronoi_mesh(16, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            system = assemble(mesh, 2, wrapped)
+        assert len(system.groups) > 1
+        form_points = [g.quad_points.reshape(-1, 2) for g in system.groups]
+        with_centroids = [
+            p for g, f in zip(system.groups, form_points) for p in (f, g.geom.centroid)
+        ]
+        for name, calls in seen.items():
+            want = form_points if name == "beta" else with_centroids
+            np.testing.assert_array_equal(np.concatenate(calls), np.concatenate(want), err_msg=name)
+        assert [w.category for w in caught] == [CoefficientWarning]
+        assert len(system.coefficient_notes) == 1
+        assert sum(len(f) for f in form_points) > len(system.quad_points)
 
     def test_mass_operator_is_positive_definite(self):
         mesh = generate_voronoi_mesh(16, seed=2)
