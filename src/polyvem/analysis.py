@@ -36,7 +36,7 @@ from .mesh import (
     generate_voronoi_mesh,
     refine_cells,
 )
-from .forms import constant_coefficient_scales
+from .forms import stabilization_scales
 from .problems import SobolevProblem
 from .projectors import polynomial_dimension
 from .quadrature import at_points, map_to_triangle, triangle_rule
@@ -273,7 +273,7 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
     out = np.empty(system.mesh.num_cells)
     for group, gdofs in zip(system.groups, system.dofmap.groups):
         cells = group.geom.index
-        _, eps_k, sigma_k = constant_coefficient_scales(system.problem, group.geom.centroid)
+        s3_scale = stabilization_scales(group, system.problem)[2]
         ud = u[gdofs][..., None]
         diff = group.pi0_star @ ud - group.pi_grad_star @ ud
         proj_gap_sq = (np.swapaxes(diff, 1, 2) @ group.mass_monomials @ diff)[:, 0, 0]
@@ -281,7 +281,7 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
         # Q^T Q matrix: the matrix form cannot cancel below rounding noise,
         # which would mask the indicator's zero on polynomial solutions.
         q_u = (group.stab_q @ ud)[..., 0]
-        stab_sq = (eps_k + sigma_k * group.geom.area) * np.einsum("gn,gn->g", q_u, q_u)
+        stab_sq = s3_scale * np.einsum("gn,gn->g", q_u, q_u)
         out[cells] = np.sqrt(np.maximum(proj_gap_sq, 0.0)) + np.sqrt(np.maximum(stab_sq, 0.0))
     return out
 

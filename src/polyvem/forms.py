@@ -23,14 +23,18 @@ The forms of a group of elements (see ``projectors``) are built at once,
 with one coefficient call per group and one batched product over the
 points per weighted mass matrix: each form is a (G, N, N) stack.
 
-This module is the one place that samples and checks the coefficients
-the forms use.  Each group evaluates mu, eps, beta and sigma once at its
-form points and checks the values before any product: a value that is
-not finite, or an mu or eps that is not positive definite, raises a
-``CoefficientError`` naming the field and the point.  The stability
-theory also assumes sigma >= 0; that is only warned about, so each group
-reports its lowest sigma and ``coefficient_notes`` turns the lowest of an
-assembly into one ``CoefficientWarning`` and one note.
+This module is the one place that samples and checks the coefficients.
+Each group evaluates mu, eps, beta and sigma once at its form points, and
+mu, eps and sigma once at its centroids for the stabilization scales
+(``stabilization_scales``, which the error indicators also read), and
+checks the values before any product: a value that is not finite, or an
+mu or eps that is not positive definite, raises a ``CoefficientError``
+naming the field and the point.  The same check covers the mu of the
+initial projection's load (mu grad u0, pi0 grad phi_i), which lives here
+next to the m2 form it projects with.  The stability theory also assumes
+sigma >= 0; that is only warned about, so each group reports its lowest
+sigma and ``coefficient_notes`` turns the lowest of an assembly into one
+``CoefficientWarning`` and one note.
 
 The forms integrate variable coefficients with the element's rule of
 degree 2k+2.  The load (f, pi0 phi_i) uses the element's own rule of
@@ -56,11 +60,11 @@ __all__ = [
     "CoefficientError",
     "CoefficientWarning",
     "LocalForms",
-    "constant_coefficient_scales",
-    "build_stabilizations",
+    "stabilization_scales",
     "build_local_forms",
     "coefficient_notes",
     "load_map_block",
+    "initial_projection_load",
 ]
 
 
@@ -71,29 +75,6 @@ class CoefficientError(Exception):
 
 class CoefficientWarning(UserWarning):
     """A coefficient violates an assumption that only weakens the theory."""
-
-
-def constant_coefficient_scales(problem, centroids: np.ndarray):
-    """Cell-centroid scalar surrogates (mu_K, eps_K, sigma_K) used to scale
-    the stabilization terms: three arrays over the (n, 2) centroids."""
-    x, y = centroids[:, 0], centroids[:, 1]
-    mu = np.asarray(problem.mu(x, y), dtype=float)
-    eps = np.asarray(problem.eps(x, y), dtype=float)
-    sigma = np.asarray(problem.sigma(x, y), dtype=float)
-    return (
-        0.5 * (mu[:, 0, 0] + mu[:, 1, 1]),
-        0.5 * (eps[:, 0, 0] + eps[:, 1, 1]),
-        np.maximum(sigma, 0.0),
-    )
-
-
-def build_stabilizations(element: LocalElement, mu_k, eps_k, sigma_k):
-    """dofi-dofi stabilizations (S1, S2, S3) of a group, scaled to match each
-    form; the scales are numbers or arrays over the group's cells."""
-    q = element.stab_q
-    base = np.swapaxes(q, 1, 2) @ q
-    scales = (element.geom.area, mu_k, eps_k + sigma_k * element.geom.area)
-    return tuple(np.reshape(c, (-1, 1, 1)) * base for c in scales)
 
 
 @dataclass
@@ -135,6 +116,18 @@ def _weighted_mass(values_i: np.ndarray, weights: np.ndarray, values_j: np.ndarr
     return np.swapaxes(values_i, 1, 2) @ (weights[..., None] * values_j)
 
 
+def stabilization_scales(element: LocalElement, problem):
+    """Per-cell scales (|K|, mu_K, eps_K + max(sigma_K, 0) |K|) of the
+    dofi-dofi stabilizations S1, S2, S3 of a group, from mu, eps and sigma
+    sampled and checked at the cell centroids; mu_K and eps_K are half the
+    traces."""
+    centroid, area = element.geom.centroid, element.geom.area
+    mu, eps, sigma = (_sample(problem, name, centroid) for name in ("mu", "eps", "sigma"))
+    mu_k = 0.5 * (mu[:, 0, 0] + mu[:, 1, 1])
+    eps_k = 0.5 * (eps[:, 0, 0] + eps[:, 1, 1])
+    return area, mu_k, eps_k + np.maximum(sigma, 0.0) * area
+
+
 def build_local_forms(element: LocalElement, problem) -> LocalForms:
     """Assemble the four local form matrices of each cell of a group."""
     pts, w = element.quad_points, element.quad_weights
@@ -148,8 +141,9 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
 
     mu, eps, beta, sigma = (_sample(problem, name, pts) for name in ("mu", "eps", "beta", "sigma"))
 
-    mu_k, eps_k, sigma_k = constant_coefficient_scales(problem, element.geom.centroid)
-    s1, s2, s3 = build_stabilizations(element, mu_k, eps_k, sigma_k)
+    q = element.stab_q
+    base = np.swapaxes(q, 1, 2) @ q
+    s1, s2, s3 = (c[:, None, None] * base for c in stabilization_scales(element, problem))
 
     def gradient_form(coeff):
         return sum(
@@ -200,3 +194,13 @@ def load_map_block(element: LocalElement) -> np.ndarray:
     return np.swapaxes(element.pi0_star, 1, 2) @ (
         np.swapaxes(values, 1, 2) * element.load_weights[:, None, :]
     )
+
+
+def initial_projection_load(element: LocalElement, problem) -> np.ndarray:
+    """(G, N) stack of the local right-hand sides (mu grad u0, pi0 grad phi_i)
+    of the initial elliptic projection under m2, on the forms' rule."""
+    pts, w = element.quad_points, element.quad_weights
+    flux = (_sample(problem, "mu", pts) @ at_points(problem.grad_u0, pts)[..., None])[..., 0]
+    vk1 = element.monomial_values[..., : polynomial_dimension(element.k - 1)]
+    moments = _weighted_mass(flux, w, vk1)  # (mu grad u0, m_i e_c), (G, 2, nk1)
+    return np.einsum("gcin,gci->gn", element.pi0_grad_star, moments)

@@ -24,8 +24,10 @@ which the mesh triangulates and groups once): the dof map keeps one (G, N)
 dof array per group, assembly builds each group's elements, forms and
 load block as stacks and scatters them with one COO index build, and the
 initial projection, errors and indicators zip groups with their dofs.
-The forms sample and check the coefficients once per group (see
-``forms``); assembly passes each group's lowest sigma to
+Only ``forms`` reads the coefficients: the forms sample and check them
+once per group, and the initial projection takes each group's load from
+``forms.initial_projection_load`` and keeps the scatter, the Dirichlet
+split and the solve; assembly passes each group's lowest sigma to
 ``forms.coefficient_notes``, which warns at most once per assembly.
 Per-cell access (``GlobalSystem.elements``, ``GlobalDofMap.cell_dofs``)
 goes through the mesh's (group, position) slot of the cell.  Snapshots are
@@ -43,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .forms import build_local_forms, coefficient_notes, load_map_block
+from .forms import build_local_forms, coefficient_notes, initial_projection_load, load_map_block
 from .mesh import PolyMesh
 from .projectors import (
     SUPPORTED_ORDERS,
@@ -52,7 +54,7 @@ from .projectors import (
     interpolate,
     polynomial_dimension,
 )
-from .quadrature import at_points, lobatto_edge_points
+from .quadrature import lobatto_edge_points
 from .textfile import LineReader, read_text, write_text
 
 __all__ = [
@@ -90,7 +92,6 @@ class SolverError(Exception):
 class GlobalDofMap:
     """Deterministic global numbering: vertices, edge points, cell moments."""
 
-    k: int
     groups: list[np.ndarray]  # (G, N) global dofs of each mesh cell group
     cell_slot: np.ndarray  # the mesh's (group, position) of each cell
     active: np.ndarray  # ascending dofs off the Dirichlet boundary
@@ -135,7 +136,6 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
         groups.append(np.concatenate([loops, edge_dofs.reshape(len(loops), -1), moments], axis=1))
 
     return GlobalDofMap(
-        k=k,
         groups=groups,
         cell_slot=mesh.cell_slot,
         active=np.flatnonzero(~boundary_mask),
@@ -340,15 +340,8 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
     u[bdry] = problem.u0(bpts[:, 0], bpts[:, 1])
 
     rhs = np.zeros(system.size)
-    nk1 = polynomial_dimension(system.k - 1)
     for group, gdofs in zip(system.groups, dofmap.groups):
-        pts, w = group.quad_points, group.quad_weights
-        grad0 = at_points(problem.grad_u0, pts)
-        mu = at_points(problem.mu, pts)
-        # (mu grad u0, m_i e_c) per cell, then through each pi0-grad row
-        moments = np.einsum("gqi,gq,gqcd,gqd->gci", group.monomial_values[..., :nk1], w, mu, grad0)
-        local = np.einsum("gcin,gci->gn", group.pi0_grad_star, moments)
-        np.add.at(rhs, gdofs, local)
+        np.add.at(rhs, gdofs, initial_projection_load(group, problem))
 
     act = dofmap.active
     if len(act) == 0:
@@ -391,9 +384,7 @@ class TimeResult:
     n_steps: int
 
 
-def run_time_loop(
-    system: GlobalSystem, config: TimeStepperConfig, u0: np.ndarray | None = None
-) -> TimeResult:
+def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult:
     """March the backward-Euler scheme from the projected initial datum to
     t_end, reusing one factorization for every step."""
     n_steps = config.num_steps()
@@ -401,11 +392,10 @@ def run_time_loop(
     dofmap = system.dofmap
     act, bdry = dofmap.active, dofmap.boundary
 
-    u = project_initial(system) if u0 is None else u0.copy()
+    u = project_initial(system)
 
-    g_mat = (system.m1 + system.m2).tocsr()
-    h_mat = (system.a + system.b).tocsr()
-    lhs_full = (g_mat + tau * h_mat).tocsr()
+    g_mat = system.m1 + system.m2
+    lhs_full = g_mat + tau * (system.a + system.b)
     solver = LinearSolver(lhs_full[np.ix_(act, act)])
     coupling = lhs_full[np.ix_(act, bdry)]
     g_act = g_mat[act]  # row slice: each row keeps its summation order
@@ -417,9 +407,7 @@ def run_time_loop(
         f_vals = np.asarray(system.problem.f(xq[:, 0], xq[:, 1], t_n), dtype=float)
         g_bdry = dirichlet_values(system, t_n)
         rhs = g_act @ u + tau * (load_act @ f_vals) - coupling @ g_bdry
-        u_act = solver.solve(rhs)
-        u = u.copy()
-        u[act] = u_act
+        u[act] = solver.solve(rhs)
         u[bdry] = g_bdry
 
     return TimeResult(u=u, t=n_steps * tau, n_steps=n_steps)

@@ -40,19 +40,57 @@ def cell_forms(el, problem):
 
 
 def cell_stabilizations(el, *scales):
-    return [s[0] for s in F.build_stabilizations(el[None], *scales)]
+    """The dofi-dofi stabilization c Q^T Q of one cell for each scale c."""
+    base = el.stab_q.T @ el.stab_q
+    return [c * base for c in scales]
+
+
+def _poisoned_at(problem, name, x0, y0, value):
+    """``problem`` with field ``name`` replaced by ``value`` exactly at (x0, y0)."""
+    good = getattr(problem, name)
+
+    def field(x, y):
+        out = np.array(good(x, y), dtype=float)
+        out[(x == x0) & (y == y0)] = value
+        return out
+
+    return dataclasses.replace(problem, **{name: field})
 
 
 class TestCoefficientChecks:
     def test_variable_problem_centroid_scales(self):
+        # mu = (x + y + 1) I, eps = (x^2 + y) I and sigma = x + y - 1 on the
+        # unit square and on the four quarters of a 2x2 mesh
         prob = PR.get_problem("variable")
-        centroids = np.array([UNIT_SQUARE_GEOM.centroid, [0.75, 0.75], [0.25, 0.25]])
-        mu_k, eps_k, sigma_k = F.constant_coefficient_scales(prob, centroids)
-        assert mu_k == pytest.approx([2.0, 2.5, 1.5])
-        assert eps_k == pytest.approx([0.75, 1.3125, 0.3125])
-        # sigma = x + y - 1: zero at the unit-square centroid, clamped at zero
-        # where it is negative
-        assert sigma_k.tolist() == [0.0, 0.5, 0.0]
+        square = cell_element(UNIT_SQUARE_GEOM, 1)[None]
+        quarters = build_element(generate_distorted_square_mesh(2, 0.0).cell_groups[0], 1)
+        np.testing.assert_array_equal(
+            quarters.geom.centroid, [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+        )
+        area, mu_k, s3 = F.stabilization_scales(square, prob)
+        assert (area.tolist(), mu_k.tolist(), s3.tolist()) == ([1.0], [2.0], [0.75])
+        area, mu_k, s3 = F.stabilization_scales(quarters, prob)
+        assert area.tolist() == [0.25] * 4
+        assert mu_k == pytest.approx([1.5, 2.0, 2.0, 2.5])
+        eps_k = np.array([0.3125, 0.8125, 0.8125, 1.3125])
+        # sigma is zero at the unit-square centroid and the off-diagonal
+        # quarters, and clamped at zero where it is negative
+        assert s3 == pytest.approx(eps_k + np.array([0.0, 0.0, 0.0, 0.5]) * 0.25)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("eps", np.inf, "eps is not finite at (0.25, 0.25)"),
+         ("mu", np.array([[1.0, 0.0], [0.0, -1.0]]),
+          "mu is not positive definite at (0.25, 0.25)")],
+    )
+    def test_centroid_only_coefficient_rejected(self, name, value, message):
+        """A coefficient that is bad only at a cell centroid, where it scales
+        the stabilization, and at no form point is rejected all the same."""
+        mesh = generate_distorted_square_mesh(2, 0.0)
+        assert mesh.cell_geometry(0).centroid.tolist() == [0.25, 0.25]
+        bad = _poisoned_at(PR.get_problem("convection"), name, 0.25, 0.25, value)
+        with pytest.raises(F.CoefficientError, match=f"^{re.escape(message)}$"):
+            assemble(mesh, 1, bad)
 
     def test_indefinite_diffusion_rejected(self):
         bad = PR.SobolevProblem(
@@ -147,9 +185,12 @@ class TestStabilization:
         big = PolyMesh(
             [[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2, 3]]
         ).cell_geometry(0)
-        s_small = cell_stabilizations(cell_element(small, 2), 1.0, 1.0, 1.0)[0]
-        s_big = cell_stabilizations(cell_element(big, 2), 1.0, 1.0, 1.0)[0]
-        np.testing.assert_allclose(s_big, 4.0 * s_small, atol=1e-12)
+        prob = PR.get_problem("convection")
+        el_small, el_big = cell_element(small, 2), cell_element(big, 2)
+        s1_small = F.stabilization_scales(el_small[None], prob)[0]
+        s1_big = F.stabilization_scales(el_big[None], prob)[0]
+        assert s1_big.tolist() == [4.0 * s1_small[0]]
+        np.testing.assert_allclose(el_big.stab_q, el_small.stab_q, atol=1e-12)
 
 
 @pytest.fixture(params=[1, 2, 3], ids=["k1", "k2", "k3"])

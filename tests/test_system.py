@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import sys
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyvem.analysis import error_indicators
 from polyvem.forms import CoefficientWarning, build_local_forms
-from polyvem.projectors import build_element
+from polyvem.projectors import build_element, polynomial_dimension
 from polyvem.mesh import (
     PolyMesh,
     generate_concave_mesh,
@@ -73,6 +75,21 @@ def _laplace_problem(u0, grad_u0, name="custom"):
 
 
 ZERO_PROBLEM = _laplace_problem(_zeros2, _grad_zero, name="zero")
+
+
+def _wave(x, y):
+    return np.sin(3.0 * x) * np.cos(2.0 * y)
+
+
+def _grad_wave(x, y):
+    return np.stack(
+        [3.0 * np.cos(3.0 * x) * np.cos(2.0 * y), -2.0 * np.sin(3.0 * x) * np.sin(2.0 * y)],
+        axis=-1,
+    )
+
+
+#: The variable problem (variable mu, eps, beta and sigma) from a nonzero datum.
+VARIABLE_FROM_WAVE = dataclasses.replace(get_problem("variable"), u0=_wave, grad_u0=_grad_wave)
 
 
 def unit_square_mesh():
@@ -251,6 +268,41 @@ class TestAssembly:
         assert len(system.coefficient_notes) == 1
         assert sum(len(f) for f in form_points) > len(system.quad_points)
 
+    def test_only_forms_reads_coefficients(self):
+        """Assembly, the initial projection and the error indicators read the
+        coefficient fields only through ``polyvem.forms``: the nearest
+        polyvem frame of every call, past the point evaluator and
+        ``SobolevProblem.sigma``, lies in that module."""
+        passed = {("polyvem.quadrature", "at_points"), ("polyvem.problems", "sigma")}
+        callers = {name: [] for name in ("mu", "eps", "beta", "gamma", "div_beta")}
+
+        def spy(name):
+            field = getattr(VARIABLE_FROM_WAVE, name)
+
+            def wrapped(x, y):
+                frame = sys._getframe(1)
+                while True:
+                    where = (frame.f_globals.get("__name__", ""), frame.f_code.co_name)
+                    if where[0].startswith("polyvem") and where not in passed:
+                        break
+                    frame = frame.f_back
+                callers[name].append(where)
+                return field(x, y)
+
+            return wrapped
+
+        problem = dataclasses.replace(VARIABLE_FROM_WAVE, **{n: spy(n) for n in callers})
+        with pytest.warns(CoefficientWarning):
+            system = assemble(generate_voronoi_mesh(16, seed=2), 2, problem)
+        calls = {name: len(seen) for name, seen in callers.items()}
+        result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=0.5))
+        assert len(callers["mu"]) > calls["mu"]  # the projection sampled mu
+        calls = {name: len(seen) for name, seen in callers.items()}
+        error_indicators(system, result.u)
+        assert len(callers["eps"]) > calls["eps"]  # and the indicators eps
+        for name, seen in callers.items():
+            assert seen and {module for module, _ in seen} == {"polyvem.forms"}, (name, seen)
+
     def test_mass_operator_is_positive_definite(self):
         mesh = generate_voronoi_mesh(16, seed=2)
         system = assemble(mesh, 2, get_problem("variable"))
@@ -333,6 +385,30 @@ class TestProjectInitial:
         u = project_initial(system)
         u_interp = interpolate_global(system, u0)
         assert np.allclose(u, u_interp, atol=1e-11)
+
+    def test_variable_mu_matches_per_cell_reference(self):
+        """With a variable mu and a nonzero datum at k = 3, the projection
+        solves m2 against (mu grad u0, pi0 grad phi_i) summed cell by cell
+        on the forms' rule, with the trace of u0 on the boundary."""
+        problem = VARIABLE_FROM_WAVE
+        with pytest.warns(CoefficientWarning):
+            system = assemble(generate_voronoi_mesh(16, seed=4), 3, problem)
+        dm = system.dofmap
+        rhs = np.zeros(system.size)
+        for ci, el in enumerate(system.elements):
+            x, y = el.quad_points.T
+            vk1 = el.monomial_values[:, : polynomial_dimension(2)]
+            moments = np.einsum(
+                "qi,q,qcd,qd->ci", vk1, el.quad_weights, problem.mu(x, y), _grad_wave(x, y)
+            )
+            rhs[dm.cell_dofs(ci)] += np.einsum("cin,ci->n", el.pi0_grad_star, moments)
+        act, bdry = dm.active, dm.boundary
+        want = np.zeros(system.size)
+        want[bdry] = _wave(*dm.dof_points[bdry].T)
+        m2 = system.m2.toarray()
+        b_act = rhs[act] - m2[np.ix_(act, bdry)] @ want[bdry]
+        want[act] = np.linalg.solve(m2[np.ix_(act, act)], b_act)
+        np.testing.assert_allclose(project_initial(system), want, rtol=1e-12)
 
     def test_fallback_interpolation_logged(self, caplog):
         def u0(x, y):
@@ -442,13 +518,12 @@ class TestTimeStepper:
         mesh = generate_distorted_square_mesh(8, 0.2, seed=1)
         system = assemble(mesh, 1, problem)
         g_mat = system.m1 + system.m2
-        # with zero source and boundary data every step of the scheme is
-        # the same map, so one step per call from the previous state
+        # every run starts from the projected datum, so the run to n tau
+        # gives the state after n steps
         u = project_initial(system)
         energies = [u @ g_mat @ u]
-        for _ in range(20):
-            config = TimeStepperConfig(tau=0.05, t_end=0.05)
-            u = run_time_loop(system, config, u0=u).u
+        for n in range(1, 21):
+            u = run_time_loop(system, TimeStepperConfig(tau=0.05, t_end=n * 0.05)).u
             energies.append(u @ g_mat @ u)
         assert energies[0] > 0
         diffs = np.diff(energies)
