@@ -174,7 +174,7 @@ def compute_eoc(h, errors) -> np.ndarray:
     if np.any(np.diff(h) >= 0):
         raise ValueError("mesh sizes must be strictly decreasing")
     out = np.full(len(h), np.nan)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero error gives inf or NaN
         out[1:] = np.log(errors[:-1] / errors[1:]) / np.log(h[:-1] / h[1:])
     return out
 

@@ -125,12 +125,12 @@ def cmd_converge(args) -> int:
         csv_path = outdir / f"{stem}-k{k}.csv"
         csv_path.write_text(record_to_csv(record), encoding="utf-8")
         print(f"wrote {csv_path}")
-        if args.levels >= 2:
+        if args.plot and args.levels >= 2:
             h = tuple(record.h)
             curves.append(Curve(f"E0h k={k}", h, tuple(record.e0)))
             curves.append(Curve(f"E1h k={k}", h, tuple(record.e1), dashed=True))
 
-    if curves and args.plot:
+    if curves:
         svg_path = outdir / f"{stem}.svg"
         svg_path.write_text(
             loglog_svg(

@@ -3,7 +3,8 @@ mesh file is read with the shared rules of ``polyvem.textfile``.
 
 Meshes are immutable after construction: generators and ``refine_cells``
 always return new ``PolyMesh`` objects.  Cells are stored as CCW vertex
-index loops; edges, boundary flags and per-cell geometry are derived.
+index loops; edges, boundary flags and per-cell geometry are derived, and
+the one sort that numbers the edges gives each cell its edge ids.
 
 The mesh owns the one grouping of cells that every later stage follows:
 ``PolyMesh.cell_groups`` stacks the cells with the same vertex count and
@@ -192,12 +193,14 @@ class CellGeometry:
     """Derived geometric data of one cell, or of a stack of cells with one
     vertex count and one triangle count (a leading axis on every field;
     indexing gives a cell or a sub-stack, ``geom[None]`` a stack of one).
-    ``normals`` are outward unit normals per edge; edge i runs from local
-    vertex i to i+1 (mod m).  ``triangles`` (T, 3, 2) cover the cell.
+    Edge i runs from local vertex i to i+1 (mod m), with mesh edge id
+    ``edge_ids[i]`` and outward unit normal ``normals[i]``; ``triangles``
+    (T, 3, 2) cover the cell.
     """
 
     index: np.ndarray  # mesh cell index
     vertex_ids: np.ndarray
+    edge_ids: np.ndarray
     coords: np.ndarray
     area: np.ndarray
     centroid: np.ndarray
@@ -258,22 +261,23 @@ class PolyMesh:
                     for p in np.flatnonzero(repeats & ~outside)]
         _raise_lowest(bad)
 
-        # every loop edge as a (lower, higher) vertex key, sorted by key and
-        # owner: an edge has at most two owners, traversing it oppositely
+        # every loop edge as a (lower, higher) vertex key, numbered by key; sorted
+        # by key and owner, an edge has at most two owners, traversing it oppositely
         starts = np.concatenate([loops.ravel() for _, loops in stacks])
         ends = np.concatenate([np.roll(loops, -1, axis=1).ravel() for _, loops in stacks])
         owners = np.concatenate([np.repeat(idx, loops.shape[1]) for idx, loops in stacks])
         keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
+        edge_keys, edge_ids, count = np.unique(keys, return_inverse=True, return_counts=True)
         order = np.lexsort((owners, keys))
-        keys, owners, forward = keys[order], owners[order], (starts < ends)[order]
-        self._edge_keys, first, count = np.unique(keys, return_index=True, return_counts=True)
+        owners, forward = owners[order], (starts < ends)[order]
+        first = np.cumsum(count) - count
         pairs = np.flatnonzero(count == 2)
         twice = pairs[forward[first[pairs]] == forward[first[pairs] + 1]]
         errors = [(owners[first[e] + 2], e, "is shared by more than two cells")
                   for e in np.flatnonzero(count > 2)]
         errors += [(owners[first[e] + 1], e, "traversed twice in the same direction "
                     "(winding error)") for e in twice]
-        self.edges = np.column_stack([self._edge_keys // nv, self._edge_keys % nv])
+        self.edges = np.column_stack([edge_keys // nv, edge_keys % nv])
         if errors:
             ci, e, what = min(errors)
             raise MeshError(f"edge {tuple(self.edges[e].tolist())} {what}", cell=int(ci))
@@ -287,7 +291,8 @@ class PolyMesh:
         # geometry and triangles per vertex-count stack, split by triangle count
         self.cell_groups: list[CellGeometry] = []
         self.cell_slot = np.empty((len(self.cells), 2), dtype=np.int64)
-        for idx, loops in stacks:
+        stack_ids = np.split(edge_ids, np.cumsum([loops.size for _, loops in stacks])[:-1])
+        for (idx, loops), ids in zip(stacks, stack_ids):
             coords = self.vertices[loops]
             area, centroid, diameter, lengths, normals = polygon_geometry(coords)
             flat = area <= _FLAT * diameter**2
@@ -298,7 +303,8 @@ class PolyMesh:
             bad += [(idx[p], "has a zero-length edge") for p in np.flatnonzero(short)]
             bad += [(idx[p], "cannot be triangulated (self-intersecting loop?)")
                     for p in tangled if not (flat[p] or short[p])]
-            stack = (idx, loops, coords, area, centroid, diameter, lengths, normals)
+            stack = (idx, loops, ids.reshape(loops.shape), coords, area, centroid, diameter,
+                     lengths, normals)
             for rows, tris in pieces:
                 self.cell_slot[idx[rows], 0] = len(self.cell_groups)
                 self.cell_slot[idx[rows], 1] = np.arange(len(rows))
@@ -326,21 +332,6 @@ class PolyMesh:
     def cell_geometry(self, cell_index: int) -> CellGeometry:
         group, pos = self.cell_slot[cell_index]
         return self.cell_groups[group][pos]
-
-    def _edge_id(self, a, b):
-        """Index of the edge joining vertices a and b (arrays broadcast)."""
-        key = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
-        ids = np.minimum(np.searchsorted(self._edge_keys, key), self.num_edges - 1)
-        if not np.all(self._edge_keys[ids] == key):
-            raise KeyError(f"no edge joins vertices {a} and {b}")
-        return ids
-
-    def cell_edge_ids(self, loops: np.ndarray):
-        """(edge ids, forward flags) along CCW vertex loops stacked as
-        (..., m), such as ``vertex_ids``; forward means the loop runs from
-        the edge's lower to its higher vertex index."""
-        nxt = np.roll(loops, -1, axis=-1)
-        return self._edge_id(loops, nxt), loops < nxt
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +514,8 @@ def _compact_mesh(coords: np.ndarray, loops: list[np.ndarray]) -> PolyMesh:
     new_loops = [alias[loop][alias[loop] != alias[np.roll(loop, -1)]] for loop in loops]
     if min(len(loop) for loop in new_loops) < 3:
         raise MeshError("cell collapsed while merging sliver edges")
-    used = np.unique(np.concatenate(new_loops))
-    return PolyMesh(coords[used], [np.searchsorted(used, loop) for loop in new_loops])
+    used, number = np.unique(np.concatenate(new_loops), return_inverse=True)
+    return PolyMesh(coords[used], np.split(number, np.cumsum([len(c) for c in new_loops])[:-1]))
 
 
 def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> PolyMesh:
@@ -665,14 +656,14 @@ def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
         new.append(coords[corners].mean(axis=0))
         # sides run from corner to corner along the loop taken twice
         twice, coords = np.concatenate([loop, loop]), np.concatenate([coords, coords])
-        edges = np.concatenate([mesh.cell_edge_ids(loop)[0]] * 2)
+        edges = np.tile(mesh.cell_geometry(ci).edge_ids, 2)
         for p0, p1 in zip(corners, corners[1:] + [corners[0] + len(loop)]):
             a, b = coords[p0], coords[p1]
             t = (coords[p0 : p1 + 1] - a) @ (b - a) / ((b - a) @ (b - a))  # 0 to 1 along the side
             near = np.abs(t - 0.5).argmin()
             mid = twice[p0 + near]
             if abs(t[near] - 0.5) > _FLAT:  # no vertex there: split the edge across t = 0.5
-                e = edges[p0 + np.searchsorted(t, 0.5) - 1]
+                e = edges[p0 + np.count_nonzero(t < 0.5) - 1]
                 if split[e] < 0:
                     split[e] = nv + len(new)
                     new.append(0.5 * (a + b))
@@ -684,9 +675,9 @@ def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
 
     # one pass puts the midpoints into every loop; marked loops are then cut
     cells = list(mesh.cells)
-    for idx, loops in stack_by_size(mesh.cells):
-        both = np.stack([loops, split[mesh.cell_edge_ids(loops)[0]]], axis=2)
-        for ci, row in zip(idx, both.reshape(len(idx), -1)):
+    for geom in mesh.cell_groups:
+        both = np.stack([geom.vertex_ids, split[geom.edge_ids]], axis=2)
+        for ci, row in zip(geom.index, both.reshape(len(geom.index), -1)):
             cells[ci] = row[row >= 0]
     new_cells = []
     for ci, loop in enumerate(cells):

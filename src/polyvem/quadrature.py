@@ -34,8 +34,6 @@ class TriangleRule:
 
     Parameters
     ----------
-    order : int
-        Largest total polynomial degree integrated exactly.
     points : ndarray, shape (n, 3)
         Barycentric coordinates of the nodes.
     weights : ndarray, shape (n,)
@@ -43,7 +41,6 @@ class TriangleRule:
         triangle T is ``weights * area(T)``.
     """
 
-    order: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -72,7 +69,7 @@ def triangle_rule(order: int) -> TriangleRule:
     y = v * (1.0 - u)
     bary = np.column_stack([1.0 - x - y, x, y])
     weights = w / w.sum()
-    return TriangleRule(order=order, points=bary, weights=weights)
+    return TriangleRule(points=bary, weights=weights)
 
 
 def map_to_triangle(rule: TriangleRule, tri: np.ndarray):

@@ -1,9 +1,9 @@
 """Global assembly, Dirichlet handling, initial projection and time stepping.
 
 Global dofs are numbered vertices first, then (k-1) interior points per
-edge (edges canonicalized lower vertex index first), then k(k-1)/2 moments
-per cell.  Dirichlet data occupies boundary vertex and boundary edge dofs;
-moments are always interior.
+edge (in the mesh's edge order, from the lower vertex index), then k(k-1)/2
+moments per cell.  Dirichlet data occupies boundary vertex and boundary
+edge dofs; moments are always interior.
 
 The fully discrete scheme is backward Euler:
 
@@ -22,8 +22,9 @@ points of each element's load rule, of degree 2k, which is exact for
 Everything runs over the mesh's cell groups (``PolyMesh.cell_groups``,
 which the mesh triangulates and groups once): the dof map keeps one (G, N)
 dof array per group, assembly builds each group's elements, forms and
-load block as stacks and scatters them with one COO index build, and the
-initial projection, errors and indicators zip groups with their dofs.
+load block as stacks and scatters them through one COO index helper (one
+index for the four forms, one for the load map), and the initial
+projection, errors and indicators zip groups with their dofs.
 Only ``forms`` reads the coefficients: the forms sample and check them
 once per group, and the initial projection takes each group's load from
 ``forms.initial_projection_load`` and keeps the scatter, the Dirichlet
@@ -111,13 +112,12 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     nv, ne, nc = mesh.num_vertices, mesh.num_edges, mesh.num_cells
     per_edge = k - 1
     nm = polynomial_dimension(k - 2)
-    edge_offset = nv
     cell_offset = nv + per_edge * ne
 
     size = cell_offset + nm * nc
     boundary_mask = np.zeros(size, dtype=bool)
     boundary_mask[:nv] = mesh.boundary_vertices
-    boundary_mask[edge_offset:cell_offset] = np.repeat(mesh.boundary_edges, per_edge)
+    boundary_mask[nv:cell_offset] = np.repeat(mesh.boundary_edges, per_edge)
 
     ends = mesh.vertices[mesh.edges]
     edge_points = lobatto_edge_points(ends[:, 0], ends[:, 1], k)
@@ -127,11 +127,11 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     groups = []
     for geom in mesh.cell_groups:
         loops = geom.vertex_ids
-        edge_ids, forward = mesh.cell_edge_ids(loops)
-        # interior Lobatto points are symmetric, so a reversed traversal
-        # just flips the index
+        # interior Lobatto points are symmetric, so a traversal from the
+        # higher to the lower vertex just flips the index
+        forward = loops < np.roll(loops, -1, axis=1)
         local = np.where(forward[..., None], along, per_edge - 1 - along)
-        edge_dofs = edge_offset + per_edge * edge_ids[..., None] + local
+        edge_dofs = nv + per_edge * geom.edge_ids[..., None] + local
         moments = cell_offset + nm * geom.index[:, None] + np.arange(nm)
         groups.append(np.concatenate([loops, edge_dofs.reshape(len(loops), -1), moments], axis=1))
 
@@ -174,61 +174,44 @@ class GlobalSystem:
         return [self.groups[group][pos] for group, pos in self.mesh.cell_slot]
 
 
+def _scatter_index(row_ids, col_ids):
+    """Global (rows, cols) of per-group (G, R, C) blocks raveled in group
+    order, from each group's (G, R) row ids and (G, C) column ids."""
+    rows = [np.repeat(r, c.shape[1], axis=1).ravel() for r, c in zip(row_ids, col_ids)]
+    cols = [np.tile(c, r.shape[1]).ravel() for r, c in zip(row_ids, col_ids)]
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
     """Build elements, local forms and load blocks group by group and
     scatter them into global matrices."""
     dofmap = build_dof_map(mesh, k)
-    n = dofmap.size
 
     groups = [build_element(geom, k) for geom in mesh.cell_groups]
-    rows, cols, sigma_lows = [], [], []
-    vals = {name: [] for name in ("m1", "m2", "a", "b")}
-    lrows, lcols, lvals = [], [], []
-    offset = 0
-    for group, gdofs in zip(groups, dofmap.groups):
-        size, n_local = gdofs.shape
-        lf = build_local_forms(group, problem)
-        sigma_lows.append(lf.sigma_low)
-        rows.append(np.repeat(gdofs, n_local, axis=1).ravel())
-        cols.append(np.tile(gdofs, n_local).ravel())
-        for name in vals:
-            vals[name].append(getattr(lf, name).ravel())
-
-        block = load_map_block(group)  # (G, N, nq)
-        nq = block.shape[2]
-        qcols = offset + np.arange(size * nq).reshape(size, nq)
-        lrows.append(np.repeat(gdofs, nq, axis=1).ravel())
-        lcols.append(np.tile(qcols, n_local).ravel())
-        lvals.append(block.ravel())
-        offset += size * nq
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-
-    def to_csr(name):
-        return sp.coo_matrix(
-            (np.concatenate(vals[name]), (rows, cols)), shape=(n, n)
-        ).tocsr()
-
+    forms = [build_local_forms(group, problem) for group in groups]
+    loads = [load_map_block(group) for group in groups]  # (G, N, nq)
     quad_points = np.concatenate([group.load_points.reshape(-1, 2) for group in groups])
-    load_map = sp.coo_matrix(
-        (np.concatenate(lvals), (np.concatenate(lrows), np.concatenate(lcols))),
-        shape=(n, offset),
-    ).tocsr()
+    shapes = [group.load_points.shape[:2] for group in groups]
+    point_ids = np.split(np.arange(len(quad_points)), np.cumsum([g * q for g, q in shapes])[:-1])
+    point_ids = [ids.reshape(shape) for ids, shape in zip(point_ids, shapes)]
 
+    def to_coo(blocks, index, n_cols):  # callers convert, so a one-off index is freed first
+        values = np.concatenate([block.ravel() for block in blocks])
+        return sp.coo_matrix((values, index), shape=(dofmap.size, n_cols))
+
+    index = _scatter_index(dofmap.groups, dofmap.groups)
+    matrices = {name: to_coo([getattr(lf, name) for lf in forms], index, dofmap.size).tocsr()
+                for name in ("m1", "m2", "a", "b")}
     return GlobalSystem(
         mesh=mesh,
         k=k,
         problem=problem,
         dofmap=dofmap,
         groups=groups,
-        m1=to_csr("m1"),
-        m2=to_csr("m2"),
-        a=to_csr("a"),
-        b=to_csr("b"),
-        load_map=load_map,
+        **matrices,
+        load_map=to_coo(loads, _scatter_index(dofmap.groups, point_ids), len(quad_points)).tocsr(),
         quad_points=quad_points,
-        coefficient_notes=coefficient_notes(sigma_lows),
+        coefficient_notes=coefficient_notes([lf.sigma_low for lf in forms]),
     )
 
 
@@ -344,13 +327,9 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
         np.add.at(rhs, gdofs, initial_projection_load(group, problem))
 
     act = dofmap.active
-    if len(act) == 0:
-        return u
-    m2 = system.m2
-    b_act = rhs[act] - m2[np.ix_(act, bdry)] @ u[bdry]
-    if not np.any(b_act) and not np.any(u[bdry]):
-        return u  # zero datum stays exactly zero
-    u[act] = LinearSolver(m2[np.ix_(act, act)]).solve(b_act)
+    b_act = rhs[act] - system.m2[np.ix_(act, bdry)] @ u[bdry]
+    if np.any(b_act):  # a zero right-hand side leaves exactly zero active values
+        u[act] = LinearSolver(system.m2[np.ix_(act, act)]).solve(b_act)
     return u
 
 

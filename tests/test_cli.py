@@ -8,6 +8,7 @@ make sure the packaging entry point resolves.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,30 @@ class TestConvergeCommand:
         assert main(argv) == 0
         capsys.readouterr()
         assert list(outdir.glob("*.csv"))
+        assert not list(outdir.glob("*.svg"))
+
+    def test_zero_errors_leave_blank_eoc(self, tmp_path, capsys):
+        """Errors that are exactly zero have no EOC and cannot be plotted:
+        under --no-plot the ladder still writes its CSV, warning-free."""
+        problem_py = tmp_path / "zero.py"
+        problem_py.write_text(ZERO_PROBLEM_PY, encoding="utf-8")
+        outdir = tmp_path / "zero"
+        argv = [
+            "converge", "--problem", str(problem_py), "--family", "concave",
+            "--k", "1", "--levels", "2", "--tau", "0.5",
+            "--outdir", str(outdir), "--no-plot",
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        (csv_path,) = outdir.glob("*.csv")
+        rows = [line.split(",") for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row[3]) == 0.0 and float(row[5]) == 0.0
+            assert row[4] == "" and row[6] == ""
         assert not list(outdir.glob("*.svg"))
 
     def test_reruns_are_bit_identical_outside_timings(self, tmp_path, capsys):

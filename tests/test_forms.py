@@ -13,6 +13,7 @@ from polyvem.mesh import (
     generate_concave_mesh,
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
+    refine_cells,
 )
 from polyvem.projectors import build_element, polynomial_dimension
 from polyvem.quadrature import map_to_triangle, triangle_rule
@@ -303,6 +304,13 @@ LOAD_CELLS = {
 }
 
 
+LOAD_MESHES = {
+    "one-cell": lambda: PolyMesh(small_cell_geom().coords, [[0, 1, 2, 3]]),
+    "voronoi": lambda: generate_voronoi_mesh(30, seed=4),
+    "hanging": lambda: refine_cells(generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10]),
+}
+
+
 class TestLoad:
     def test_zero_source_gives_zero(self, k):
         el = cell_element(small_cell_geom(), k)
@@ -318,18 +326,27 @@ class TestLoad:
         assert load.sum() == pytest.approx(el.geom.area, abs=1e-13)
 
     def test_load_map_block_matches_direct(self, k):
-        """The global load vector of a one-cell mesh is the cell's block
-        applied to the source at the cell's load points."""
-        geom = small_cell_geom()
-        mesh = PolyMesh(geom.coords, [list(range(len(geom.coords)))])
+        """On one-cell and multi-group meshes, each cell's columns of the
+        global load map are its load points: the load map applied to the
+        source there, and zero at every other point, is the cell's block
+        applied to the source on the cell's dofs, and zero on every other
+        dof."""
         prob = PR.get_problem("gaussian")
-        system = assemble(mesh, k, prob)
-        el = system.elements[0]
-        np.testing.assert_array_equal(system.quad_points, el.load_points)
-        want = _element_load(el, prob, 0.4)
-        qp = system.quad_points
-        got = (system.load_map @ prob.f(qp[:, 0], qp[:, 1], 0.4))[system.dofmap.cell_dofs(0)]
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for make_mesh in LOAD_MESHES.values():
+            system = assemble(make_mesh(), k, prob)
+            qp = system.quad_points
+            column = {tuple(p): i for i, p in enumerate(qp.tolist())}
+            assert len(column) == len(qp) == sum(len(el.load_points) for el in system.elements)
+            f = prob.f(qp[:, 0], qp[:, 1], 0.4)
+            for ci, el in enumerate(system.elements):
+                cols = [column[tuple(p)] for p in el.load_points.tolist()]
+                only = np.zeros_like(f)
+                only[cols] = f[cols]
+                got = system.load_map @ only
+                dofs = system.dofmap.cell_dofs(ci)
+                want = _element_load(el, prob, 0.4)
+                assert np.abs(got[dofs] - want).max() <= 1e-13 * np.abs(want).max()
+                assert not np.delete(got, dofs).any()
 
     @pytest.mark.parametrize("cell", sorted(LOAD_CELLS))
     def test_polynomial_source_matches_oracle(self, k, cell):

@@ -65,7 +65,8 @@ class TestPolyMeshBasics:
             [[0, 1, 4, 5], [1, 2, 3, 4]],
         )
         assert mesh.num_edges == 7
-        shared = mesh.cell_edge_ids(mesh.cells[0])[0][1]  # cell 0's edge from vertex 1 to 4
+        shared = mesh.cell_geometry(0).edge_ids[1]  # cell 0's edge from vertex 1 to 4
+        assert mesh.edges[shared].tolist() == [1, 4]
         assert not mesh.boundary_edges[shared]
         assert set(mesh.edge_cells[shared]) == {0, 1}
         assert mesh.boundary_edges.sum() == 6
@@ -73,10 +74,31 @@ class TestPolyMeshBasics:
 
     def test_cell_edge_ids_orientation(self):
         mesh = M.PolyMesh(UNIT_SQUARE, [[0, 1, 2, 3]])
-        ids, forward = mesh.cell_edge_ids(mesh.cells[0])
-        # loop 0->1->2->3->0: edges (0,1) (1,2) (2,3) (3,0); last is reversed
+        g = mesh.cell_geometry(0)
+        # loop 0->1->2->3->0: edges (0,1) (1,2) (2,3) (3,0); the last runs
+        # from the edge's higher vertex to its lower one
+        assert mesh.edges[g.edge_ids].tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
+        forward = g.vertex_ids < np.roll(g.vertex_ids, -1)
         assert list(forward) == [True, True, True, False]
-        assert sorted(ids) == list(range(4))
+        assert sorted(g.edge_ids) == list(range(4))
+
+    @pytest.mark.parametrize("family", ["distorted", "voronoi", "concave", "hanging"])
+    def test_edge_ids_join_consecutive_vertices(self, family):
+        """Every group's edge i joins its loop's vertices i and i+1, lists
+        the cell among its owners, and the edges are used as often as they
+        have owners."""
+        if family == "hanging":
+            mesh = M.refine_cells(M.generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10])
+        else:
+            mesh = family_mesh(family, 1, seed=2)
+        for g in mesh.cell_groups:
+            loops = g.vertex_ids
+            ends = np.sort(np.stack([loops, np.roll(loops, -1, axis=1)], axis=-1), axis=-1)
+            np.testing.assert_array_equal(np.sort(mesh.edges[g.edge_ids], axis=-1), ends)
+            assert (mesh.edge_cells[g.edge_ids] == g.index[:, None, None]).any(axis=-1).all()
+        uses = np.concatenate([g.edge_ids.ravel() for g in mesh.cell_groups])
+        owners = (mesh.edge_cells >= 0).sum(axis=1)
+        np.testing.assert_array_equal(np.bincount(uses, minlength=mesh.num_edges), owners)
 
     @pytest.mark.parametrize(
         "vertices,cells,fragment",
