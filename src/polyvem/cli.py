@@ -116,8 +116,8 @@ def cmd_converge(args) -> int:
             file=sys.stderr,
         )
 
-    curves = []
-    for i, k in enumerate(args.k):
+    curves, skipped = [], []
+    for k in args.k:
         record = run_convergence_sweep(
             problem, args.family, k, levels=args.levels, tau=args.tau,
             t_end=args.t_end, seed=args.seed,
@@ -126,10 +126,15 @@ def cmd_converge(args) -> int:
         csv_path.write_text(record_to_csv(record), encoding="utf-8")
         print(f"wrote {csv_path}")
         if args.plot and args.levels >= 2:
-            h = tuple(record.h)
-            curves.append(Curve(f"E0h k={k}", h, tuple(record.e0)))
-            curves.append(Curve(f"E1h k={k}", h, tuple(record.e1), dashed=True))
+            for name, errors in (("E0h", record.e0), ("E1h", record.e1)):
+                label = f"{name} k={k}"
+                if all(e > 0 for e in errors):  # a log axis cannot show a zero error
+                    curves.append(Curve(label, tuple(record.h), tuple(errors), dashed=name == "E1h"))
+                else:
+                    skipped.append(label)
 
+    if skipped:
+        print(f"warning: errors not positive, not plotted: {', '.join(skipped)}", file=sys.stderr)
     if curves:
         svg_path = outdir / f"{stem}.svg"
         svg_path.write_text(

@@ -17,8 +17,9 @@ any other invalid cell.
 
 One geometry kernel, ``polygon_geometry`` with ``triangle_areas``, sums
 relative to each cell's vertex 0, so the centroid and diameter that the
-scaled monomials rest on do not depend on position or scale; one degeneracy
-rule relative to the cell diameter serves every check.
+scaled monomials rest on do not depend on position or scale.  One degeneracy
+rule relative to the cell diameter serves every check but the corner test of
+``refine_cells`` (a turn whose sine exceeds 1e-7), which it would make stricter.
 
 The three built-in families discretize the unit square:
 

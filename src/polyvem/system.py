@@ -264,24 +264,17 @@ class LinearSolver:
             raise SolverError("linear solve produced non-finite values (singular matrix?)")
         rhs_hp = rhs.astype(np.longdouble)
         x_hp = x.astype(np.longdouble)
-
-        def residual_norm(vec_hp):
-            res = np.asarray(rhs_hp - self._matrix_hp @ vec_hp, dtype=float)
+        for step in range(MAX_REFINE + 1):
+            res = np.asarray(rhs_hp - self._matrix_hp @ x_hp, dtype=float)
             if not np.all(np.isfinite(res)):
                 raise SolverError("linear solve produced non-finite residual")
-            return res, float(np.linalg.norm(res) / norm_b)
-
-        for _ in range(MAX_REFINE):
-            res, res_norm = residual_norm(x_hp)
+            res_norm = float(np.linalg.norm(res) / norm_b)
             if res_norm <= RESIDUAL_TOL:
                 return np.asarray(x_hp, dtype=float)
-            x_hp = x_hp + self._apply(res).astype(np.longdouble)
-        _, res_norm = residual_norm(x_hp)
-        if res_norm > RESIDUAL_TOL:
-            raise SolverError(
-                f"linear solve residual {res_norm:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}"
-            )
-        return np.asarray(x_hp, dtype=float)
+            if step < MAX_REFINE:
+                x_hp = x_hp + self._apply(res).astype(np.longdouble)
+        raise SolverError(f"linear solve residual {res_norm:.3e} "
+                          f"exceeds tolerance {RESIDUAL_TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------

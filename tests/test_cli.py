@@ -329,6 +329,30 @@ class TestConvergeCommand:
             assert row[4] == "" and row[6] == ""
         assert not list(outdir.glob("*.svg"))
 
+    def test_zero_errors_are_left_out_of_the_plot(self, tmp_path, capsys):
+        """With the plot on, curves whose errors are not all positive are
+        skipped with one warning: the CSV is the one --no-plot writes, and
+        with no curve left there is no SVG."""
+        problem_py = tmp_path / "zero.py"
+        problem_py.write_text(ZERO_PROBLEM_PY, encoding="utf-8")
+        argv = [
+            "converge", "--problem", str(problem_py), "--family", "concave",
+            "--k", "1", "--levels", "2", "--tau", "0.5",
+        ]
+        tables = []
+        for run, extra in (("plot", []), ("no-plot", ["--no-plot"])):
+            outdir = tmp_path / run
+            assert main(argv + ["--outdir", str(outdir)] + extra) == 0
+            (csv_path,) = outdir.glob("*.csv")
+            lines = csv_path.read_text(encoding="utf-8").splitlines()
+            tables.append([line.rsplit(",", 1)[0] for line in lines])  # drop seconds
+            assert not list(outdir.glob("*.svg"))
+            if run == "plot":
+                assert capsys.readouterr().err == (
+                    "warning: errors not positive, not plotted: E0h k=1, E1h k=1\n"
+                )
+        assert tables[0] == tables[1]
+
     def test_reruns_are_bit_identical_outside_timings(self, tmp_path, capsys):
         problem_py = tmp_path / "patch.py"
         problem_py.write_text(PATCH_PROBLEM_PY, encoding="utf-8")

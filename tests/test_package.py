@@ -1,0 +1,57 @@
+"""Package hygiene: public names that exist, short lines, no unused imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import polyvem
+
+SOURCES = sorted(Path(polyvem.__file__).parent.glob("*.py"))
+MODULES = sorted(f"polyvem.{info.name}" for info in pkgutil.iter_modules(polyvem.__path__))
+MAX_COLUMNS = 101
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_exist(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_lines_fit(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [n for n, line in enumerate(lines, 1) if len(line) > MAX_COLUMNS]
+    assert long == []
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _public_names(tree)
+    unused = [(line, name) for name, line in _imported_names(tree) if name not in used]
+    assert unused == []

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from polyvem.problems import (
     polynomial_patch,
 )
 from polyvem.system import (
+    MAX_REFINE,
+    RESIDUAL_TOL,
     LinearSolver,
     SolverError,
     TimeStepperConfig,
@@ -43,6 +46,13 @@ from polyvem.system import (
     solution_to_string,
     write_solution,
 )
+
+
+def _squared_residual_ratio(a, x, b):
+    """(||b - A x|| / ||b||)^2 of double inputs, exactly, as a ``Fraction``."""
+    res = [Fraction(bi) - sum(Fraction(aij) * Fraction(xj) for aij, xj in zip(row, x))
+           for row, bi in zip(a, b)]
+    return sum(r * r for r in res) / sum(Fraction(bi) ** 2 for bi in b)
 
 
 def _zeros3(x, y, t):
@@ -354,6 +364,77 @@ class TestLinearSolver:
             b = rng.standard_normal(20)
             x = solver.solve(b)
             assert np.linalg.norm(a @ x - b) <= 1e-10
+
+    # The contract's branches, reached through a factor whose output is
+    # scaled: each pass measures the residual and refines unless it is the
+    # last, and one error follows the passes.
+
+    @staticmethod
+    def _spd_with_scaled_factor(scale):
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal((40, 40))
+        solver = LinearSolver(r @ r.T + 40.0 * np.eye(40))
+        apply, calls = solver._apply, []
+
+        def scaled(vec):
+            calls.append(vec)
+            return apply(vec) * scale
+
+        solver._apply = scaled
+        return solver, calls, rng.standard_normal(40)
+
+    def test_refinement_meets_contract_after_two_steps(self):
+        solver, calls, b = self._spd_with_scaled_factor(1.0 + 1e-5)
+        x = solver.solve(b)
+        assert len(calls) == 3
+        assert np.allclose(x, LinearSolver(solver.matrix).solve(b), rtol=1e-10, atol=0.0)
+
+    def test_exhausted_refinement_raises(self):
+        solver, calls, b = self._spd_with_scaled_factor(1.01)
+        with pytest.raises(
+            SolverError, match=r"^linear solve residual 1\.000e-08 exceeds tolerance 1\.0e-12$"
+        ):
+            solver.solve(b)
+        assert len(calls) == 1 + MAX_REFINE
+
+    def test_zero_rhs_applies_no_factor(self):
+        solver, calls, _ = self._spd_with_scaled_factor(1.0)
+        x = solver.solve(np.zeros(40))
+        assert np.all(x == 0.0) and x.shape == (40,)
+        assert calls == []
+
+    def test_overflowing_residual_raises(self):
+        """A finite iterate whose residual overflows double on the cast
+        back from extended precision (numpy warns about the cast first)."""
+        solver = LinearSolver(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        solver._apply = lambda vec: np.full_like(vec, 1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            SolverError, match="^linear solve produced non-finite residual$"
+        ):
+            solver.solve(np.array([1.0, 0.0]))
+
+    def test_returned_vector_meets_contract_exactly(self):
+        a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.5, -1.0, 5.0]])
+        b = np.array([1.0, -2.0, 0.25])
+        x = LinearSolver(a).solve(b)
+        assert _squared_residual_ratio(a, x, b) <= Fraction(RESIDUAL_TOL) ** 2
+
+    @pytest.mark.xfail(
+        np.finfo(np.longdouble).eps < np.finfo(float).eps, strict=True,
+        reason="the extended iterate is certified, then rounded to double (ROADMAP item 1a)",
+    )
+    def test_ill_conditioned_2x2_returns_certified_vector_or_raises(self):
+        """A = R diag(1, 1e-6) R^T with R the rotation by 0.3 rad: the
+        vector returned must itself meet the contract, exactly."""
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        a = rot @ np.diag([1.0, 1e-6]) @ rot.T
+        b = a @ rot[:, 1]
+        try:
+            x = LinearSolver(a).solve(b)
+        except SolverError:
+            return
+        assert _squared_residual_ratio(a, x, b) <= Fraction(RESIDUAL_TOL) ** 2
 
 
 # ---------------------------------------------------------------------------
