@@ -158,8 +158,8 @@ def compute_errors(system: GlobalSystem, u: np.ndarray, t: float) -> ErrorPair:
 
     return ErrorPair(
         h=system.mesh.h,
-        e0=math.sqrt(max(e0_sq, 0.0)),
-        e1=math.sqrt(max(e1_sq, 0.0)),
+        e0=math.sqrt(e0_sq),
+        e1=math.sqrt(e1_sq),
         num_dofs=dofmap.size,
         num_active=len(dofmap.active),
     )
@@ -282,7 +282,7 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
         # which would mask the indicator's zero on polynomial solutions.
         q_u = (group.stab_q @ ud)[..., 0]
         stab_sq = s3_scale * np.einsum("gn,gn->g", q_u, q_u)
-        out[cells] = np.sqrt(np.maximum(proj_gap_sq, 0.0)) + np.sqrt(np.maximum(stab_sq, 0.0))
+        out[cells] = np.sqrt(np.maximum(proj_gap_sq, 0.0)) + np.sqrt(stab_sq)
     return out
 
 
@@ -393,12 +393,10 @@ CSV_HEADER = "k,h,dofs,E0h,EOC0,E1h,EOC1,seconds"
 def _eoc_or_blank(record: ConvergenceRecord, errors: np.ndarray) -> np.ndarray:
     """EOC column, or all-NaN when it is undefined (one level, or a ladder
     whose h does not decrease, as in locally refined meshes)."""
-    if len(record.pairs) >= 2:
-        try:
-            return compute_eoc(record.h, errors)
-        except ValueError:
-            pass
-    return np.full(len(record.pairs), np.nan)
+    try:
+        return compute_eoc(record.h, errors)
+    except ValueError:
+        return np.full(len(record.pairs), np.nan)
 
 
 def record_to_csv(record: ConvergenceRecord) -> str:

@@ -66,6 +66,23 @@ def _build_mesh(args):
     return MESH_GENERATORS[args.family](size, args.distortion, args.lloyd, args.seed)
 
 
+def _plot(path: Path, series, **labels) -> None:
+    """Write the log-log SVG of the (label, x, y, dashed) series that a log
+    axis can show, all values positive and finite; name the others in one
+    warning line, and write no file if none is left."""
+    curves, skipped = [], []
+    for label, x, y, dashed in series:
+        try:
+            curves.append(Curve(label, tuple(x), tuple(y), dashed=dashed))
+        except ValueError:  # Curve refuses what a log axis cannot show
+            skipped.append(label)
+    if skipped:
+        print(f"warning: errors not positive, not plotted: {', '.join(skipped)}", file=sys.stderr)
+    if curves:
+        path.write_text(loglog_svg(curves, **labels), encoding="utf-8")
+        print(f"wrote {path}")
+
+
 def _add_mesh_flags(parser):
     parser.add_argument("--n", type=int, default=8, help="grid resolution (distorted/concave)")
     parser.add_argument("--distortion", type=float, default=0.3, help="distortion amplitude")
@@ -116,7 +133,7 @@ def cmd_converge(args) -> int:
             file=sys.stderr,
         )
 
-    curves, skipped = [], []
+    series = []
     for k in args.k:
         record = run_convergence_sweep(
             problem, args.family, k, levels=args.levels, tau=args.tau,
@@ -126,28 +143,12 @@ def cmd_converge(args) -> int:
         csv_path.write_text(record_to_csv(record), encoding="utf-8")
         print(f"wrote {csv_path}")
         if args.plot and args.levels >= 2:
-            for name, errors in (("E0h", record.e0), ("E1h", record.e1)):
-                label = f"{name} k={k}"
-                if all(e > 0 for e in errors):  # a log axis cannot show a zero error
-                    curves.append(Curve(label, tuple(record.h), tuple(errors), dashed=name == "E1h"))
-                else:
-                    skipped.append(label)
+            series += [(f"E0h k={k}", record.h, record.e0, False),
+                       (f"E1h k={k}", record.h, record.e1, True)]
 
-    if skipped:
-        print(f"warning: errors not positive, not plotted: {', '.join(skipped)}", file=sys.stderr)
-    if curves:
-        svg_path = outdir / f"{stem}.svg"
-        svg_path.write_text(
-            loglog_svg(
-                curves,
-                title=f"{problem.name} on {args.family} meshes",
-                xlabel="h",
-                ylabel="error",
-                slope_guides=tuple(sorted({*args.k, *(k + 1 for k in args.k)})),
-            ),
-            encoding="utf-8",
-        )
-        print(f"wrote {svg_path}")
+    guides = tuple(sorted({*args.k, *(k + 1 for k in args.k)}))
+    _plot(outdir / f"{stem}.svg", series, title=f"{problem.name} on {args.family} meshes",
+          xlabel="h", ylabel="error", slope_guides=guides)
     return 0
 
 
@@ -172,22 +173,9 @@ def cmd_adaptive(args) -> int:
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {csv_path}")
 
-    svg_path = outdir / f"{stem}.svg"
-    svg_path.write_text(
-        loglog_svg(
-            [
-                Curve("uniform", tuple(study.uniform.active_dofs),
-                      tuple(study.uniform.e0)),
-                Curve("adaptive", tuple(study.adaptive.active_dofs),
-                      tuple(study.adaptive.e0)),
-            ],
-            title=f"{problem.name}: E0h vs active dofs",
-            xlabel="active dofs",
-            ylabel="E0h",
-        ),
-        encoding="utf-8",
-    )
-    print(f"wrote {svg_path}")
+    _plot(outdir / f"{stem}.svg",
+          [(r.family, r.active_dofs, r.e0, False) for r in (study.uniform, study.adaptive)],
+          title=f"{problem.name}: E0h vs active dofs", xlabel="active dofs", ylabel="E0h")
 
     mesh_path = outdir / f"{stem}-final.mesh"
     write_mesh(mesh_path, study.final_mesh)

@@ -105,8 +105,6 @@ def gauss_lobatto(npoints: int):
     """Reference Gauss-Lobatto nodes/weights on [-1, 1] (weights sum to 2)."""
     if npoints < 2:
         raise ValueError("Gauss-Lobatto needs at least 2 points")
-    if npoints == 2:
-        return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
     # interior nodes are the roots of P'_{n-1}
     series = np.zeros(npoints)
     series[-1] = 1.0

@@ -34,7 +34,7 @@ _MARGIN_B = 46.0
 
 @dataclass(frozen=True)
 class Curve:
-    """One polyline of positive (x, y) samples."""
+    """One polyline of positive, finite (x, y) samples."""
 
     label: str
     x: tuple
@@ -44,8 +44,8 @@ class Curve:
     def __post_init__(self):
         if len(self.x) != len(self.y) or len(self.x) == 0:
             raise ValueError("curve needs matching non-empty x and y")
-        if any(v <= 0 for v in self.x) or any(v <= 0 for v in self.y):
-            raise ValueError("log-log curves need strictly positive data")
+        if not all(0 < v < math.inf for v in (*self.x, *self.y)):
+            raise ValueError("log-log curves need positive finite data")
 
 
 def _fmt(value: float) -> str:

@@ -353,7 +353,6 @@ class TimeStepperConfig:
 class TimeResult:
     u: np.ndarray  # final dof vector
     t: float
-    n_steps: int
 
 
 def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult:
@@ -382,7 +381,7 @@ def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult
         u[act] = solver.solve(rhs)
         u[bdry] = g_bdry
 
-    return TimeResult(u=u, t=n_steps * tau, n_steps=n_steps)
+    return TimeResult(u=u, t=n_steps * tau)
 
 
 # ---------------------------------------------------------------------------

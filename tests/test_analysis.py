@@ -483,6 +483,7 @@ class TestCsvOutput:
         lines = record_to_csv(rec).strip().split("\n")
         assert len(lines) == 2
         assert lines[1].split(",")[4] == ""
+        assert record_to_csv(_make_record([], [], [])) == lines[0] + "\n"
 
     def test_non_decreasing_h_blanks_eoc(self):
         """Locally refined ladders can keep the same max diameter; the EOC

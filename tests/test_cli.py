@@ -406,6 +406,24 @@ class TestAdaptiveCommand:
         text = (adaptive_outdir / "gaussian-adaptive-k1.svg").read_text(encoding="utf-8")
         assert "uniform" in text and "adaptive" in text
 
+    def test_zero_errors_are_left_out_of_the_plot(self, tmp_path, capsys):
+        """A problem whose errors are zero still gets its CSV and final mesh;
+        the plot is left out with one warning line."""
+        problem_py = tmp_path / "zero.py"
+        problem_py.write_text(ZERO_PROBLEM_PY, encoding="utf-8")
+        outdir = tmp_path / "out"
+        argv = [
+            "adaptive", "--problem", str(problem_py), "--k", "1", "--levels", "2",
+            "--start-n", "4", "--tau", "0.5", "--t-end", "0.5", "--outdir", str(outdir),
+        ]
+        assert main(argv) == 0
+        assert sorted(path.name for path in outdir.iterdir()) == [
+            "rest-state-adaptive-k1-final.mesh", "rest-state-adaptive-k1.csv",
+        ]
+        assert capsys.readouterr().err == (
+            "warning: errors not positive, not plotted: uniform, adaptive\n"
+        )
+
 
 class TestParser:
     def test_help_lists_all_subcommands(self):

@@ -197,6 +197,25 @@ class TestDistortedFamily:
             mesh = M.generate_distorted_square_mesh(8, 0.45, seed=seed)
             assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("distortion", [0.3, 0.4999])
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_box_corners_give_valid_cells(self, n, distortion):
+        """The worst draws the generator can make, every moving coordinate
+        at an end of its range, still give simple quads of area at least
+        side^2, side = (1 - 2 distortion) / n: the reason it needs no
+        validity check.  Rounding the coordinates, all in [0, 1], can take
+        a few eps off a side: at n = 40 and 0.4999 a cell whose corners all
+        point inward is a square of side 5e-6 that comes out 3.7e-11 small."""
+        grid = M.generate_distorted_square_mesh(n, 0.0)
+        interior = (grid.vertices > 0.0) & (grid.vertices < 1.0)
+        signs = np.random.default_rng(n).choice([-1.0, 1.0], size=grid.vertices.shape)
+        mesh = M.PolyMesh(grid.vertices + interior * signs * distortion / n, grid.cells)
+        assert [g.triangles.shape[1] for g in mesh.cell_groups] == [2]
+        area = mesh.cell_groups[0].area
+        side = (1.0 - 2.0 * distortion) / n
+        assert len(area) == n * n
+        assert area.min() >= (side - 4 * np.finfo(float).eps) ** 2
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             M.generate_distorted_square_mesh(1, 0.3)

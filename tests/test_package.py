@@ -1,4 +1,5 @@
-"""Package hygiene: public names that exist, short lines, no unused imports."""
+"""Package hygiene: public names that exist, short lines, no unused imports,
+no new defaults."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import polyvem
 SOURCES = sorted(Path(polyvem.__file__).parent.glob("*.py"))
 MODULES = sorted(f"polyvem.{info.name}" for info in pkgutil.iter_modules(polyvem.__path__))
 MAX_COLUMNS = 101
+MAX_DEFAULTS = 30
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -55,3 +57,26 @@ def test_every_import_is_used(path):
     used |= _public_names(tree)
     unused = [(line, name) for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def _defaults(tree):
+    """Default parameter values of every function and lambda, plus the
+    fields given a value in every dataclass."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(value is not None for value in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+            ast.unparse(deco).split("(")[0] == "dataclass" for deco in node.decorator_list
+        ):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
+
+
+def test_no_new_defaults():
+    """Every default is a knob a caller can forget; the package holds at
+    most MAX_DEFAULTS of them."""
+    total = sum(_defaults(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES)
+    assert total <= MAX_DEFAULTS

@@ -534,7 +534,6 @@ class TestTimeStepper:
         mesh = generate_distorted_square_mesh(3, 0.2, seed=2)
         system = assemble(mesh, 2, ZERO_PROBLEM)
         result = run_time_loop(system, TimeStepperConfig(tau=0.1))
-        assert result.n_steps == 10
         assert result.t == pytest.approx(1.0, abs=1e-14)
         assert np.all(result.u == 0.0)
 
