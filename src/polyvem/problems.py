@@ -19,7 +19,8 @@ initial value ``u0``.  The built-in problems carry their exact solution
                   spatial error negligible next to the O(tau) time error.
 
 All callables are vectorized over point arrays; time enters only through
-``f``, ``dirichlet`` and the exact solution.
+``f``, ``dirichlet`` and the exact solution.  The first two must broadcast
+over t: given (n, 1) columns x, y and a (1, B) row t, they return (n, 1) or (n, B).
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class SobolevProblem:
     beta: Callable  # (x, y) -> (n, 2)
     div_beta: Callable  # (x, y) -> (n,)
     gamma: Callable  # (x, y) -> (n,)
-    f: Callable  # (x, y, t) -> (n,)
-    dirichlet: Callable  # (x, y, t) -> (n,)
+    f: Callable  # (x, y, t) -> (n, 1) or (n, B) for (n, 1) x, y and (1, B) t
+    dirichlet: Callable  # (x, y, t) -> (n, 1) or (n, B), as f
     u0: Callable  # (x, y) -> (n,)
     grad_u0: Callable | None = None  # (x, y) -> (n, 2)
     u_exact: Callable | None = None  # (x, y, t) -> (n,)

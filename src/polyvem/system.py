@@ -14,10 +14,11 @@ time-independent and factorized once per run; every solve must meet the
 relative-residual contract ``RESIDUAL_TOL`` (1e-12), enforced with
 iterative refinement.
 
-F(t_n) is ``load_map @ f(quad_points, t_n)``: ``quad_points`` are the
-points of each element's load rule, of degree 2k, which is exact for
-(f, pi0 phi_i) whenever f is in P_k; the forms keep their rule of degree
-2k+2 for the variable coefficients.
+F(t_n) is ``load_map @ f(quad_points, t_n)``, formed for a block of steps
+from one sample of f (and of the Dirichlet data) at all the block's times:
+``quad_points`` are the points of each element's load rule, of degree 2k,
+which is exact for (f, pi0 phi_i) whenever f is in P_k; the forms keep their
+rule of degree 2k+2 for the variable coefficients.
 
 Everything runs over the mesh's cell groups (``PolyMesh.cell_groups``,
 which the mesh triangulates and groups once): the dof map keeps one (G, N)
@@ -215,11 +216,22 @@ def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
     )
 
 
-def dirichlet_values(system: GlobalSystem, t: float) -> np.ndarray:
-    """Dirichlet data at the boundary dofs (all geometric) at time t."""
-    bdry = system.dofmap.boundary
-    pts = system.dofmap.dof_points[bdry]  # boundary dofs are never moments
-    return np.asarray(system.problem.dirichlet(pts[:, 0], pts[:, 1], t), dtype=float)
+def _sample_in_time(name: str, fn, pts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``fn`` at x, y as (n, 1) columns and t as a (1, B) row, broadcast to (n, B)."""
+    n, b = len(pts), len(times)
+    values = np.asarray(fn(pts[:, :1], pts[:, 1:], times[None, :]), dtype=float)
+    if values.shape not in ((n, 1), (n, b)):
+        raise ValueError(f"problem.{name} must broadcast over t to shape ({n}, 1) or ({n}, {b}) "
+                         f"for (n, 1) points and (1, B) times, got {values.shape}")
+    return np.broadcast_to(values, (n, b))
+
+
+def dirichlet_values(system: GlobalSystem, t: float | np.ndarray) -> np.ndarray:
+    """Dirichlet data at the boundary dofs (all geometric): (n,) at a time t,
+    (n, B) at a 1-D array of B times."""
+    pts = system.dofmap.dof_points[system.dofmap.boundary]  # boundary dofs are never moments
+    values = _sample_in_time("dirichlet", system.problem.dirichlet, pts, np.atleast_1d(t))
+    return values if np.ndim(t) else values[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +367,18 @@ class TimeResult:
     t: float
 
 
+#: Values of f (load points x time steps) sampled at once; a block has at least one step.
+BLOCK_VALUES = 2**16
+
+
 def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult:
     """March the backward-Euler scheme from the projected initial datum to
-    t_end, reusing one factorization for every step."""
+    t_end, reusing one factorization for every step.  F(t_n) and the boundary
+    lift come from one sample and one sparse product per block of B = max(1,
+    ``BLOCK_VALUES`` // load points) steps; a step only adds them and solves."""
     n_steps = config.num_steps()
     tau = config.tau
-    dofmap = system.dofmap
-    act, bdry = dofmap.active, dofmap.boundary
+    act, bdry = system.dofmap.active, system.dofmap.boundary
 
     u = project_initial(system)
 
@@ -372,14 +389,16 @@ def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult
     g_act = g_mat[act]  # row slice: each row keeps its summation order
     load_act = system.load_map[act]
     xq = system.quad_points
+    block = max(1, BLOCK_VALUES // len(xq))
 
-    for step in range(1, n_steps + 1):
-        t_n = step * tau
-        f_vals = np.asarray(system.problem.f(xq[:, 0], xq[:, 1], t_n), dtype=float)
-        g_bdry = dirichlet_values(system, t_n)
-        rhs = g_act @ u + tau * (load_act @ f_vals) - coupling @ g_bdry
-        u[act] = solver.solve(rhs)
-        u[bdry] = g_bdry
+    for first in range(1, n_steps + 1, block):
+        times = np.arange(first, min(first + block, n_steps + 1)) * tau
+        load = (tau * (load_act @ _sample_in_time("f", system.problem.f, xq, times))).T
+        g_bdry = dirichlet_values(system, times)
+        lift = (coupling @ g_bdry).T
+        for j in range(len(times)):
+            u[act] = solver.solve(g_act @ u + load[j] - lift[j])
+            u[bdry] = g_bdry[:, j]
 
     return TimeResult(u=u, t=n_steps * tau)
 

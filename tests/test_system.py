@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyvem.system as system_module
 from polyvem.analysis import error_indicators
 from polyvem.forms import CoefficientWarning, build_local_forms
 from polyvem.projectors import build_element, polynomial_dimension
@@ -616,6 +617,99 @@ class TestTimeStepper:
             return run_time_loop(system, TimeStepperConfig(tau=0.1)).u
 
         assert np.array_equal(run(), run())
+
+
+def _per_step_loop(system, config):
+    """The time loop one step at a time, sampling f and the Dirichlet data
+    at 1-D points and a scalar time every step."""
+    tau = config.tau
+    act, bdry = system.dofmap.active, system.dofmap.boundary
+    u = project_initial(system)
+    g_mat = system.m1 + system.m2
+    lhs = g_mat + tau * (system.a + system.b)
+    solver = LinearSolver(lhs[np.ix_(act, act)])
+    coupling = lhs[np.ix_(act, bdry)]
+    g_act, load_act = g_mat[act], system.load_map[act]
+    xq, xb = system.quad_points, system.dofmap.dof_points[bdry]
+    for step in range(1, config.num_steps() + 1):
+        t_n = step * tau
+        f_vals = np.asarray(system.problem.f(xq[:, 0], xq[:, 1], t_n), dtype=float)
+        g_bdry = np.asarray(system.problem.dirichlet(xb[:, 0], xb[:, 1], t_n), dtype=float)
+        u[act] = solver.solve(g_act @ u + tau * (load_act @ f_vals) - coupling @ g_bdry)
+        u[bdry] = g_bdry
+    return u
+
+
+def _sine_in_space(x, y, t):  # no t: shape (n, 1) at (n, 1) points
+    return np.sin(3.0 * x) * np.cos(2.0 * y)
+
+
+BLOCK_CASES = {
+    "variable-distorted": lambda: assemble(
+        generate_distorted_square_mesh(3, 0.3, seed=4), 2, get_problem("variable")),
+    "gaussian-hanging": lambda: assemble(GROUP_MESHES["hanging"](), 1, get_problem("gaussian")),
+    "t-free-f-zero-dirichlet": lambda: assemble(generate_distorted_square_mesh(3, 0.3, seed=4), 2,
+                                                dataclasses.replace(ZERO_PROBLEM, f=_sine_in_space)),
+}
+
+
+class TestBlockedTimeLoop:
+    """``run_time_loop`` samples f and the Dirichlet data once per block of
+    B = max(1, BLOCK_VALUES // load points) steps."""
+
+    @pytest.mark.parametrize("block", [None, 3, 1], ids=["one-block", "B=3", "B=1"])
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_matches_per_step_loop_bitwise(self, case, block, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoefficientWarning)
+            system = BLOCK_CASES[case]()
+        n_points = len(system.quad_points)
+        if block is None:
+            assert system_module.BLOCK_VALUES // n_points >= 10  # all 10 steps in one block
+        else:
+            monkeypatch.setattr(system_module, "BLOCK_VALUES", block * n_points + n_points - 1)
+        calls, f = [], system.problem.f
+
+        def counted(x, y, t):
+            calls.append(np.shape(t))
+            return f(x, y, t)
+
+        config = TimeStepperConfig(tau=0.1)
+        want = _per_step_loop(system, config)
+        system.problem = dataclasses.replace(system.problem, f=counted)
+        got = run_time_loop(system, config).u
+        assert got.tobytes() == want.tobytes()
+        sizes = {None: [(1, 10)], 3: [(1, 3)] * 3 + [(1, 1)], 1: [(1, 1)] * 10}[block]
+        assert calls == sizes  # ceil(10 / B) calls, the last block partial
+
+    @pytest.mark.parametrize("field", ["f", "dirichlet"])
+    @pytest.mark.parametrize("square", [False, True], ids=["n!=B", "n==B"])
+    def test_one_dimensional_sample_rejected(self, field, square, monkeypatch):
+        """A value of shape (n,) would broadcast along the time axis when
+        n == B, so any shape but (n, 1) or (n, B) is named and rejected."""
+        system = assemble(unit_square_mesh(), 1, ZERO_PROBLEM)
+        n = len(system.quad_points if field == "f" else system.dofmap.boundary)
+        steps = n if square else 2
+        monkeypatch.setattr(system_module, "BLOCK_VALUES", steps * len(system.quad_points))
+
+        def flat(x, y, t):
+            return np.zeros(len(x))
+
+        system.problem = dataclasses.replace(ZERO_PROBLEM, **{field: flat})
+        with pytest.raises(ValueError, match=rf"^problem\.{field} must broadcast over t .* "
+                                             rf"got \({n},\)$"):
+            run_time_loop(system, TimeStepperConfig(tau=0.1, t_end=0.1 * steps))
+
+    def test_dirichlet_values_scalar_and_block(self):
+        system = assemble(generate_distorted_square_mesh(3, 0.2, seed=5), 2,
+                          get_problem("convection"))
+        times = np.arange(1, 4) * 0.25
+        block = dirichlet_values(system, times)
+        assert block.shape == (len(system.dofmap.boundary), 3)
+        for j, t in enumerate(times):
+            trace = dirichlet_values(system, t)
+            assert trace.shape == (len(system.dofmap.boundary),)
+            assert trace.tobytes() == np.ascontiguousarray(block[:, j]).tobytes()
 
 
 # ---------------------------------------------------------------------------
