@@ -1,6 +1,7 @@
 """Quadrature tests against closed-form and edge-integral oracles, over
 single triangles and over polygons triangulated by the mesh layer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,10 +91,39 @@ class TestTriangleRules:
                 )
 
     def test_weights_positive_and_sum(self):
-        for order in range(0, 11):
+        for order in range(0, 13):
             rule = Q.triangle_rule(order)
             assert (rule.weights > 0).all()
             assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_point_counts(self):
+        counts = [len(Q.triangle_rule(order).weights) for order in range(0, 13)]
+        assert counts == [6, 6, 6, 6, 6, 12, 12, 16, 16, 25, 25, 33, 33]
+
+    @pytest.mark.parametrize("order", range(0, 13))
+    def test_points_interior(self, order):
+        rule = Q.triangle_rule(order)
+        assert rule.points.shape == (len(rule.weights), 3)
+        assert (rule.points > 0).all()
+
+    @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
+    def test_independent_of_vertex_order(self, order):
+        """The rule mapped onto one triangle listed in each of its 6 vertex
+        orders gives the same (point, weight) pairs."""
+        tri = np.array([[0.2, -0.1], [1.3, 0.4], [0.5, 1.7]])
+
+        def pairs(perm):
+            pts, w = Q.map_to_triangle(Q.triangle_rule(order), tri[list(perm)])
+            table = np.column_stack([pts, w])
+            return table[np.lexsort(table.round(9).T[::-1])]
+
+        want = pairs((0, 1, 2))
+        for perm in itertools.permutations(range(3)):
+            np.testing.assert_allclose(pairs(perm), want, rtol=0, atol=1e-15)
+
+    def test_order_above_table_raises(self):
+        with pytest.raises(ValueError, match="up to order 12"):
+            Q.triangle_rule(13)
 
 
 class TestPolygonRules:
