@@ -36,11 +36,11 @@ sigma >= 0; that is only warned about, so each group reports its lowest
 sigma and ``coefficient_notes`` turns the lowest of an assembly into one
 ``CoefficientWarning`` and one note.
 
-The forms integrate variable coefficients with the element's rule of
-degree 2k+2.  The load (f, pi0 phi_i) uses the element's own rule of
-degree 2k: pi0 phi_i lies in P_k, so that rule is exact for every f in
-P_k, and the source, which is evaluated at every time step, is evaluated
-at fewer points.
+The forms, the load (f, pi0 phi_i) and the initial projection's load all
+integrate with the element's one rule of degree 2k.  It is exact for the
+load with f in P_k, for m1, for m2 and the gradient part of a with mu and
+eps of degree <= 2, and for b with beta of degree <= 1; only (sigma pi0 w,
+pi0 v) with a non-constant sigma is inexact, at higher order than the scheme.
 """
 
 from __future__ import annotations
@@ -187,12 +187,11 @@ def coefficient_notes(sigma_lows) -> list[str]:
 
 
 def load_map_block(element: LocalElement) -> np.ndarray:
-    """(G, N, nl) stack of matrices taking source values at each cell's
-    load points to its local load vector (f, pi0 phi_i); reusable across
-    time steps."""
-    values = element.basis.eval(element.load_points)
+    """(G, N, nq) stack of matrices taking source values at each cell's
+    quadrature points to its local load vector (f, pi0 phi_i); reusable
+    across time steps."""
     return np.swapaxes(element.pi0_star, 1, 2) @ (
-        np.swapaxes(values, 1, 2) * element.load_weights[:, None, :]
+        np.swapaxes(element.monomial_values, 1, 2) * element.quad_weights[:, None, :]
     )
 
 

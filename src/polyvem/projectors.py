@@ -173,9 +173,9 @@ class LocalElement:
     Every array field (and ``geom``) has a leading axis over the group's
     cells; ``group[i]`` is the view of cell i, with the shapes listed here.
     Matrices act on local dof vectors (length ``layout.size``); projector
-    coefficient matrices return expansions in ``basis``.  The forms rule
-    (``quad_points``, degree 2k+2) and the load rule (``load_points``,
-    degree 2k) are mapped onto the same ``geom.triangles``.
+    coefficient matrices return expansions in ``basis``.  One rule of
+    degree 2k (``quad_points``, ``quad_weights``), mapped onto
+    ``geom.triangles``, serves every integral over the cell.
     """
 
     k: int
@@ -184,8 +184,6 @@ class LocalElement:
     boundary_dof_points: np.ndarray  # (num_vertices * k, 2)
     quad_points: np.ndarray
     quad_weights: np.ndarray
-    load_points: np.ndarray
-    load_weights: np.ndarray
     monomial_values: np.ndarray  # basis at quad points
     mass_monomials: np.ndarray  # H: int m_i m_j
     dof_matrix: np.ndarray  # D: dof_i(m_j)
@@ -225,9 +223,8 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
     n_dofs = layout.size
     area = geom.area[:, None, None]
 
-    quad_points, quad_weights = map_to_triangle(triangle_rule(2 * k + 2), geom.triangles)
-    # (f, pi0 phi) has pi0 phi in P_k: degree 2k is exact for every f in P_k
-    load_points, load_weights = map_to_triangle(triangle_rule(2 * k), geom.triangles)
+    # degree 2k is exact for H = int m_i m_j, and for (f, pi0 phi) with f in P_k
+    quad_points, quad_weights = map_to_triangle(triangle_rule(2 * k), geom.triangles)
     vk = basis.eval(quad_points)
     mass = np.swapaxes(vk, 1, 2) @ (quad_weights[..., None] * vk)
     mass = 0.5 * (mass + np.swapaxes(mass, 1, 2))
@@ -304,8 +301,6 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
         boundary_dof_points=bpts,
         quad_points=quad_points,
         quad_weights=quad_weights,
-        load_points=load_points,
-        load_weights=load_weights,
         monomial_values=vk,
         mass_monomials=mass,
         dof_matrix=dmat,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from xml.sax.saxutils import escape
 
 __all__ = ["Curve", "loglog_svg"]
 
@@ -133,17 +134,17 @@ def loglog_svg(
     if title:
         parts.append(
             text.format(x=_fmt(width / 2), y="20", s=14,
-                        extra=' text-anchor="middle"', body=title)
+                        extra=' text-anchor="middle"', body=escape(title))
         )
     parts.append(
         text.format(x=_fmt(_MARGIN_L + plot_w / 2), y=_fmt(height - 8), s=13,
-                    extra=' text-anchor="middle"', body=xlabel)
+                    extra=' text-anchor="middle"', body=escape(xlabel))
     )
     parts.append(
         text.format(
             x="16", y=_fmt(_MARGIN_T + plot_h / 2), s=13,
             extra=f' text-anchor="middle" transform="rotate(-90 16 {_fmt(_MARGIN_T + plot_h / 2)})"',
-            body=ylabel,
+            body=escape(ylabel),
         )
     )
 
@@ -192,7 +193,7 @@ def loglog_svg(
         )
         parts.append(
             text.format(x=_fmt(lx0 + 32), y=_fmt(legend_y), s=12, extra="",
-                        body=curve.label)
+                        body=escape(curve.label))
         )
         legend_y += 16
 

@@ -16,9 +16,8 @@ iterative refinement.
 
 F(t_n) is ``load_map @ f(quad_points, t_n)``, formed for a block of steps
 from one sample of f (and of the Dirichlet data) at all the block's times:
-``quad_points`` are the points of each element's load rule, of degree 2k,
-which is exact for (f, pi0 phi_i) whenever f is in P_k; the forms keep their
-rule of degree 2k+2 for the variable coefficients.
+``quad_points`` are the points of each element's one rule, of degree 2k,
+which is exact for (f, pi0 phi_i) whenever f is in P_k.
 
 Everything runs over the mesh's cell groups (``PolyMesh.cell_groups``,
 which the mesh triangulates and groups once): the dof map keeps one (G, N)
@@ -162,7 +161,7 @@ class GlobalSystem:
     a: sp.csr_matrix
     b: sp.csr_matrix
     load_map: sp.csr_matrix  # size x n_quad
-    quad_points: np.ndarray  # (n_quad, 2) load-rule points of every cell
+    quad_points: np.ndarray  # (n_quad, 2) quadrature points of every cell
     coefficient_notes: list[str]  # at most one, on negative sigma (see forms)
 
     @property
@@ -191,8 +190,8 @@ def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
     groups = [build_element(geom, k) for geom in mesh.cell_groups]
     forms = [build_local_forms(group, problem) for group in groups]
     loads = [load_map_block(group) for group in groups]  # (G, N, nq)
-    quad_points = np.concatenate([group.load_points.reshape(-1, 2) for group in groups])
-    shapes = [group.load_points.shape[:2] for group in groups]
+    quad_points = np.concatenate([group.quad_points.reshape(-1, 2) for group in groups])
+    shapes = [group.quad_points.shape[:2] for group in groups]
     point_ids = np.split(np.arange(len(quad_points)), np.cumsum([g * q for g, q in shapes])[:-1])
     point_ids = [ids.reshape(shape) for ids, shape in zip(point_ids, shapes)]
 
@@ -250,22 +249,21 @@ class LinearSolver:
     """Sparse LU factorization with iterative refinement and a residual
     contract.
 
-    Any input, dense or sparse, is converted to a sparse matrix and
-    factored once with SuperLU; ``solve`` may be called any number of times
-    (the time loop reuses it for every step).  Columns are ordered by
-    minimum degree on A + A^T, because the system matrices are structurally
-    symmetric; that factor is up to 3x sparser than COLAMD's.  Residuals
-    inside the refinement loop are evaluated in extended precision: plain
-    double refinement stalls at a relative residual of roughly n*eps, which
-    for systems beyond ~10^4 unknowns sits above the 1e-12 contract.
+    Any input, dense or sparse, is factored once in double with SuperLU;
+    ``solve`` may be called any number of times (the time loop reuses it for
+    every step).  Columns are ordered by minimum degree on A + A^T, because
+    the system matrices are structurally symmetric; that factor is up to 3x
+    sparser than COLAMD's.  ``matrix`` is the input in extended precision,
+    in which each pass of ``solve`` measures its residual: plain double
+    refinement stalls at a relative residual of roughly n*eps, which for
+    systems beyond ~10^4 unknowns sits above the 1e-12 contract.
     """
 
     def __init__(self, matrix):
-        self.matrix = sp.csr_matrix(matrix, dtype=float)
-        self._matrix_hp = self.matrix.astype(np.longdouble)
+        self.matrix = sp.csr_matrix(matrix, dtype=np.longdouble)
         try:
             # structurally symmetric (B is skew): order A + A^T, not COLAMD's A^T A
-            self._apply = splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+            self._apply = splu(sp.csc_matrix(matrix, dtype=float), permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:  # splu reports exact singularity this way
             raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -274,20 +272,17 @@ class LinearSolver:
         norm_b = np.linalg.norm(rhs)
         if norm_b == 0.0:
             return np.zeros_like(rhs)
-        x = self._apply(rhs)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("linear solve produced non-finite values (singular matrix?)")
         rhs_hp = rhs.astype(np.longdouble)
-        x_hp = x.astype(np.longdouble)
-        for step in range(MAX_REFINE + 1):
-            res = np.asarray(rhs_hp - self._matrix_hp @ x_hp, dtype=float)
-            if not np.all(np.isfinite(res)):
-                raise SolverError("linear solve produced non-finite residual")
+        x = np.full_like(rhs_hp, -0.0)  # -0.0 + y is y for every y, signed zeros too
+        res = rhs
+        for _ in range(MAX_REFINE + 1):
+            x = x + self._apply(res).astype(np.longdouble)
+            res = np.asarray(rhs_hp - self.matrix @ x, dtype=float)
             res_norm = float(np.linalg.norm(res) / norm_b)
             if res_norm <= RESIDUAL_TOL:
-                return np.asarray(x_hp, dtype=float)
-            if step < MAX_REFINE:
-                x_hp = x_hp + self._apply(res).astype(np.longdouble)
+                return np.asarray(x, dtype=float)
+            if not math.isfinite(res_norm):
+                raise SolverError("linear solve produced non-finite residual")
         raise SolverError(f"linear solve residual {res_norm:.3e} "
                           f"exceeds tolerance {RESIDUAL_TOL:.1e}")
 
@@ -370,7 +365,7 @@ class TimeResult:
     t: float
 
 
-#: Values of f (load points x time steps) sampled at once; a block has at least one step.
+#: Values of f (quadrature points x time steps) sampled at once; a block has at least one step.
 BLOCK_VALUES = 2**16
 
 
@@ -378,7 +373,7 @@ def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult
     """March the backward-Euler scheme from the projected initial datum to
     t_end, reusing one factorization for every step.  F(t_n) and the boundary
     lift come from one sample and one sparse product per block of B = max(1,
-    ``BLOCK_VALUES`` // load points) steps; a step only adds them and solves."""
+    ``BLOCK_VALUES`` // quadrature points) steps; a step only adds them and solves."""
     n_steps = config.num_steps()
     tau = config.tau
     act, bdry = system.dofmap.active, system.dofmap.boundary

@@ -7,13 +7,19 @@ cached by their parameters.
 """
 
 import re
+from contextlib import nullcontext
 
 import pytest
 
 from polyvem.analysis import run_convergence_sweep
+from polyvem.forms import CoefficientWarning
 from polyvem.problems import get_problem
 
 _CACHE = {}
+
+#: Catalog problems whose sigma = gamma - div(beta)/2 is negative somewhere,
+#: so that every assembly of them warns.
+NEGATIVE_SIGMA = {"variable"}
 
 
 @pytest.fixture(scope="session")
@@ -21,9 +27,12 @@ def sweep_cache():
     def get(problem, family, k, levels=4, tau=1e-3, seed=0):
         key = (problem, family, k, levels, tau, seed)
         if key not in _CACHE:
-            _CACHE[key] = run_convergence_sweep(
-                get_problem(problem), family, k, levels=levels, tau=tau, seed=seed
-            )
+            # levels run on worker threads, so the sweep as a whole expects the warning
+            expected = pytest.warns(CoefficientWarning) if problem in NEGATIVE_SIGMA else nullcontext()
+            with expected:
+                _CACHE[key] = run_convergence_sweep(
+                    get_problem(problem), family, k, levels=levels, tau=tau, seed=seed
+                )
         return _CACHE[key]
 
     return get

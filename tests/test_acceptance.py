@@ -35,6 +35,7 @@ from polyvem.analysis import (
     matched_dof_comparison,
     run_adaptive_study,
 )
+from polyvem.forms import CoefficientWarning
 from polyvem.mesh import (
     generate_concave_mesh,
     generate_distorted_square_mesh,
@@ -161,7 +162,8 @@ def test_criterion_01_projector_suite():
 def test_criterion_02_structural_identities():
     with _report(2):
         mesh = generate_voronoi_mesh(40, lloyd_iterations=3, seed=2)
-        system = assemble(mesh, 2, get_problem("variable"))
+        with pytest.warns(CoefficientWarning):
+            system = assemble(mesh, 2, get_problem("variable"))
 
         # convection matrix exactly skew: b_h(w, w) = w^T B w = 0
         b = system.b.toarray()

@@ -28,6 +28,7 @@ from polyvem.analysis import (
     run_adaptive_study,
     run_convergence_sweep,
 )
+from polyvem.forms import CoefficientWarning
 from polyvem.mesh import (
     PolyMesh,
     generate_distorted_square_mesh,
@@ -114,7 +115,8 @@ class TestComputeErrors:
         """With u_h = 0 the surrogates reduce to ||u(t)|| and ||grad u(t)||."""
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(6, 0.0, seed=0)
-        system = assemble(mesh, 1, problem)
+        with pytest.warns(CoefficientWarning):
+            system = assemble(mesh, 1, problem)
         pair = compute_errors(system, np.zeros(system.dofmap.size), 1.0)
         # u = t sin(pi x) sin(pi y): ||u(1)|| = 1/2, |u(1)|_1 = pi/sqrt(2)
         assert pair.e0 == pytest.approx(0.5, rel=1e-12)
@@ -130,7 +132,8 @@ class TestComputeErrors:
             }
         )
         mesh = generate_distorted_square_mesh(2, 0.0, seed=0)
-        system = assemble(mesh, 1, stripped)
+        with pytest.warns(CoefficientWarning):
+            system = assemble(mesh, 1, stripped)
         with pytest.raises(ValueError, match="exact solution"):
             compute_errors(system, np.zeros(system.dofmap.size), 1.0)
 
@@ -140,7 +143,8 @@ class TestComputeErrors:
         """The group-wise errors equal a cell-by-cell evaluation through the
         per-cell element views, up to summation order."""
         problem = get_problem("variable")
-        system, u = perturbed_interpolant(family, k, problem)
+        with pytest.warns(CoefficientWarning):
+            system, u = perturbed_interpolant(family, k, problem)
         nk, nk1 = (k + 1) * (k + 2) // 2, k * (k + 1) // 2
         e0_sq = e1_sq = 0.0
         for ci, el in enumerate(system.elements):
@@ -160,7 +164,8 @@ class TestComputeErrors:
     def test_metadata_fields(self):
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(3, 0.0, seed=0)
-        system = assemble(mesh, 2, problem)
+        with pytest.warns(CoefficientWarning):
+            system = assemble(mesh, 2, problem)
         pair = compute_errors(system, np.zeros(system.dofmap.size), 1.0)
         assert pair.h == system.mesh.h
         assert pair.num_dofs == system.dofmap.size
@@ -170,7 +175,8 @@ class TestComputeErrors:
 
 def _errors_at_t1(mesh, k):
     problem = get_problem("variable")
-    system = assemble(mesh, k, problem)
+    with pytest.warns(CoefficientWarning):
+        system = assemble(mesh, k, problem)
     result = run_time_loop(system, TimeStepperConfig(tau=1e-2, t_end=1.0))
     pair = compute_errors(system, result.u, result.t)
     return pair.e0, pair.e1
@@ -382,7 +388,8 @@ class TestErrorIndicators:
     def test_positive_on_transcendental_solution(self):
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(4, 0.2, seed=0)
-        system = assemble(mesh, 1, problem)
+        with pytest.warns(CoefficientWarning):
+            system = assemble(mesh, 1, problem)
         u = interpolate_global(system, lambda x, y: problem.u_exact(x, y, 1.0))
         eta = error_indicators(system, u)
         assert np.all(eta > 0)

@@ -16,6 +16,7 @@ import pytest
 
 import polyvem
 from polyvem.cli import build_parser, main
+from polyvem.forms import CoefficientWarning
 from polyvem.mesh import read_mesh
 from polyvem.system import read_solution
 
@@ -211,7 +212,8 @@ class TestSolveCommand:
                 "--n", "3", "--seed", "4", "--tau", "0.5",
                 "-o", str(tmp_path / f"{spec}.sol"),
             ]
-            assert main(argv) == 0
+            with pytest.warns(CoefficientWarning):
+                assert main(argv) == 0
             outputs.append(_parse_error_line(capsys.readouterr().out))
         assert outputs[0] == outputs[1]
 

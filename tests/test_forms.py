@@ -278,8 +278,8 @@ def _with_source(prob, f):
 
 
 def _element_load(el, prob, t):
-    """Local load vector through the element's own load rule."""
-    pts = el.load_points
+    """Local load vector through the element's own rule."""
+    pts = el.quad_points
     return F.load_map_block(el[None])[0] @ prob.f(pts[:, 0], pts[:, 1], t)
 
 
@@ -336,10 +336,10 @@ class TestLoad:
             system = assemble(make_mesh(), k, prob)
             qp = system.quad_points
             column = {tuple(p): i for i, p in enumerate(qp.tolist())}
-            assert len(column) == len(qp) == sum(len(el.load_points) for el in system.elements)
+            assert len(column) == len(qp) == sum(len(el.quad_points) for el in system.elements)
             f = prob.f(qp[:, 0], qp[:, 1], 0.4)
             for ci, el in enumerate(system.elements):
-                cols = [column[tuple(p)] for p in el.load_points.tolist()]
+                cols = [column[tuple(p)] for p in el.quad_points.tolist()]
                 only = np.zeros_like(f)
                 only[cols] = f[cols]
                 got = system.load_map @ only
@@ -385,7 +385,7 @@ class TestLoad:
 
         nk = polynomial_dimension(k)
         q = np.linalg.lstsq(el.basis.eval(pts)[:, :nk], fv, rcond=None)[0]
-        lp, lw = el.load_points, el.load_weights
+        lp, lw = el.quad_points, el.quad_weights
         load_gap = np.abs(prob.f(lp[:, 0], lp[:, 1], 1.0) - el.basis.eval(lp) @ q)
         load_pi0 = np.abs(el.basis.eval(lp) @ el.pi0_star)
         oracle_gap = np.abs(fv - el.basis.eval(pts) @ q)

@@ -206,17 +206,18 @@ class TestPolygonRules:
                 assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
 
     def test_rules_share_the_stored_triangulation(self):
+        """The element's one rule is the degree-2k rule mapped onto the
+        triangles the mesh stored."""
         from polyvem.projectors import build_element
 
         geom = generate_concave_mesh(1).cell_geometry(1)
         tris = triangulate(geom.coords)
-        el = build_element(geom[None], 2)[0]
-        np.testing.assert_array_equal(el.geom.triangles, tris)
-        rules = ((6, el.quad_points, el.quad_weights), (4, el.load_points, el.load_weights))
-        for order, pts, w in rules:
-            want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(order), tris)
-            np.testing.assert_array_equal(pts, want_pts)
-            np.testing.assert_array_equal(w, want_w)
+        for k in (1, 2, 3):
+            el = build_element(geom[None], k)[0]
+            np.testing.assert_array_equal(el.geom.triangles, tris)
+            want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(2 * k), tris)
+            np.testing.assert_array_equal(el.quad_points, want_pts)
+            np.testing.assert_array_equal(el.quad_weights, want_w)
 
     def test_stack_splits_by_triangle_count(self):
         """A stack of pentagons splits into one group per triangle count,
