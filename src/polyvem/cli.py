@@ -51,6 +51,9 @@ def _resolve_problem(spec: str) -> SobolevProblem:
         problem = namespace.get("PROBLEM")
         if not isinstance(problem, SobolevProblem):
             raise ValueError(f"{spec}: file must define PROBLEM as a SobolevProblem")
+        name = str(problem.name)  # starts every output file name: one path component
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ValueError(f"{spec}: PROBLEM.name {name!r} cannot name a file")
         return problem
     try:
         return get_problem(spec)

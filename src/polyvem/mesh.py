@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import Voronoi, cKDTree
 
 from .textfile import LineReader, read_text, write_text
@@ -355,39 +356,37 @@ class MeshQualityReport:
         )
 
 
-def _kernel_radius(geom: CellGeometry) -> float:
-    """Radius of the largest disk inside the cell's kernel.
-
-    The kernel is the intersection of the inward half-planes of all edge
-    lines; the largest inscribed disk solves the linear program
-    max r s.t. n_i . p + r <= n_i . v_i  (n_i outward unit normals).
-    Zero for cells that are not star-shaped.
-    """
-    from scipy.optimize import linprog
-
-    coords, normals = geom.coords, geom.normals
-    a_ub = np.column_stack([normals, np.ones(len(coords))])
-    b_ub = (normals * coords).sum(axis=1)
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    return float(res.x[2]) if res.success else 0.0
-
-
 def compute_quality(mesh: PolyMesh) -> MeshQualityReport:
-    cells = map(mesh.cell_geometry, range(mesh.num_cells))
-    edge_ratio = min((g.edge_lengths.min(axis=1) / g.diameter).min() for g in mesh.cell_groups)
-    return MeshQualityReport(
-        h=mesh.h,
-        min_edge_ratio=float(edge_ratio),
-        min_kernel_ratio=float(min(_kernel_radius(g) / g.diameter for g in cells)),
-        num_vertices=mesh.num_vertices,
-        num_cells=mesh.num_cells,
-    )
+    """Quality report of ``mesh``.  Its kernel ratio is the least over cells
+    of the radius of the largest disk in the cell's kernel (where its inward
+    edge half-planes meet) over its diameter h_c, 0 for an empty kernel.
+
+    One linear program finds every cell's disk, centre p and radius r in
+    coordinates centred at the cell's centroid x_c and scaled by h_c:
+    max sum r  s.t.  n_i . p + r <= n_i . (v_i - x_c) / h_c  for each edge i
+    (outward unit normal n_i), all variables free.  It is separable, so each
+    r is its own cell's optimum and the ratio itself at any position and
+    scale; a negative r means an empty kernel.  p = 0 with the least reach
+    is feasible, and the normals of a closed loop bound r.
+    """
+    from scipy.optimize import linprog  # loaded here only: no solve needs it
+
+    groups = mesh.cell_groups
+    normals = np.concatenate([g.normals.reshape(-1, 2) for g in groups])
+    reach = np.concatenate([((g.normals * (g.coords - g.centroid[:, None])).sum(axis=2)
+                             / g.diameter[:, None]).ravel() for g in groups])
+    owner = np.concatenate([np.repeat(g.index, g.coords.shape[1]) for g in groups])
+    rows = np.column_stack([normals, np.ones(len(reach))])  # (p_x, p_y, r) of cell c at 3c
+    a_ub = csr_array((rows.ravel(), (3 * owner[:, None] + np.arange(3)).ravel(),
+                      np.arange(0, rows.size + 1, 3)), shape=(len(reach), 3 * mesh.num_cells))
+    res = linprog(np.tile([0.0, 0.0, -1.0], mesh.num_cells), A_ub=a_ub, b_ub=reach,
+                  bounds=(None, None), method="highs")
+    if not res.success:
+        raise MeshError(res.message)
+    edge_ratio = min((g.edge_lengths.min(axis=1) / g.diameter).min() for g in groups)
+    return MeshQualityReport(h=mesh.h, min_edge_ratio=float(edge_ratio),
+                             min_kernel_ratio=float(max(res.x[2::3].min(), 0.0)),
+                             num_vertices=mesh.num_vertices, num_cells=mesh.num_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +497,9 @@ def _compact_mesh(coords: np.ndarray, loops: list[np.ndarray]) -> PolyMesh:
 
 
 def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> PolyMesh:
-    """Clipped Voronoi mesh of explicit seed points in (0,1)^2."""
+    """Clipped Voronoi mesh of explicit seed points in (0,1)^2.  Seeds within
+    ``_SNAP`` of each other are spread apart; a ``MeshError`` of the build
+    after that names the coincident seed indices."""
     seeds = np.asarray(seeds, dtype=float).copy()
     if len(seeds) < 4:
         raise ValueError("need at least 4 seeds")
@@ -512,15 +513,22 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
     label = np.arange(len(seeds))
     for a, b in cKDTree(seeds).query_pairs(_SNAP, output_type="ndarray"):
         label[label == label[b]] = label[a]
-    for rows in (np.flatnonzero(label == g) for g in np.flatnonzero(np.bincount(label) > 1)):
+    copies = [np.flatnonzero(label == g) for g in np.flatnonzero(np.bincount(label) > 1)]
+    for rows in copies:
         turn = np.exp(2j * np.pi * np.arange(len(rows)) / len(rows))
         ring = 0.25 * len(rows) * _SNAP * (rows[1] + 1) * (1 + 1j) * (1 - turn)
         offset = np.column_stack([ring.real, ring.imag])
         seeds[rows] = seeds[rows[0]] + np.where(seeds[rows[0]] + offset.max(0) < 1, offset, -offset)
-    for _ in range(lloyd_iterations):
-        seeds = _voronoi_cells_in_square(seeds)[2]
-    coords, loops, _ = _voronoi_cells_in_square(seeds)
-    return _compact_mesh(coords, loops)
+    try:
+        for _ in range(lloyd_iterations):
+            seeds = _voronoi_cells_in_square(seeds)[2]
+        return _compact_mesh(*_voronoi_cells_in_square(seeds)[:2])
+    except MeshError as exc:
+        if not copies:
+            raise
+        # a spread circle is a few _SNAP wide, so near a side its cells can collapse
+        named = "; ".join(", ".join(map(str, rows)) for rows in copies)
+        raise MeshError(f"coincident seeds ({named}) could not be given a cell each") from exc
 
 
 #: Largest seed offset of ``generate_voronoi_mesh``, in local spacings.

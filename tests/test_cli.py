@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 import polyvem
+from polyvem import cli
 from polyvem.cli import build_parser, main
 from polyvem.forms import CoefficientWarning
 from polyvem.mesh import read_mesh
+from polyvem.problems import PROBLEM_NAMES
 from polyvem.system import read_solution
 
 PATCH_PROBLEM_PY = """\
@@ -243,6 +245,51 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {bad}: line 3: NameError: ")
         assert "undefined_name" in err
+
+
+def _named_problem_file(tmp_path, name):
+    """A problem file whose ``PROBLEM`` is the linear patch under ``name``
+    (a Python expression)."""
+    path = tmp_path / "named.py"
+    path.write_text(
+        "import dataclasses\n\nfrom polyvem.problems import polynomial_patch\n\n"
+        f"PROBLEM = dataclasses.replace(polynomial_patch(1), name={name})\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+class TestProblemFileName:
+    """A problem file's ``PROBLEM.name`` starts every output file name, so it
+    must be one path component; the check runs when the file loads."""
+
+    def test_slash_in_name_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        slash = _named_problem_file(tmp_path, '"R/D"')
+        monkeypatch.setattr(cli, "run_convergence_sweep", _no_solve)
+        outdir = tmp_path / "out"
+        argv = ["converge", "--problem", str(slash), "--family", "concave", "--k", "1",
+                "--levels", "2", "--tau", "0.5", "--t-end", "0.5", "--outdir", str(outdir)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ValueError: {slash}: PROBLEM.name 'R/D' cannot name a file\n"
+        assert captured.out == ""
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("name", ['"a\\\\b"', '"nul\\0"', '"."', '".."', '""'],
+                             ids=["backslash", "nul", "dot", "dotdot", "empty"])
+    def test_name_that_is_not_one_path_component_rejected(self, tmp_path, name):
+        path = _named_problem_file(tmp_path, name)
+        with pytest.raises(ValueError, match=r"^.*named\.py: PROBLEM\.name .* cannot name a file$"):
+            cli._resolve_problem(str(path))
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_catalog_names_pass(self, tmp_path, name):
+        path = _named_problem_file(tmp_path, repr(name))
+        assert cli._resolve_problem(str(path)).name == name
 
 
 class TestConvergeCommand:

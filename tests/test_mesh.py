@@ -284,6 +284,20 @@ class TestVoronoiFamily:
             turns = M.triangle_areas(np.stack([c, np.roll(c, -1, 1), np.roll(c, -2, 1)], axis=2))
             assert (turns > -1e-15).all()
 
+    @pytest.mark.parametrize("extra", [
+        [(1e-10, 1e-10)] * 2,
+        [(0.5, 1.0 - 1e-10)] * 3,
+        [(1.0 - 1e-8, 0.5)] * 6,
+    ], ids=["pair-at-corner", "three-at-side", "six-near-side"])
+    def test_coincident_seeds_that_cannot_be_spread_are_named(self, extra):
+        """Copies of a point at a corner or a side collapse under the vertex
+        snap; the error names the copies, not an edge or the square."""
+        seeds = np.vstack([np.random.default_rng(1).uniform(0.1, 0.9, (20, 2)), extra])
+        names = ", ".join(str(i) for i in range(20, 20 + len(extra)))
+        with pytest.raises(M.MeshError, match=rf"^coincident seeds \({names}\) ") as info:
+            M.voronoi_mesh_from_seeds(seeds)
+        assert isinstance(info.value.__cause__, M.MeshError)
+
     def test_determinism(self):
         a = M.generate_voronoi_mesh(36, 2, seed=5)
         b = M.generate_voronoi_mesh(36, 2, seed=5)
@@ -615,3 +629,38 @@ class TestQuality:
         mesh = M.generate_concave_mesh(2)
         rep = M.compute_quality(mesh)
         assert rep.min_kernel_ratio > 0.05
+
+    @pytest.mark.parametrize("vertices, ratio", [
+        (UNIT_SQUARE, 1.0 / (2.0 * np.sqrt(2.0))),
+        ([(np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3], np.sqrt(3.0) / 4.0),
+        ([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 5), (0, 5), (0, 4), (2, 4),
+          (2, 3), (0, 3)], 0.0),
+    ], ids=["unit-square", "regular-hexagon", "s-shape"])
+    def test_kernel_ratio_of_one_cell(self, vertices, ratio):
+        """The largest disk in the kernel over the diameter: the inscribed
+        disk of a convex cell, none for the S (its two arms see no common point)."""
+        mesh = M.PolyMesh(vertices, [range(len(vertices))])
+        assert M.compute_quality(mesh).min_kernel_ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (2.0**-10, 1e3)],
+                             ids=["small", "small-and-far"])
+    def test_kernel_ratio_does_not_depend_on_scale(self, scale, shift):
+        mesh = M.generate_concave_mesh(8)
+        moved = M.PolyMesh(mesh.vertices * scale + shift, mesh.cells)
+        ratio = M.compute_quality(mesh).min_kernel_ratio
+        assert ratio == pytest.approx(0.15757, abs=1e-5)
+        assert M.compute_quality(moved).min_kernel_ratio == pytest.approx(ratio, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("mesh", [
+        M.generate_concave_mesh(2),
+        M.generate_voronoi_mesh(30, lloyd_iterations=1, seed=3),
+        M.refine_cells(M.refine_cells(M.generate_distorted_square_mesh(3, 0.3, seed=4), [4]),
+                       [0, 9]),
+    ], ids=["concave", "voronoi", "hanging"])
+    def test_kernel_ratio_is_least_of_the_cells_alone(self, mesh):
+        """The one program of all cells gives each cell its own optimum:
+        the report equals the least report of the cells taken one by one."""
+        alone = [M.compute_quality(M.PolyMesh(mesh.vertices[loop], [range(len(loop))]))
+                 for loop in mesh.cells]
+        least = min(report.min_kernel_ratio for report in alone)
+        assert M.compute_quality(mesh).min_kernel_ratio == pytest.approx(least, rel=1e-12)

@@ -3,7 +3,10 @@ no new defaults."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,14 @@ def test_no_new_defaults():
     most MAX_DEFAULTS of them."""
     total = sum(_defaults(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES)
     assert total <= MAX_DEFAULTS
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """Only the mesh quality report needs ``scipy.optimize``, which it loads
+    itself: importing it with the CLI would raise every solve's peak memory."""
+    src = Path(polyvem.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, polyvem.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
