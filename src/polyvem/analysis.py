@@ -5,12 +5,12 @@ The error quantities are the computable surrogates
     E0h^2 = sum_K || u - P0_k u_h ||_{0,K}^2
     E1h^2 = sum_K || grad u - P0_{k-1} grad u_h ||_{0,K}^2
 
-evaluated with a quadrature rule two orders finer than the one used for
-assembly, mapped onto the triangles the mesh stores for each cell, so the
-measurement error stays well below the discretization error being
-measured.  Errors and indicators run over the mesh's cell groups, each
-group zipped with its dof array: one basis evaluation and one
-exact-solution call per group.
+evaluated with a triangle rule of degree 2k + 4 against assembly's 2k
+(which has degree 4 as its floor), mapped onto the triangles the mesh
+stores for each cell, so the measurement error stays well below the
+discretization error being measured.  Errors and indicators run over the
+mesh's cell groups, each group zipped with its dof array: one basis
+evaluation and one exact-solution call per group.
 
 The adaptive study's uniform ladder starts on the adaptive study's first
 mesh, which is solved once for both histories.
@@ -24,7 +24,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -107,7 +107,7 @@ class ConvergenceRecord:
 
     family: str
     k: int
-    pairs: list[ErrorPair] = field(default_factory=list)
+    pairs: list[ErrorPair]
 
     @property
     def h(self) -> np.ndarray:
@@ -150,8 +150,8 @@ def compute_errors(system: GlobalSystem, u: np.ndarray, t: float) -> ErrorPair:
         grad_coeffs = (group.pi0_grad_star @ ud[:, None])[..., 0]  # (G, 2, nk1)
         grad_h = np.einsum("gqi,gdi->gqd", vals[..., :nk1], grad_coeffs)
 
-        u_e = at_points(problem.u_exact, pts, t)
-        g_e = at_points(problem.grad_u_exact, pts, t)
+        u_e = at_points(problem, "u_exact", pts, t)
+        g_e = at_points(problem, "grad_u_exact", pts, t)
 
         e0_sq += np.sum(w * (u_e - u_h) ** 2)
         e1_sq += np.sum(w[..., None] * (g_e - grad_h) ** 2)
@@ -233,10 +233,10 @@ def run_convergence_sweep(
     problem: SobolevProblem,
     family: str,
     k: int,
-    levels: int = 4,
-    tau: float = 1e-3,
-    t_end: float = 1.0,
-    seed: int = 0,
+    levels: int,
+    tau: float,
+    t_end: float,
+    seed: int,
 ) -> ConvergenceRecord:
     """Solve the problem on ``levels`` nested meshes and collect errors.
 
@@ -286,7 +286,7 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def dorfler_marking(indicators: np.ndarray, theta: float = 0.3) -> np.ndarray:
+def dorfler_marking(indicators: np.ndarray, theta: float) -> np.ndarray:
     """Smallest cell set whose squared indicators carry a theta fraction."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking fraction must lie in (0, 1]")
@@ -320,12 +320,12 @@ def _solve_on_mesh(mesh, k, problem, tau, t_end):
 
 def run_adaptive_study(
     problem: SobolevProblem,
-    k: int = 1,
-    cycles: int = 4,
-    start_n: int = 8,
-    theta: float = 0.3,
-    tau: float = 1e-3,
-    t_end: float = 1.0,
+    k: int,
+    cycles: int,
+    start_n: int,
+    theta: float,
+    tau: float,
+    t_end: float,
 ) -> AdaptiveStudy:
     """Compare uniform square refinement against indicator-driven refinement.
 
@@ -336,7 +336,7 @@ def run_adaptive_study(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
 
-    adaptive = ConvergenceRecord(family="adaptive", k=k)
+    adaptive = ConvergenceRecord(family="adaptive", k=k, pairs=[])
     mesh = generate_distorted_square_mesh(start_n, 0.0, seed=0)
     for cycle in range(cycles):
         system, result, pair = _solve_on_mesh(mesh, k, problem, tau, t_end)

@@ -41,7 +41,9 @@ from .system import TimeStepperConfig, assemble, run_time_loop, write_solution
 
 def _resolve_problem(spec: str) -> SobolevProblem:
     path = Path(spec)
-    if path.suffix == ".py" and path.exists():
+    if path.suffix == ".py":
+        if not path.is_file():
+            raise ValueError(f"problem file {spec} does not exist")
         try:
             namespace = runpy.run_path(spec)
         except Exception as exc:  # name the file's line that raised; a SyntaxError has its own
@@ -178,7 +180,8 @@ def cmd_adaptive(args) -> int:
 
     _plot(outdir / f"{stem}.svg",
           [(r.family, r.active_dofs, r.e0, False) for r in (study.uniform, study.adaptive)],
-          title=f"{problem.name}: E0h vs active dofs", xlabel="active dofs", ylabel="E0h")
+          title=f"{problem.name}: E0h vs active dofs", xlabel="active dofs", ylabel="E0h",
+          slope_guides=())
 
     mesh_path = outdir / f"{stem}-final.mesh"
     write_mesh(mesh_path, study.final_mesh)
@@ -206,38 +209,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solve and report errors")
     p_solve.add_argument("--problem", default="1", help="1|2|3, catalog name, or .py file")
-    p_solve.add_argument("--family", choices=MESH_FAMILIES, default="distorted")
+    p_solve.add_argument("--family", choices=MESH_FAMILIES, default="distorted", help="mesh family")
     _add_mesh_flags(p_solve)
     p_solve.add_argument("--mesh", help="mesh file (overrides family flags)")
-    p_solve.add_argument("--k", type=int, default=1, choices=SUPPORTED_ORDERS)
-    p_solve.add_argument("--tau", type=float, default=1e-3)
-    p_solve.add_argument("--t-end", type=float, default=1.0)
+    p_solve.add_argument("--k", type=int, default=1, choices=SUPPORTED_ORDERS, help="order")
     p_solve.add_argument("-o", "--output", help="output solution file")
     p_solve.set_defaults(func=cmd_solve)
 
     p_conv = sub.add_parser("converge", help="run a convergence sweep")
-    p_conv.add_argument("--problem", default="1")
-    p_conv.add_argument("--family", choices=MESH_FAMILIES, default="voronoi")
+    p_conv.add_argument("--problem", default="1", help="1|2|3, catalog name, or .py file")
+    p_conv.add_argument("--family", choices=MESH_FAMILIES, default="voronoi", help="mesh family")
     p_conv.add_argument("--k", type=int, nargs="+", choices=SUPPORTED_ORDERS,
-                        default=SUPPORTED_ORDERS)
-    p_conv.add_argument("--levels", type=int, default=4)
-    p_conv.add_argument("--tau", type=float, default=1e-3)
-    p_conv.add_argument("--t-end", type=float, default=1.0)
-    p_conv.add_argument("--seed", type=int, default=0)
-    p_conv.add_argument("--outdir", default="results")
+                        default=SUPPORTED_ORDERS, help="orders")
+    p_conv.add_argument("--levels", type=int, default=4, help="refinement levels")
+    p_conv.add_argument("--seed", type=int, default=0, help="random seed of level 0")
     p_conv.add_argument("--no-plot", dest="plot", action="store_false")
     p_conv.set_defaults(func=cmd_converge)
 
     p_adapt = sub.add_parser("adaptive", help="uniform vs adaptive refinement study")
-    p_adapt.add_argument("--problem", default="3")
-    p_adapt.add_argument("--k", type=int, default=1, choices=SUPPORTED_ORDERS)
+    p_adapt.add_argument("--problem", default="3", help="1|2|3, catalog name, or .py file")
+    p_adapt.add_argument("--k", type=int, default=1, choices=SUPPORTED_ORDERS, help="order")
     p_adapt.add_argument("--levels", type=int, default=4, help="refinement cycles")
-    p_adapt.add_argument("--start-n", type=int, default=8)
-    p_adapt.add_argument("--theta", type=float, default=0.3)
-    p_adapt.add_argument("--tau", type=float, default=1e-3)
-    p_adapt.add_argument("--t-end", type=float, default=1.0)
-    p_adapt.add_argument("--outdir", default="results")
+    p_adapt.add_argument("--start-n", type=int, default=8, help="grid resolution of the first mesh")
+    p_adapt.add_argument("--theta", type=float, default=0.3, help="Doerfler marking fraction")
     p_adapt.set_defaults(func=cmd_adaptive)
+
+    for p_run in (p_solve, p_conv, p_adapt):
+        p_run.add_argument("--tau", type=float, default=1e-3, help="time step")
+        p_run.add_argument("--t-end", type=float, default=1.0, help="end time T")
+    for p_run in (p_conv, p_adapt):
+        p_run.add_argument("--outdir", default="results", help="output directory")
+    for p_any in (p_mesh, p_solve, p_conv, p_adapt):  # each option's help shows its default
+        p_any.formatter_class = argparse.ArgumentDefaultsHelpFormatter
 
     return parser
 

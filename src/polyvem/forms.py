@@ -94,7 +94,7 @@ def _sample(problem, name: str, points: np.ndarray) -> np.ndarray:
     before any form uses it: a value that is not finite, or an mu or eps
     that is not positive definite, raises a ``CoefficientError`` naming
     the field and the first bad point."""
-    values = at_points(getattr(problem, name), points)
+    values = at_points(problem, name, points)
     xy = points.reshape(-1, 2)
     rows = values.reshape(len(xy), -1)
     bad, what = ~np.isfinite(rows).all(axis=1), "finite"
@@ -199,7 +199,7 @@ def initial_projection_load(element: LocalElement, problem) -> np.ndarray:
     """(G, N) stack of the local right-hand sides (mu grad u0, pi0 grad phi_i)
     of the initial elliptic projection under m2, on the forms' rule."""
     pts, w = element.quad_points, element.quad_weights
-    flux = (_sample(problem, "mu", pts) @ at_points(problem.grad_u0, pts)[..., None])[..., 0]
+    flux = (_sample(problem, "mu", pts) @ _sample(problem, "grad_u0", pts)[..., None])[..., 0]
     vk1 = element.monomial_values[..., : polynomial_dimension(element.k - 1)]
     moments = _weighted_mass(flux, w, vk1)  # (mu grad u0, m_i e_c), (G, 2, nk1)
     return np.einsum("gcin,gci->gn", element.pi0_grad_star, moments)

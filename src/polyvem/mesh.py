@@ -394,7 +394,7 @@ def compute_quality(mesh: PolyMesh) -> MeshQualityReport:
 # ---------------------------------------------------------------------------
 
 
-def generate_distorted_square_mesh(n: int, distortion: float = 0.3, seed: int = 0) -> PolyMesh:
+def generate_distorted_square_mesh(n: int, distortion: float, seed: int) -> PolyMesh:
     """n x n quadrilateral mesh of [0,1]^2 with randomly perturbed vertices.
 
     Interior vertices move by uniform offsets in [-a, a] per coordinate,
@@ -496,7 +496,7 @@ def _compact_mesh(coords: np.ndarray, loops: list[np.ndarray]) -> PolyMesh:
     return PolyMesh(coords[used], np.split(number, np.cumsum([len(c) for c in new_loops])[:-1]))
 
 
-def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> PolyMesh:
+def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int) -> PolyMesh:
     """Clipped Voronoi mesh of explicit seed points in (0,1)^2.  Seeds within
     ``_SNAP`` of each other are spread apart; a ``MeshError`` of the build
     after that names the coincident seed indices."""
@@ -535,7 +535,7 @@ def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int = 0) -> Pol
 SEED_JITTER = 0.35
 
 
-def generate_voronoi_mesh(n_seeds: int, lloyd_iterations: int = 3, seed: int = 0) -> PolyMesh:
+def generate_voronoi_mesh(n_seeds: int, lloyd_iterations: int, seed: int) -> PolyMesh:
     """Voronoi mesh of [0,1]^2 from jittered hexagonal-row seeds,
     optionally Lloyd-relaxed.  All cells are convex.
 

@@ -21,6 +21,9 @@ initial value ``u0``.  The built-in problems carry their exact solution
 All callables are vectorized over point arrays; time enters only through
 ``f``, ``dirichlet`` and the exact solution.  The first two must broadcast
 over t: given (n, 1) columns x, y and a (1, B) row t, they return (n, 1) or (n, B).
+Every other field, at n points, gives (n,) values, or (n, 2) or (n, 2, 2)
+as ``VALUE_SHAPES`` lists; a scalar field may give one value for all
+points.  ``field_values`` checks that where the package samples a field.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "SobolevProblem",
+    "field_values",
     "isotropic",
     "constant_matrix",
     "constant_vector",
@@ -40,6 +44,23 @@ __all__ = [
     "polynomial_patch",
     "quadratic_time",
 ]
+
+
+#: Shape of one value of each field that is not scalar.
+VALUE_SHAPES = {"mu": (2, 2), "eps": (2, 2), "beta": (2,), "grad_u0": (2,), "grad_u_exact": (2,)}
+
+
+def field_values(name: str, values, lead: tuple) -> np.ndarray:
+    """Values of field ``name`` at points whose x and y have shape ``lead``,
+    broadcast to lead + ``VALUE_SHAPES`` of the field (one value of a scalar
+    field stands for all points); any other shape raises a ``ValueError``."""
+    values = np.asarray(values, dtype=float)
+    shape = (*lead, *VALUE_SHAPES.get(name, ()))
+    if values.shape != shape and (values.ndim or shape != lead):
+        want = f"{shape} or ()" if shape == lead else f"{shape}"
+        raise ValueError(f"problem.{name} must give shape {want} for x and y of shape {lead}, "
+                         f"got {values.shape}")
+    return np.broadcast_to(values, shape)
 
 
 @dataclass(frozen=True)
@@ -61,9 +82,8 @@ class SobolevProblem:
 
     def sigma(self, x, y):
         """Reaction seen by the symmetric part: gamma - div(beta)/2."""
-        return np.asarray(self.gamma(x, y), dtype=float) - 0.5 * np.asarray(
-            self.div_beta(x, y), dtype=float
-        )
+        gamma = field_values("gamma", self.gamma(x, y), np.shape(x))
+        return gamma - 0.5 * field_values("div_beta", self.div_beta(x, y), np.shape(x))
 
 
 def isotropic(scalar: Callable) -> Callable:

@@ -44,7 +44,6 @@ import numpy as np
 
 from .mesh import CellGeometry
 from .quadrature import (
-    at_points,
     gauss_lobatto,
     lobatto_edge_points,
     map_to_triangle,
@@ -316,10 +315,13 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
 def interpolate(element: LocalElement, fn) -> np.ndarray:
     """(G, N) dof vectors of a smooth function on the cells of a group:
     point values plus scaled moments."""
+    def at(points):  # fn at points stacked as (G, m, 2), called once
+        return np.asarray(fn(*points.reshape(-1, 2).T), dtype=float).reshape(points.shape[:-1])
+
     pts = element.boundary_dof_points
     dofs = np.zeros((len(pts), element.num_dofs))
-    dofs[:, : pts.shape[1]] = at_points(fn, pts)
-    weighted = element.quad_weights * at_points(fn, element.quad_points)
+    dofs[:, : pts.shape[1]] = at(pts)
+    weighted = element.quad_weights * at(element.quad_points)
     moments = weighted[:, None, :] @ element.monomial_values[..., : element.layout.num_moments]
     dofs[:, element.layout.moment_offset :] = moments[:, 0] / element.geom.area[:, None]
     return dofs

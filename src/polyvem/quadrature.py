@@ -23,6 +23,7 @@ import numpy as np
 from numpy.polynomial import legendre as _leg
 
 from .mesh import triangle_areas
+from .problems import field_values
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +114,12 @@ def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
     return pts.reshape(*lead, -1, 2), (area[..., None] * rule.weights).reshape(*lead, -1)
 
 
-def at_points(fn, points: np.ndarray, *args) -> np.ndarray:
-    """``fn(x, y, *args)`` at points stacked as (..., 2), called once on the
-    flat coordinates; the values keep the points' leading shape."""
+def at_points(problem, name: str, points: np.ndarray, *args) -> np.ndarray:
+    """Field ``name`` of the problem at points stacked as (..., 2), called
+    once on the flat coordinates and checked by ``problems.field_values``;
+    the values keep the points' leading shape."""
     x, y = points.reshape(-1, 2).T
-    values = np.asarray(fn(x, y, *args), dtype=float)
+    values = field_values(name, getattr(problem, name)(x, y, *args), x.shape)
     return values.reshape(points.shape[:-1] + values.shape[1:])
 
 

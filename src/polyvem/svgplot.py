@@ -40,7 +40,7 @@ class Curve:
     label: str
     x: tuple
     y: tuple
-    dashed: bool = False
+    dashed: bool
 
     def __post_init__(self):
         if len(self.x) != len(self.y) or len(self.x) == 0:
@@ -57,14 +57,7 @@ def _decades(lo: float, hi: float) -> list[int]:
     return list(range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1))
 
 
-def loglog_svg(
-    curves,
-    *,
-    title: str = "",
-    xlabel: str = "h",
-    ylabel: str = "error",
-    slope_guides: tuple = (),
-) -> str:
+def loglog_svg(curves, *, title: str, xlabel: str, ylabel: str, slope_guides: tuple) -> str:
     """Render curves into an SVG document string.
 
     slope_guides draws, for each slope s, a reference triangle whose legs

@@ -55,7 +55,7 @@ from .projectors import (
     interpolate,
     polynomial_dimension,
 )
-from .quadrature import lobatto_edge_points
+from .quadrature import at_points, lobatto_edge_points
 from .textfile import LineReader, read_text, write_text
 
 __all__ = [
@@ -225,12 +225,11 @@ def _sample_in_time(name: str, fn, pts: np.ndarray, times: np.ndarray) -> np.nda
     return np.broadcast_to(values, (n, b))
 
 
-def dirichlet_values(system: GlobalSystem, t: float | np.ndarray) -> np.ndarray:
-    """Dirichlet data at the boundary dofs (all geometric): (n,) at a time t,
-    (n, B) at a 1-D array of B times."""
+def dirichlet_values(system: GlobalSystem, times: np.ndarray) -> np.ndarray:
+    """Dirichlet data at the boundary dofs (all geometric), (n, B) at a 1-D
+    array of B times."""
     pts = system.dofmap.dof_points[system.dofmap.boundary]  # boundary dofs are never moments
-    values = _sample_in_time("dirichlet", system.problem.dirichlet, pts, np.atleast_1d(t))
-    return values if np.ndim(t) else values[:, 0]
+    return _sample_in_time("dirichlet", system.problem.dirichlet, pts, times)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +312,25 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
     (with a logged notice) when the initial gradient is unavailable.
     """
     problem = system.problem
+
+    def u0(x, y):  # checked: a wrong shape or a value that is not finite names the field
+        values = at_points(problem, "u0", np.column_stack([x, y]))
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"problem.u0 is not finite at ({x[bad][0]:.4g}, {y[bad][0]:.4g})")
+        return values
+
     if getattr(problem, "grad_u0", None) is None:
         logger.info(
             "initial gradient not supplied; falling back to dof interpolation of u0"
         )
-        return interpolate_global(system, problem.u0)
+        return interpolate_global(system, u0)
 
     dofmap = system.dofmap
     u = np.zeros(system.size)
     bdry = dofmap.boundary
     bpts = dofmap.dof_points[bdry]
-    u[bdry] = problem.u0(bpts[:, 0], bpts[:, 1])
+    u[bdry] = u0(bpts[:, 0], bpts[:, 1])
 
     rhs = np.zeros(system.size)
     for group, gdofs in zip(system.groups, dofmap.groups):
@@ -344,7 +351,7 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
 @dataclass(frozen=True)
 class TimeStepperConfig:
     tau: float
-    t_end: float = 1.0
+    t_end: float
 
     def num_steps(self) -> int:
         for name, value in (("tau", self.tau), ("t_end", self.t_end)):

@@ -31,7 +31,7 @@ def sweep_cache():
             expected = pytest.warns(CoefficientWarning) if problem in NEGATIVE_SIGMA else nullcontext()
             with expected:
                 _CACHE[key] = run_convergence_sweep(
-                    get_problem(problem), family, k, levels=levels, tau=tau, seed=seed
+                    get_problem(problem), family, k, levels=levels, tau=tau, t_end=1.0, seed=seed
                 )
         return _CACHE[key]
 

@@ -330,7 +330,7 @@ def test_criterion_09_adaptive_beats_uniform():
     with _report(9):
         start = time.perf_counter()
         study = run_adaptive_study(
-            get_problem("gaussian"), k=1, cycles=5, start_n=8, theta=0.3, tau=1e-3
+            get_problem("gaussian"), k=1, cycles=5, start_n=8, theta=0.3, tau=1e-3, t_end=1.0
         )
         matched = matched_dof_comparison(study)
         assert len(matched) >= 3, "too few matched active-dof points"

@@ -80,7 +80,7 @@ class TestErrorPair:
             ErrorPair(h=0.1, e0=0.0, e1=bad, num_dofs=9, num_active=1)
 
     def test_record_arrays(self):
-        rec = ConvergenceRecord(family="f", k=2)
+        rec = ConvergenceRecord(family="f", k=2, pairs=[])
         rec.pairs.append(ErrorPair(h=0.5, e0=1.0, e1=2.0, num_dofs=10, num_active=4))
         rec.pairs.append(ErrorPair(h=0.25, e0=0.25, e1=1.0, num_dofs=30, num_active=20))
         assert np.allclose(rec.h, [0.5, 0.25])
@@ -446,7 +446,7 @@ class TestDorflerMarking:
         assert eta_sq[rest].sum() < 0.5 * eta_sq.sum()
 
     def test_zero_indicators_mark_nothing(self):
-        assert dorfler_marking(np.zeros(5)).size == 0
+        assert dorfler_marking(np.zeros(5), theta=0.3).size == 0
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5])
     def test_invalid_theta(self, theta):
@@ -460,7 +460,7 @@ class TestDorflerMarking:
 
 
 def _make_record(hs, e0s, e1s, k=1, seconds=0.0):
-    rec = ConvergenceRecord(family="f", k=k)
+    rec = ConvergenceRecord(family="f", k=k, pairs=[])
     for h, e0, e1 in zip(hs, e0s, e1s):
         rec.pairs.append(
             ErrorPair(h=h, e0=e0, e1=e1, num_dofs=10, num_active=5, seconds=seconds)
@@ -510,7 +510,7 @@ class TestCsvOutput:
 class TestMatchedDofComparison:
     def _study(self, uniform_pts, adaptive_pts):
         def rec(family, pts):
-            r = ConvergenceRecord(family=family, k=1)
+            r = ConvergenceRecord(family=family, k=1, pairs=[])
             for n, e in pts:
                 r.pairs.append(
                     ErrorPair(h=0.1, e0=e, e1=e, num_dofs=n, num_active=n)
@@ -552,7 +552,7 @@ class TestSweeps:
         """A short real sweep on the patch problem: every level reports
         machine-size errors, and the record carries coherent metadata."""
         rec = run_convergence_sweep(
-            polynomial_patch(1), "distorted", 1, levels=2, tau=0.25
+            polynomial_patch(1), "distorted", 1, levels=2, tau=0.25, t_end=1.0, seed=0
         )
         assert rec.k == 1 and rec.family == "distorted"
         assert len(rec.pairs) == 2
@@ -562,19 +562,23 @@ class TestSweeps:
 
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError, match="levels"):
-            run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=0)
+            run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=0, tau=1e-3,
+                                  t_end=1.0, seed=0)
 
     def test_non_integer_thread_count_named(self, monkeypatch):
         monkeypatch.setenv("POLYVEM_THREADS", "two")
         with pytest.raises(ValueError, match="^POLYVEM_THREADS must be an integer, got 'two'$"):
-            run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=1)
+            run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=1, tau=1e-3,
+                                  t_end=1.0, seed=0)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         problem = polynomial_patch(2)
         monkeypatch.setenv("POLYVEM_THREADS", "1")
-        serial = run_convergence_sweep(problem, "distorted", 2, levels=2, tau=0.5)
+        serial = run_convergence_sweep(problem, "distorted", 2, levels=2, tau=0.5, t_end=1.0,
+                                      seed=0)
         monkeypatch.setenv("POLYVEM_THREADS", "2")
-        threaded = run_convergence_sweep(problem, "distorted", 2, levels=2, tau=0.5)
+        threaded = run_convergence_sweep(problem, "distorted", 2, levels=2, tau=0.5, t_end=1.0,
+                                      seed=0)
         assert np.array_equal(serial.h, threaded.h)
         assert np.array_equal(serial.e0, threaded.e0)
         assert np.array_equal(serial.e1, threaded.e1)
@@ -620,7 +624,7 @@ class TestSweeps:
 @pytest.fixture(scope="module")
 def quick_adaptive_study():
     return run_adaptive_study(
-        get_problem("gaussian"), k=1, cycles=4, start_n=8, theta=0.3, tau=0.1
+        get_problem("gaussian"), k=1, cycles=4, start_n=8, theta=0.3, tau=0.1, t_end=1.0
     )
 
 
@@ -658,7 +662,8 @@ class TestAdaptiveStudy:
 
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError, match="cycles"):
-            run_adaptive_study(get_problem("gaussian"), cycles=0)
+            run_adaptive_study(get_problem("gaussian"), k=1, cycles=0, start_n=8, theta=0.3,
+                               tau=1e-3, t_end=1.0)
 
     def test_first_mesh_is_solved_once(self, monkeypatch):
         """The uniform ladder starts from adaptive cycle 0: one assembly
@@ -670,7 +675,8 @@ class TestAdaptiveStudy:
             return assemble(*args)
 
         monkeypatch.setattr(A, "assemble", counting_assemble)
-        study = run_adaptive_study(get_problem("gaussian"), k=1, cycles=3, tau=0.5)
+        study = run_adaptive_study(get_problem("gaussian"), k=1, cycles=3, start_n=8, theta=0.3,
+                                   tau=0.5, t_end=1.0)
         assert len(study.uniform.pairs) >= 2
         assert len(calls) == 3 + len(study.uniform.pairs) - 1
         first, start = study.uniform.pairs[0], study.adaptive.pairs[0]

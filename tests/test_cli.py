@@ -225,6 +225,14 @@ class TestSolveCommand:
         assert err.startswith("error: ValueError:")
         assert "nope" in err
 
+    def test_missing_problem_file_is_named(self, tmp_path, capsys, monkeypatch):
+        absent = tmp_path / "no" / "such.py"
+        monkeypatch.setattr(cli, "assemble", _no_solve)
+        assert main(["solve", "--problem", str(absent)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ValueError: problem file {absent} does not exist\n"
+        assert captured.out == ""
+
     def test_missing_mesh_file_fails_cleanly(self, tmp_path, capsys):
         argv = ["solve", "--problem", "1", "--mesh", str(tmp_path / "absent.mesh")]
         assert main(argv) == 1
@@ -490,6 +498,30 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", "--k", "4"])
         assert excinfo.value.code == 2
+
+    MESH_FLAGS = {"n": 8, "distortion": 0.3, "seeds": 64, "lloyd": 3, "seed": 0}
+    TIME_FLAGS = {"tau": 1e-3, "t_end": 1.0}
+
+    @pytest.mark.parametrize("argv, numbers", [
+        (["mesh", "voronoi"], MESH_FLAGS),
+        (["solve"], {**MESH_FLAGS, **TIME_FLAGS, "k": 1}),
+        (["converge"], {**TIME_FLAGS, "k": (1, 2, 3), "levels": 4, "seed": 0}),
+        (["adaptive"], {**TIME_FLAGS, "k": 1, "levels": 4, "start_n": 8, "theta": 0.3}),
+    ], ids=["mesh", "solve", "converge", "adaptive"])
+    def test_numeric_defaults(self, argv, numbers):
+        """The parser is the one place a run's numbers default: pin each
+        one of every subcommand given only its required arguments."""
+        args = vars(build_parser().parse_args(argv))
+        numeric = {name: value for name, value in args.items()
+                   if isinstance(value, (int, float, tuple)) and not isinstance(value, bool)}
+        assert numeric == numbers
+
+    @pytest.mark.parametrize("command", ["solve", "converge", "adaptive"])
+    def test_help_shows_run_defaults(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "time step (default: 0.001)" in text and "end time T (default: 1.0)" in text
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "tiny.mesh"

@@ -151,7 +151,7 @@ class TestPolyMeshBasics:
 
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_grid_accepted_at_any_scale(self, scale):
-        mesh = M.generate_distorted_square_mesh(2, 0.0)
+        mesh = M.generate_distorted_square_mesh(2, 0.0, seed=0)
         scaled = M.PolyMesh(mesh.vertices * scale, mesh.cells)
         assert total_area(scaled) == pytest.approx(scale**2, rel=1e-14)
 
@@ -206,7 +206,7 @@ class TestDistortedFamily:
         validity check.  Rounding the coordinates, all in [0, 1], can take
         a few eps off a side: at n = 40 and 0.4999 a cell whose corners all
         point inward is a square of side 5e-6 that comes out 3.7e-11 small."""
-        grid = M.generate_distorted_square_mesh(n, 0.0)
+        grid = M.generate_distorted_square_mesh(n, 0.0, seed=0)
         interior = (grid.vertices > 0.0) & (grid.vertices < 1.0)
         signs = np.random.default_rng(n).choice([-1.0, 1.0], size=grid.vertices.shape)
         mesh = M.PolyMesh(grid.vertices + interior * signs * distortion / n, grid.cells)
@@ -218,9 +218,9 @@ class TestDistortedFamily:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            M.generate_distorted_square_mesh(1, 0.3)
+            M.generate_distorted_square_mesh(1, 0.3, seed=0)
         with pytest.raises(ValueError):
-            M.generate_distorted_square_mesh(4, 0.5)
+            M.generate_distorted_square_mesh(4, 0.5, seed=0)
 
 
 class TestVoronoiFamily:
@@ -248,7 +248,7 @@ class TestVoronoiFamily:
 
     def test_negative_lloyd_iterations_rejected(self):
         with pytest.raises(ValueError, match="lloyd_iterations must be >= 0, got -3"):
-            M.generate_voronoi_mesh(16, lloyd_iterations=-3)
+            M.generate_voronoi_mesh(16, lloyd_iterations=-3, seed=0)
 
     def test_lloyd_reduces_spread(self):
         rough = M.generate_voronoi_mesh(49, lloyd_iterations=0, seed=2)
@@ -264,7 +264,7 @@ class TestVoronoiFamily:
         """A repeated seed is nudged along the diagonal, so the Voronoi
         edge between the two copies splits their quadrant on the anti-diagonal."""
         quadrants = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
-        mesh = M.voronoi_mesh_from_seeds(np.array(quadrants + [(0.75, 0.75)]))
+        mesh = M.voronoi_mesh_from_seeds(np.array(quadrants + [(0.75, 0.75)]), lloyd_iterations=0)
         areas = sorted(mesh.cell_geometry(i).area for i in range(mesh.num_cells))
         np.testing.assert_allclose(areas, [0.125, 0.125, 0.25, 0.25, 0.25], atol=1e-8)
 
@@ -275,7 +275,7 @@ class TestVoronoiFamily:
     def test_many_coincident_seeds_get_one_cell_each(self, seeds):
         """Three or more copies of a point are spread in distinct directions,
         so each gets a convex cell of its own instead of a winding error."""
-        mesh = M.voronoi_mesh_from_seeds(np.array(seeds))
+        mesh = M.voronoi_mesh_from_seeds(np.array(seeds), lloyd_iterations=0)
         assert mesh.num_cells == 6
         assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
         for group in mesh.cell_groups:
@@ -295,7 +295,7 @@ class TestVoronoiFamily:
         seeds = np.vstack([np.random.default_rng(1).uniform(0.1, 0.9, (20, 2)), extra])
         names = ", ".join(str(i) for i in range(20, 20 + len(extra)))
         with pytest.raises(M.MeshError, match=rf"^coincident seeds \({names}\) ") as info:
-            M.voronoi_mesh_from_seeds(seeds)
+            M.voronoi_mesh_from_seeds(seeds, lloyd_iterations=0)
         assert isinstance(info.value.__cause__, M.MeshError)
 
     def test_determinism(self):
@@ -342,7 +342,7 @@ class TestVoronoiMirroring:
 
     def test_clustered_seeds_fall_back_to_full_mirroring(self, monkeypatch):
         cluster = 0.4 + 0.2 * np.random.default_rng(0).random((40, 2))
-        mesh, seeds, calls = self.build(monkeypatch, lambda: M.voronoi_mesh_from_seeds(cluster))
+        mesh, seeds, calls = self.build(monkeypatch, lambda: M.voronoi_mesh_from_seeds(cluster, 0))
         self.assert_voronoi_partition(mesh, seeds)
         assert calls == 2  # no seed lies near a side: the band diagram is unbounded
         np.testing.assert_array_equal(seeds, cluster)

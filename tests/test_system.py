@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyvem.system as system_module
-from polyvem.analysis import error_indicators
-from polyvem.forms import CoefficientWarning, build_local_forms
+from polyvem.analysis import compute_errors, error_indicators
+from polyvem.forms import CoefficientError, CoefficientWarning, build_local_forms
 from polyvem.projectors import build_element, polynomial_dimension
 from polyvem.mesh import (
     PolyMesh,
@@ -144,7 +144,7 @@ class TestDofMap:
         assert len(dm.active) == 3
 
     def test_vertex_dof_points_are_vertices(self):
-        mesh = generate_voronoi_mesh(9, seed=3)
+        mesh = generate_voronoi_mesh(9, lloyd_iterations=3, seed=3)
         dm = build_dof_map(mesh, 2)
         assert np.array_equal(dm.dof_points[: mesh.num_vertices], mesh.vertices)
 
@@ -152,7 +152,7 @@ class TestDofMap:
     def test_cell_dofs_match_local_boundary_points(self, k):
         """Global dof ordering must agree with each cell's local traversal,
         including interior edge points seen from both orientations."""
-        mesh = generate_voronoi_mesh(16, seed=5)
+        mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=5)
         system = assemble(mesh, k, ZERO_PROBLEM)
         dm = system.dofmap
 
@@ -173,7 +173,7 @@ class TestDofMap:
 
 
 GROUP_MESHES = {
-    "voronoi": lambda: generate_voronoi_mesh(30, seed=4),
+    "voronoi": lambda: generate_voronoi_mesh(30, lloyd_iterations=3, seed=4),
     "hanging": lambda: refine_cells(generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10]),
     "concave": lambda: generate_concave_mesh(2),
 }
@@ -243,7 +243,7 @@ class TestAssembly:
             assert np.allclose(getattr(system, name).toarray(), ref, atol=1e-13), name
 
     def test_global_convection_skew(self):
-        mesh = generate_voronoi_mesh(25, seed=1)
+        mesh = generate_voronoi_mesh(25, lloyd_iterations=3, seed=1)
         with pytest.warns(CoefficientWarning):
             system = assemble(mesh, 2, get_problem("variable"))
         b = system.b.toarray()
@@ -267,7 +267,7 @@ class TestAssembly:
             return wrapped
 
         wrapped = dataclasses.replace(problem, **{name: spy(name) for name in seen})
-        mesh = generate_voronoi_mesh(16, seed=2)
+        mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             system = assemble(mesh, 2, wrapped)
@@ -308,7 +308,7 @@ class TestAssembly:
 
         problem = dataclasses.replace(VARIABLE_FROM_WAVE, **{n: spy(n) for n in callers})
         with pytest.warns(CoefficientWarning):
-            system = assemble(generate_voronoi_mesh(16, seed=2), 2, problem)
+            system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=2), 2, problem)
         calls = {name: len(seen) for name, seen in callers.items()}
         result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=0.5))
         assert len(callers["mu"]) > calls["mu"]  # the projection sampled mu
@@ -319,7 +319,7 @@ class TestAssembly:
             assert seen and {module for module, _ in seen} == {"polyvem.forms"}, (name, seen)
 
     def test_mass_operator_is_positive_definite(self):
-        mesh = generate_voronoi_mesh(16, seed=2)
+        mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=2)
         with pytest.warns(CoefficientWarning):
             system = assemble(mesh, 2, get_problem("variable"))
         g = (system.m1 + system.m2).toarray()
@@ -476,7 +476,7 @@ class TestProjectInitial:
             return g
 
         problem = _laplace_problem(u0, grad_u0)
-        mesh = generate_voronoi_mesh(16, seed=4)
+        mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=4)
         system = assemble(mesh, 1, problem)
         u = project_initial(system)
         u_interp = interpolate_global(system, u0)
@@ -488,7 +488,7 @@ class TestProjectInitial:
         on the forms' rule, with the trace of u0 on the boundary."""
         problem = VARIABLE_FROM_WAVE
         with pytest.warns(CoefficientWarning):
-            system = assemble(generate_voronoi_mesh(16, seed=4), 3, problem)
+            system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=4), 3, problem)
         dm = system.dofmap
         rhs = np.zeros(system.size)
         for ci, el in enumerate(system.elements):
@@ -526,10 +526,10 @@ class TestProjectInitial:
 
 class TestTimeStepper:
     def test_config_validation(self):
-        assert TimeStepperConfig(tau=1e-3).num_steps() == 1000
+        assert TimeStepperConfig(tau=1e-3, t_end=1.0).num_steps() == 1000
         assert TimeStepperConfig(tau=0.1, t_end=1.0).num_steps() == 10
         with pytest.raises(ValueError, match="positive"):
-            TimeStepperConfig(tau=0.0).num_steps()
+            TimeStepperConfig(tau=0.0, t_end=1.0).num_steps()
         with pytest.raises(ValueError, match="integer"):
             TimeStepperConfig(tau=0.3, t_end=1.0).num_steps()
         for t_end in (-1.0, 0.0):
@@ -548,7 +548,7 @@ class TestTimeStepper:
     def test_zero_problem_stays_zero(self):
         mesh = generate_distorted_square_mesh(3, 0.2, seed=2)
         system = assemble(mesh, 2, ZERO_PROBLEM)
-        result = run_time_loop(system, TimeStepperConfig(tau=0.1))
+        result = run_time_loop(system, TimeStepperConfig(tau=0.1, t_end=1.0))
         assert result.t == pytest.approx(1.0, abs=1e-14)
         assert np.all(result.u == 0.0)
 
@@ -559,7 +559,7 @@ class TestTimeStepper:
         problem = polynomial_patch(k)
         mesh = generate_distorted_square_mesh(4, 0.3, seed=0)
         system = assemble(mesh, k, problem)
-        result = run_time_loop(system, TimeStepperConfig(tau=0.1))
+        result = run_time_loop(system, TimeStepperConfig(tau=0.1, t_end=1.0))
 
         def exact(x, y):
             return problem.u_exact(x, y, 1.0)
@@ -571,14 +571,14 @@ class TestTimeStepper:
         mesh = generate_distorted_square_mesh(3, 0.2, seed=5)
         with pytest.warns(CoefficientWarning):
             system = assemble(mesh, 2, get_problem("variable"))
-        result = run_time_loop(system, TimeStepperConfig(tau=0.25))
+        result = run_time_loop(system, TimeStepperConfig(tau=0.25, t_end=1.0))
         bdry = system.dofmap.boundary
-        assert np.array_equal(result.u[bdry], dirichlet_values(system, 1.0))
+        assert np.array_equal(result.u[bdry], dirichlet_values(system, np.array([1.0]))[:, 0])
 
     def test_single_step_matches_direct_solve(self):
         """One pass through the loop reproduces an independently assembled
         backward-Euler step, confirming the cached factorization path."""
-        mesh = generate_voronoi_mesh(16, seed=6)
+        mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=6)
         problem = get_problem("variable")
         with pytest.warns(CoefficientWarning):
             system = assemble(mesh, 2, problem)
@@ -590,7 +590,7 @@ class TestTimeStepper:
         u0 = project_initial(system)
         g_mat = (system.m1 + system.m2).tocsr()
         lhs = (g_mat + tau * (system.a + system.b)).tocsr()
-        g_b = dirichlet_values(system, tau)
+        g_b = dirichlet_values(system, np.array([tau]))[:, 0]
         qp = system.quad_points
         load = system.load_map @ problem.f(qp[:, 0], qp[:, 1], tau)
         rhs = (g_mat @ u0)[act] + tau * load[act]
@@ -628,10 +628,10 @@ class TestTimeStepper:
 
     def test_bitwise_determinism(self):
         def run():
-            mesh = generate_voronoi_mesh(16, seed=9)
+            mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=9)
             with pytest.warns(CoefficientWarning):
                 system = assemble(mesh, 2, get_problem("variable"))
-            return run_time_loop(system, TimeStepperConfig(tau=0.1)).u
+            return run_time_loop(system, TimeStepperConfig(tau=0.1, t_end=1.0)).u
 
         assert np.array_equal(run(), run())
 
@@ -692,7 +692,7 @@ class TestBlockedTimeLoop:
             calls.append(np.shape(t))
             return f(x, y, t)
 
-        config = TimeStepperConfig(tau=0.1)
+        config = TimeStepperConfig(tau=0.1, t_end=1.0)
         want = _per_step_loop(system, config)
         system.problem = dataclasses.replace(system.problem, f=counted)
         got = run_time_loop(system, config).u
@@ -718,16 +718,91 @@ class TestBlockedTimeLoop:
                                              rf"got \({n},\)$"):
             run_time_loop(system, TimeStepperConfig(tau=0.1, t_end=0.1 * steps))
 
-    def test_dirichlet_values_scalar_and_block(self):
+    def test_dirichlet_values_block_matches_one_time_blocks(self):
         system = assemble(generate_distorted_square_mesh(3, 0.2, seed=5), 2,
                           get_problem("convection"))
         times = np.arange(1, 4) * 0.25
         block = dirichlet_values(system, times)
         assert block.shape == (len(system.dofmap.boundary), 3)
         for j, t in enumerate(times):
-            trace = dirichlet_values(system, t)
-            assert trace.shape == (len(system.dofmap.boundary),)
-            assert trace.tobytes() == np.ascontiguousarray(block[:, j]).tobytes()
+            one = dirichlet_values(system, np.array([t]))
+            assert one.shape == (len(system.dofmap.boundary), 1)
+            assert one[:, 0].tobytes() == np.ascontiguousarray(block[:, j]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# problem fields
+# ---------------------------------------------------------------------------
+
+
+def _solve_and_measure(problem):
+    """Assemble, step and measure the errors on a small distorted mesh."""
+    system = assemble(generate_distorted_square_mesh(3, 0.2, seed=0), 1, problem)
+    result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=0.5))
+    return result.u, compute_errors(system, result.u, result.t)
+
+
+def _ones(*tail):
+    return lambda x, y, *t: np.ones(np.shape(x) + tail)
+
+
+_GAUSSIAN = get_problem("gaussian")
+
+
+class TestProblemFieldShapes:
+    """A field of the wrong shape is refused where the package samples it,
+    with a ``ValueError`` that names the field, the shape it must give and
+    the shape it gave."""
+
+    @pytest.mark.parametrize("field, value, want, got", [
+        ("mu", _ones(), r"\(N, 2, 2\)", r"\(N,\)"),
+        ("eps", _ones(2), r"\(N, 2, 2\)", r"\(N, 2\)"),
+        ("beta", _ones(), r"\(N, 2\)", r"\(N,\)"),
+        ("beta", _ones(2, 2), r"\(N, 2\)", r"\(N, 2, 2\)"),
+        ("gamma", _ones(2), r"\(N,\) or \(\)", r"\(N, 2\)"),
+        ("div_beta", _ones(1), r"\(N,\) or \(\)", r"\(N, 1\)"),
+        ("grad_u0", _ones(), r"\(N, 2\)", r"\(N,\)"),
+        ("grad_u0", _ones(3), r"\(N, 2\)", r"\(N, 3\)"),
+        ("u0", _ones(1), r"\(N,\) or \(\)", r"\(N, 1\)"),
+        ("u_exact", lambda x, y, t: _GAUSSIAN.u_exact(x, y, t)[:, None], r"\(N,\) or \(\)",
+         r"\(N, 1\)"),
+        ("grad_u_exact", lambda x, y, t: _GAUSSIAN.grad_u_exact(x, y, t)[:, None],
+         r"\(N, 2\)", r"\(N, 1, 2\)"),
+    ], ids=["mu-n", "eps-n2", "beta-n", "beta-n22", "gamma-n2", "div_beta-n1", "grad_u0-n",
+            "grad_u0-n3", "u0-n1", "u_exact-n1", "grad_u_exact-n12"])
+    def test_wrong_shape_is_named(self, field, value, want, got):
+        problem = dataclasses.replace(_GAUSSIAN, **{field: value})
+        n = r"(\d+)"
+        message = (rf"^problem\.{field} must give shape {want} for x and y of shape \(N,\), "
+                   rf"got {got}$").replace("N", n, 1).replace("N", r"\1")
+        with pytest.raises(ValueError, match=message):
+            _solve_and_measure(problem)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("grad_u0", lambda x, y: np.full(np.shape(x) + (2,), np.nan), CoefficientError),
+        ("u0", lambda x, y: np.full(np.shape(x), np.nan), ValueError),
+    ], ids=["grad_u0", "u0"])
+    def test_non_finite_initial_datum_is_named(self, field, value, error):
+        problem = dataclasses.replace(_GAUSSIAN, **{field: value})
+        with pytest.raises(error, match=rf"^(problem\.)?{field} is not finite at \(\S+, \S+\)$"):
+            _solve_and_measure(problem)
+
+    @pytest.mark.parametrize("value, message", [
+        (_ones(1), r"^problem\.u0 must give shape \((\d+),\) or \(\) for x and y of shape "
+                   r"\(\1,\), got \(\1, 1\)$"),
+        (lambda x, y: np.full(np.shape(x), np.nan), r"^problem\.u0 is not finite at \(\S+, \S+\)$"),
+    ], ids=["shape", "non-finite"])
+    def test_interpolated_initial_datum_is_checked(self, value, message):
+        """Without grad_u0 the initial value is interpolated, from a checked u0."""
+        with pytest.raises(ValueError, match=message):
+            _solve_and_measure(dataclasses.replace(_GAUSSIAN, u0=value, grad_u0=None))
+
+    def test_one_value_of_a_scalar_field_stands_for_all_points(self):
+        plain_u, plain = _solve_and_measure(_GAUSSIAN)
+        scalar = dataclasses.replace(_GAUSSIAN, gamma=lambda x, y: 1.0, u0=lambda x, y: 0.0)
+        u, pair = _solve_and_measure(scalar)
+        assert u.tobytes() == plain_u.tobytes()
+        assert (pair.e0, pair.e1) == (plain.e0, plain.e1)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +815,7 @@ class TestSnapshots:
         mesh = generate_distorted_square_mesh(3, 0.2, seed=4)
         with pytest.warns(CoefficientWarning):
             system = assemble(mesh, 2, get_problem("variable"))
-        result = run_time_loop(system, TimeStepperConfig(tau=0.5))
+        result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=1.0))
         return system, result
 
     def test_roundtrip(self, tmp_path):
@@ -771,7 +846,7 @@ class TestSnapshots:
         mesh = GROUP_MESHES["hanging"]()
         with pytest.warns(CoefficientWarning):
             system = assemble(mesh, 2, get_problem("variable"))
-        result = run_time_loop(system, TimeStepperConfig(tau=0.5))
+        result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=1.0))
         assert len(system.groups) > 1
         _, _, _, coeffs = solution_from_string(solution_to_string(system, result))
         for ci, el in enumerate(system.elements):
