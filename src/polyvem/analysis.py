@@ -37,9 +37,9 @@ from .mesh import (
     refine_cells,
 )
 from .forms import stabilization_scales
-from .problems import SobolevProblem
+from .problems import SobolevProblem, sample
 from .projectors import polynomial_dimension
-from .quadrature import at_points, map_to_triangle, triangle_rule
+from .quadrature import map_to_triangle, triangle_rule
 from .system import GlobalSystem, TimeStepperConfig, assemble, run_time_loop
 
 __all__ = [
@@ -74,6 +74,9 @@ MESH_GENERATORS = {
     "concave": lambda size, distortion, lloyd, seed: generate_concave_mesh(size),
 }
 MESH_FAMILIES = tuple(MESH_GENERATORS)
+
+#: Distortion and Lloyd steps of every family mesh, and the CLI's defaults for them.
+DISTORTION, LLOYD_STEPS = 0.3, 10
 
 #: Seed counts whose Voronoi tessellations roughly halve h every other level.
 VORONOI_LEVEL_SEEDS = (16, 30, 120, 224, 480, 960)
@@ -150,8 +153,8 @@ def compute_errors(system: GlobalSystem, u: np.ndarray, t: float) -> ErrorPair:
         grad_coeffs = (group.pi0_grad_star @ ud[:, None])[..., 0]  # (G, 2, nk1)
         grad_h = np.einsum("gqi,gdi->gqd", vals[..., :nk1], grad_coeffs)
 
-        u_e = at_points(problem, "u_exact", pts, t)
-        g_e = at_points(problem, "grad_u_exact", pts, t)
+        u_e = sample(problem, "u_exact", pts, t)
+        g_e = sample(problem, "grad_u_exact", pts, t)
 
         e0_sq += np.sum(w * (u_e - u_h) ** 2)
         e1_sq += np.sum(w[..., None] * (g_e - grad_h) ** 2)
@@ -210,11 +213,11 @@ def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
         size = VORONOI_LEVEL_SEEDS[level]
     else:
         size = (5 if family == "distorted" else 2) * 2**level
-    return MESH_GENERATORS[family](size, 0.3, 10, seed + level)
+    return MESH_GENERATORS[family](size, DISTORTION, LLOYD_STEPS, seed + level)
 
 
-def _solve_level(problem, family, k, level, tau, t_end, seed):
-    _, _, pair = _solve_on_mesh(family_mesh(family, level, seed=seed), k, problem, tau, t_end)
+def _solve_level(problem, family, k, level, config, seed):
+    _, _, pair = _solve_on_mesh(family_mesh(family, level, seed=seed), k, problem, config)
     logger.info(
         "%s/%s k=%d level=%d: h=%.4e E0h=%.4e E1h=%.4e (%.2fs)",
         problem.name,
@@ -246,12 +249,14 @@ def run_convergence_sweep(
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    config = TimeStepperConfig(tau=tau, t_end=t_end)
+    config.num_steps()  # a step that does not divide T fails before any mesh
     threads = os.environ.get("POLYVEM_THREADS", "1")
     try:
         workers = max(1, int(threads))
     except ValueError:
         raise ValueError(f"POLYVEM_THREADS must be an integer, got {threads!r}") from None
-    solve = partial(_solve_level, problem, family, k, tau=tau, t_end=t_end, seed=seed)
+    solve = partial(_solve_level, problem, family, k, config=config, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pairs = list(pool.map(solve, range(levels)))
     return ConvergenceRecord(family=family, k=k, pairs=pairs)
@@ -309,10 +314,10 @@ class AdaptiveStudy:
     final_mesh: PolyMesh
 
 
-def _solve_on_mesh(mesh, k, problem, tau, t_end):
+def _solve_on_mesh(mesh, k, problem, config):
     t0 = time.perf_counter()
     system = assemble(mesh, k, problem)
-    result = run_time_loop(system, TimeStepperConfig(tau=tau, t_end=t_end))
+    result = run_time_loop(system, config)
     seconds = time.perf_counter() - t0
     pair = replace(compute_errors(system, result.u, result.t), seconds=seconds)
     return system, result, pair
@@ -335,11 +340,13 @@ def run_adaptive_study(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
+    config = TimeStepperConfig(tau=tau, t_end=t_end)
+    config.num_steps()  # a step that does not divide T fails before any mesh
 
     adaptive = ConvergenceRecord(family="adaptive", k=k, pairs=[])
     mesh = generate_distorted_square_mesh(start_n, 0.0, seed=0)
     for cycle in range(cycles):
-        system, result, pair = _solve_on_mesh(mesh, k, problem, tau, t_end)
+        system, result, pair = _solve_on_mesh(mesh, k, problem, config)
         adaptive.pairs.append(pair)
         logger.info(
             "adaptive cycle %d: cells=%d active=%d E0h=%.4e",
@@ -359,7 +366,7 @@ def run_adaptive_study(
         if uniform.pairs[-1].num_active >= adaptive.pairs[-1].num_active:
             break  # uniform ladder already covers the adaptive dof range
         umesh = generate_distorted_square_mesh(n, 0.0, seed=0)
-        _, _, pair = _solve_on_mesh(umesh, k, problem, tau, t_end)
+        _, _, pair = _solve_on_mesh(umesh, k, problem, config)
         uniform.pairs.append(pair)
         logger.info("uniform level %d: n=%d active=%d E0h=%.4e", cycle, n, pair.num_active, pair.e0)
 

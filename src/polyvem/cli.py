@@ -25,6 +25,8 @@ import traceback
 from pathlib import Path
 
 from .analysis import (
+    DISTORTION,
+    LLOYD_STEPS,
     MESH_FAMILIES,
     MESH_GENERATORS,
     compute_errors,
@@ -90,9 +92,9 @@ def _plot(path: Path, series, **labels) -> None:
 
 def _add_mesh_flags(parser):
     parser.add_argument("--n", type=int, default=8, help="grid resolution (distorted/concave)")
-    parser.add_argument("--distortion", type=float, default=0.3, help="distortion amplitude")
+    parser.add_argument("--distortion", type=float, default=DISTORTION, help="distortion amplitude")
     parser.add_argument("--seeds", type=int, default=64, help="seed count (voronoi)")
-    parser.add_argument("--lloyd", type=int, default=3, help="Lloyd iterations (voronoi)")
+    parser.add_argument("--lloyd", type=int, default=LLOYD_STEPS, help="Lloyd iterations (voronoi)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -129,10 +131,9 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     problem = _resolve_problem(args.problem)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{problem.name}-{args.family}"
 
-    if args.levels < 2:
+    if args.levels == 1:
         print(
             "warning: a single level yields no EOC and no plot",
             file=sys.stderr,
@@ -145,6 +146,7 @@ def cmd_converge(args) -> int:
             t_end=args.t_end, seed=args.seed,
         )
         csv_path = outdir / f"{stem}-k{k}.csv"
+        outdir.mkdir(parents=True, exist_ok=True)  # a refused run leaves no directory
         csv_path.write_text(record_to_csv(record), encoding="utf-8")
         print(f"wrote {csv_path}")
         if args.plot and args.levels >= 2:
@@ -159,13 +161,13 @@ def cmd_converge(args) -> int:
 
 def cmd_adaptive(args) -> int:
     problem = _resolve_problem(args.problem)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     study = run_adaptive_study(
         problem, k=args.k, cycles=args.levels, start_n=args.start_n,
         theta=args.theta, tau=args.tau, t_end=args.t_end,
     )
     stem = f"{problem.name}-adaptive-k{args.k}"
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)  # a refused run leaves no directory
 
     csv_path = outdir / f"{stem}.csv"
     lines = ["strategy,level,h,dofs,active_dofs,E0h,seconds"]

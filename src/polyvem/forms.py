@@ -23,17 +23,17 @@ The forms of a group of elements (see ``projectors``) are built at once,
 with one coefficient call per group and one batched product over the
 points per weighted mass matrix: each form is a (G, N, N) stack.
 
-This module is the one place that samples and checks the coefficients.
-Each group evaluates mu, eps, beta and sigma once at its form points, and
-mu, eps and sigma once at its centroids for the stabilization scales
-(``stabilization_scales``, which the error indicators also read), and
-checks the values before any product: a value that is not finite, or an
-mu or eps that is not positive definite, raises a ``CoefficientError``
-naming the field and the point.  The same check covers the mu of the
-initial projection's load (mu grad u0, pi0 grad phi_i), which lives here
-next to the m2 form it projects with.  The stability theory also assumes
-sigma >= 0; that is only warned about, so each group reports its lowest
-sigma and ``coefficient_notes`` turns the lowest of an assembly into one
+This module is the one that reads the coefficients, each through
+``problems.sample``, which checks the values before any product (a value
+that is not finite, or an mu or eps that is not positive definite, raises
+a ``CoefficientError`` naming the field and the point).  Each group samples
+mu, eps, beta and sigma once at its form points, and mu, eps and sigma once
+at its centroids for the stabilization scales (``stabilization_scales``,
+which the error indicators also read).  The initial projection's load
+(mu grad u0, pi0 grad phi_i) lives here too, next to the m2 form it
+projects with.  The stability theory also assumes sigma >= 0; that is
+only warned about, so each group reports its lowest sigma and
+``coefficient_notes`` turns the lowest of an assembly into one
 ``CoefficientWarning`` and one note.
 
 The forms, the load (f, pi0 phi_i) and the initial projection's load all
@@ -51,13 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import sample
 from .projectors import LocalElement, polynomial_dimension
-from .quadrature import at_points
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "CoefficientError",
     "CoefficientWarning",
     "LocalForms",
     "stabilization_scales",
@@ -66,11 +65,6 @@ __all__ = [
     "load_map_block",
     "initial_projection_load",
 ]
-
-
-class CoefficientError(Exception):
-    """A coefficient violates a structural requirement (finiteness or
-    definiteness)."""
 
 
 class CoefficientWarning(UserWarning):
@@ -89,27 +83,6 @@ class LocalForms:
     sigma_low: tuple
 
 
-def _sample(problem, name: str, points: np.ndarray) -> np.ndarray:
-    """Field ``name`` of the problem at points stacked as (..., 2), checked
-    before any form uses it: a value that is not finite, or an mu or eps
-    that is not positive definite, raises a ``CoefficientError`` naming
-    the field and the first bad point."""
-    values = at_points(problem, name, points)
-    xy = points.reshape(-1, 2)
-    rows = values.reshape(len(xy), -1)
-    bad, what = ~np.isfinite(rows).all(axis=1), "finite"
-    if not bad.any() and name in ("mu", "eps"):
-        m = rows.reshape(-1, 2, 2)
-        sym = 0.5 * (m + np.swapaxes(m, 1, 2))
-        tr = sym[:, 0, 0] + sym[:, 1, 1]
-        det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
-        bad, what = ~((tr > 0) & (det > 0)), "positive definite"
-    if bad.any():
-        x, y = xy[np.argmax(bad)]
-        raise CoefficientError(f"{name} is not {what} at ({x:.4g}, {y:.4g})")
-    return values
-
-
 def _weighted_mass(values_i: np.ndarray, weights: np.ndarray, values_j: np.ndarray) -> np.ndarray:
     """sum_q w_q v_i(x_q) v_j(x_q) for each cell of a group: one batched
     product contracting (G, nq, a) and (G, nq, b) values over the points."""
@@ -122,7 +95,7 @@ def stabilization_scales(element: LocalElement, problem):
     sampled and checked at the cell centroids; mu_K and eps_K are half the
     traces."""
     centroid, area = element.geom.centroid, element.geom.area
-    mu, eps, sigma = (_sample(problem, name, centroid) for name in ("mu", "eps", "sigma"))
+    mu, eps, sigma = (sample(problem, name, centroid) for name in ("mu", "eps", "sigma"))
     mu_k = 0.5 * (mu[:, 0, 0] + mu[:, 1, 1])
     eps_k = 0.5 * (eps[:, 0, 0] + eps[:, 1, 1])
     return area, mu_k, eps_k + np.maximum(sigma, 0.0) * area
@@ -139,7 +112,7 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
     pig = np.moveaxis(element.pi0_grad_star, 1, 0)  # x and y components
     pig_t = np.swapaxes(pig, 2, 3)
 
-    mu, eps, beta, sigma = (_sample(problem, name, pts) for name in ("mu", "eps", "beta", "sigma"))
+    mu, eps, beta, sigma = (sample(problem, name, pts) for name in ("mu", "eps", "beta", "sigma"))
 
     q = element.stab_q
     base = np.swapaxes(q, 1, 2) @ q
@@ -199,7 +172,7 @@ def initial_projection_load(element: LocalElement, problem) -> np.ndarray:
     """(G, N) stack of the local right-hand sides (mu grad u0, pi0 grad phi_i)
     of the initial elliptic projection under m2, on the forms' rule."""
     pts, w = element.quad_points, element.quad_weights
-    flux = (_sample(problem, "mu", pts) @ _sample(problem, "grad_u0", pts)[..., None])[..., 0]
+    flux = (sample(problem, "mu", pts) @ sample(problem, "grad_u0", pts)[..., None])[..., 0]
     vk1 = element.monomial_values[..., : polynomial_dimension(element.k - 1)]
     moments = _weighted_mass(flux, w, vk1)  # (mu grad u0, m_i e_c), (G, 2, nk1)
     return np.einsum("gcin,gci->gn", element.pi0_grad_star, moments)

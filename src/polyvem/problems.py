@@ -23,7 +23,8 @@ All callables are vectorized over point arrays; time enters only through
 over t: given (n, 1) columns x, y and a (1, B) row t, they return (n, 1) or (n, B).
 Every other field, at n points, gives (n,) values, or (n, 2) or (n, 2, 2)
 as ``VALUE_SHAPES`` lists; a scalar field may give one value for all
-points.  ``field_values`` checks that where the package samples a field.
+points.  ``sample`` is the one function that calls a field and checks its
+values (``SobolevProblem.sigma`` checks the shapes of gamma and div_beta).
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "CoefficientError",
     "SobolevProblem",
-    "field_values",
+    "sample",
     "isotropic",
     "constant_matrix",
     "constant_vector",
@@ -46,11 +48,16 @@ __all__ = [
 ]
 
 
+class CoefficientError(ValueError):
+    """A problem field gives a value that is not finite, or an mu or eps
+    that is not positive definite."""
+
+
 #: Shape of one value of each field that is not scalar.
 VALUE_SHAPES = {"mu": (2, 2), "eps": (2, 2), "beta": (2,), "grad_u0": (2,), "grad_u_exact": (2,)}
 
 
-def field_values(name: str, values, lead: tuple) -> np.ndarray:
+def _field_values(name: str, values, lead: tuple) -> np.ndarray:
     """Values of field ``name`` at points whose x and y have shape ``lead``,
     broadcast to lead + ``VALUE_SHAPES`` of the field (one value of a scalar
     field stands for all points); any other shape raises a ``ValueError``."""
@@ -61,6 +68,40 @@ def field_values(name: str, values, lead: tuple) -> np.ndarray:
         raise ValueError(f"problem.{name} must give shape {want} for x and y of shape {lead}, "
                          f"got {values.shape}")
     return np.broadcast_to(values, shape)
+
+
+def sample(problem, name: str, points: np.ndarray, *t) -> np.ndarray:
+    """Field ``name`` of ``problem`` at points stacked as (..., 2), called once
+    on the flat coordinates, at the time t of the exact solution or the 1-D
+    times of f and ``dirichlet``, which give (n, B) values at n points and B
+    times; the values keep the points' leading shape.  A wrong shape raises a
+    ``ValueError``; a value that is not finite, or an mu or eps that is not
+    positive definite, a ``CoefficientError`` naming the field, the first bad
+    point and its time (the earliest, for f and ``dirichlet``)."""
+    xy, fn = points.reshape(-1, 2), getattr(problem, name)
+    n = len(xy)
+    if name in ("f", "dirichlet"):
+        times = t[0]
+        values = np.asarray(fn(xy[:, :1], xy[:, 1:], times[None, :]), dtype=float)
+        if values.shape not in ((n, 1), (n, len(times))):
+            raise ValueError(f"problem.{name} must broadcast over t to shape ({n}, 1) or ({n}, "
+                             f"{len(times)}) for (n, 1) points and (1, B) times, got {values.shape}")
+        values = np.broadcast_to(values, (n, len(times)))
+        bad = ~np.isfinite(values.T)  # (B, n)
+    else:
+        times = t
+        values = _field_values(name, fn(*xy.T, *t), (n,))
+        bad = ~np.isfinite(values.reshape(1, n, -1)).all(axis=2)
+    what = "finite"
+    if not bad.any() and name in ("mu", "eps"):  # the symmetric part is [[a, s], [s, d]]
+        a, b, c, d = values.reshape(n, 4).T
+        s = 0.5 * (b + c)
+        bad, what = ~((a + d > 0) & (a * d - s * s > 0))[None], "positive definite"
+    if bad.any():
+        j, i = divmod(int(np.argmax(bad)), n)
+        when = f", t = {np.ravel(times)[j]:.4g}" if len(times) else ""
+        raise CoefficientError(f"{name} is not {what} at ({xy[i, 0]:.4g}, {xy[i, 1]:.4g}){when}")
+    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -82,8 +123,8 @@ class SobolevProblem:
 
     def sigma(self, x, y):
         """Reaction seen by the symmetric part: gamma - div(beta)/2."""
-        gamma = field_values("gamma", self.gamma(x, y), np.shape(x))
-        return gamma - 0.5 * field_values("div_beta", self.div_beta(x, y), np.shape(x))
+        gamma = _field_values("gamma", self.gamma(x, y), np.shape(x))
+        return gamma - 0.5 * _field_values("div_beta", self.div_beta(x, y), np.shape(x))
 
 
 def isotropic(scalar: Callable) -> Callable:

@@ -10,7 +10,8 @@ several rules onto the same triangles costs no second triangulation.
 The reference Gauss-Lobatto rule on [-1, 1] serves the cell edges: the
 nodes of its (k+1)-point rule, mapped onto an edge, are the vertex and
 edge degrees of freedom of the order-k virtual space, which makes
-boundary integrals of traces diagonal in those dofs.
+boundary integrals of traces diagonal in those dofs.  The problem's fields
+are sampled at these points by ``problems.sample``, not here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from numpy.polynomial import legendre as _leg
 
 from .mesh import triangle_areas
-from .problems import field_values
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +112,6 @@ def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
     pts = rule.points @ tri
     lead = tri.shape[:-3]
     return pts.reshape(*lead, -1, 2), (area[..., None] * rule.weights).reshape(*lead, -1)
-
-
-def at_points(problem, name: str, points: np.ndarray, *args) -> np.ndarray:
-    """Field ``name`` of the problem at points stacked as (..., 2), called
-    once on the flat coordinates and checked by ``problems.field_values``;
-    the values keep the points' leading shape."""
-    x, y = points.reshape(-1, 2).T
-    values = field_values(name, getattr(problem, name)(x, y, *args), x.shape)
-    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
 # ---------------------------------------------------------------------------

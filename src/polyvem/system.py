@@ -25,8 +25,10 @@ dof array per group, assembly builds each group's elements, forms and
 load block as stacks and scatters them through one COO index helper (one
 index for the four forms, one for the load map), and the initial
 projection, errors and indicators zip groups with their dofs.
-Only ``forms`` reads the coefficients: the forms sample and check them
-once per group, and the initial projection takes each group's load from
+Every field of the problem is read through ``problems.sample``, which
+checks its shape and finiteness: f and the Dirichlet data once per block
+here, u0 at the boundary dofs.  Only ``forms`` reads the coefficients, once
+per group, and the initial projection takes each group's load from
 ``forms.initial_projection_load`` and keeps the scatter, the Dirichlet
 split and the solve; assembly passes each group's lowest sigma to
 ``forms.coefficient_notes``, which warns at most once per assembly.
@@ -48,6 +50,7 @@ from scipy.sparse.linalg import splu
 
 from .forms import build_local_forms, coefficient_notes, initial_projection_load, load_map_block
 from .mesh import PolyMesh
+from .problems import sample
 from .projectors import (
     SUPPORTED_ORDERS,
     LocalElement,
@@ -55,7 +58,7 @@ from .projectors import (
     interpolate,
     polynomial_dimension,
 )
-from .quadrature import at_points, lobatto_edge_points
+from .quadrature import lobatto_edge_points
 from .textfile import LineReader, read_text, write_text
 
 __all__ = [
@@ -215,21 +218,11 @@ def assemble(mesh: PolyMesh, k: int, problem) -> GlobalSystem:
     )
 
 
-def _sample_in_time(name: str, fn, pts: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``fn`` at x, y as (n, 1) columns and t as a (1, B) row, broadcast to (n, B)."""
-    n, b = len(pts), len(times)
-    values = np.asarray(fn(pts[:, :1], pts[:, 1:], times[None, :]), dtype=float)
-    if values.shape not in ((n, 1), (n, b)):
-        raise ValueError(f"problem.{name} must broadcast over t to shape ({n}, 1) or ({n}, {b}) "
-                         f"for (n, 1) points and (1, B) times, got {values.shape}")
-    return np.broadcast_to(values, (n, b))
-
-
 def dirichlet_values(system: GlobalSystem, times: np.ndarray) -> np.ndarray:
     """Dirichlet data at the boundary dofs (all geometric), (n, B) at a 1-D
     array of B times."""
     pts = system.dofmap.dof_points[system.dofmap.boundary]  # boundary dofs are never moments
-    return _sample_in_time("dirichlet", system.problem.dirichlet, pts, times)
+    return sample(system.problem, "dirichlet", pts, times)
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +305,16 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
     (with a logged notice) when the initial gradient is unavailable.
     """
     problem = system.problem
-
-    def u0(x, y):  # checked: a wrong shape or a value that is not finite names the field
-        values = at_points(problem, "u0", np.column_stack([x, y]))
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise ValueError(f"problem.u0 is not finite at ({x[bad][0]:.4g}, {y[bad][0]:.4g})")
-        return values
-
-    if getattr(problem, "grad_u0", None) is None:
+    if problem.grad_u0 is None:
         logger.info(
             "initial gradient not supplied; falling back to dof interpolation of u0"
         )
-        return interpolate_global(system, u0)
+        return interpolate_global(system, lambda x, y: sample(problem, "u0", np.stack([x, y], -1)))
 
     dofmap = system.dofmap
     u = np.zeros(system.size)
     bdry = dofmap.boundary
-    bpts = dofmap.dof_points[bdry]
-    u[bdry] = u0(bpts[:, 0], bpts[:, 1])
+    u[bdry] = sample(problem, "u0", dofmap.dof_points[bdry])
 
     rhs = np.zeros(system.size)
     for group, gdofs in zip(system.groups, dofmap.groups):
@@ -398,7 +382,7 @@ def run_time_loop(system: GlobalSystem, config: TimeStepperConfig) -> TimeResult
 
     for first in range(1, n_steps + 1, block):
         times = np.arange(first, min(first + block, n_steps + 1)) * tau
-        load = (tau * (load_act @ _sample_in_time("f", system.problem.f, xq, times))).T
+        load = (tau * (load_act @ sample(system.problem, "f", xq, times))).T
         g_bdry = dirichlet_values(system, times)
         lift = (coupling @ g_bdry).T
         for j in range(len(times)):

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import polyvem
-from polyvem import cli
+from polyvem import analysis, cli
 from polyvem.cli import build_parser, main
 from polyvem.forms import CoefficientWarning
-from polyvem.mesh import read_mesh
+from polyvem.mesh import mesh_to_string, read_mesh
 from polyvem.problems import PROBLEM_NAMES
 from polyvem.system import read_solution
 
@@ -125,6 +125,13 @@ class TestMeshCommand:
         assert "h=" in stdout
         assert "kernel/h_K" in stdout
         assert read_mesh(out).num_cells == 16
+
+    def test_voronoi_defaults_give_the_ladder_mesh(self, tmp_path, capsys):
+        """The mesh flags default to the family ladder's distortion and Lloyd
+        steps: 120 seeds at seed 2 give level 2 of the Voronoi ladder."""
+        out = tmp_path / "v.mesh"
+        assert main(["mesh", "voronoi", "--seeds", "120", "--seed", "2", "-o", str(out)]) == 0
+        assert out.read_text(encoding="ascii") == mesh_to_string(analysis.family_mesh("voronoi", 2))
 
     def test_concave_cell_count(self, tmp_path, capsys):
         out = tmp_path / "c.mesh"
@@ -482,6 +489,33 @@ class TestAdaptiveCommand:
         )
 
 
+class TestRefusedRun:
+    """A run that the library refuses writes nothing: the output directory is
+    made with the first file, and a step that does not divide T is refused
+    before any mesh is built."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "--family", "concave", "--k", "1"], "levels must be >= 1"),
+        (["adaptive"], "cycles must be >= 1"),
+    ], ids=["converge", "adaptive"])
+    def test_zero_levels(self, argv, message, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(argv + ["--levels", "0", "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [["converge", "--family", "concave", "--k", "1"],
+                                      ["adaptive"]], ids=["converge", "adaptive"])
+    def test_step_that_does_not_divide_t(self, argv, tmp_path, capsys, monkeypatch):
+        for name in ("generate_concave_mesh", "generate_distorted_square_mesh", "assemble"):
+            monkeypatch.setattr(analysis, name, _no_solve)
+        outdir = tmp_path / "out"
+        assert main(argv + ["--levels", "2", "--tau", "0.3", "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: t_end/tau = ") and "not an integer" in err
+        assert not outdir.exists()
+
+
 class TestParser:
     def test_help_lists_all_subcommands(self):
         text = build_parser().format_help()
@@ -499,7 +533,7 @@ class TestParser:
             main(["solve", "--k", "4"])
         assert excinfo.value.code == 2
 
-    MESH_FLAGS = {"n": 8, "distortion": 0.3, "seeds": 64, "lloyd": 3, "seed": 0}
+    MESH_FLAGS = {"n": 8, "distortion": 0.3, "seeds": 64, "lloyd": 10, "seed": 0}
     TIME_FLAGS = {"tau": 1e-3, "t_end": 1.0}
 
     @pytest.mark.parametrize("argv, numbers", [

@@ -90,7 +90,7 @@ class TestCoefficientChecks:
         mesh = generate_distorted_square_mesh(2, 0.0, seed=0)
         assert mesh.cell_geometry(0).centroid.tolist() == [0.25, 0.25]
         bad = _poisoned_at(PR.get_problem("convection"), name, 0.25, 0.25, value)
-        with pytest.raises(F.CoefficientError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(PR.CoefficientError, match=f"^{re.escape(message)}$"):
             assemble(mesh, 1, bad)
 
     def test_indefinite_diffusion_rejected(self):
@@ -107,7 +107,7 @@ class TestCoefficientChecks:
             dirichlet=lambda x, y, t: np.zeros(np.shape(x)),
             u0=lambda x, y: np.zeros(np.shape(x)),
         )
-        with pytest.raises(F.CoefficientError, match=r"^mu is not positive definite at"):
+        with pytest.raises(PR.CoefficientError, match=r"^mu is not positive definite at"):
             assemble(generate_distorted_square_mesh(2, 0.0, seed=0), 1, bad)
 
     @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ class TestCoefficientChecks:
             return out
 
         bad = dataclasses.replace(prob, **{field: poisoned})
-        with pytest.raises(F.CoefficientError, match=rf"^{named} is not finite at") as info:
+        with pytest.raises(PR.CoefficientError, match=rf"^{named} is not finite at") as info:
             assemble(generate_distorted_square_mesh(4, 0.0, seed=0), 1, bad)
         x, y = map(float, re.search(r"at \((\S+), (\S+)\)$", str(info.value)).groups())
         assert 0.5 < x < 1.0 and 0.0 < y < 1.0

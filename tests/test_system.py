@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import polyvem.system as system_module
 from polyvem.analysis import compute_errors, error_indicators
-from polyvem.forms import CoefficientError, CoefficientWarning, build_local_forms
+from polyvem.forms import CoefficientWarning, build_local_forms
 from polyvem.projectors import build_element, polynomial_dimension
 from polyvem.mesh import (
     PolyMesh,
@@ -24,11 +24,13 @@ from polyvem.mesh import (
     refine_cells,
 )
 from polyvem.problems import (
+    CoefficientError,
     SobolevProblem,
     constant_matrix,
     constant_vector,
     get_problem,
     polynomial_patch,
+    sample,
 )
 from polyvem.system import (
     MAX_REFINE,
@@ -286,9 +288,9 @@ class TestAssembly:
     def test_only_forms_reads_coefficients(self):
         """Assembly, the initial projection and the error indicators read the
         coefficient fields only through ``polyvem.forms``: the nearest
-        polyvem frame of every call, past the point evaluator and
-        ``SobolevProblem.sigma``, lies in that module."""
-        passed = {("polyvem.quadrature", "at_points"), ("polyvem.problems", "sigma")}
+        polyvem frame of every call, past the sampler ``problems.sample``
+        and ``SobolevProblem.sigma``, lies in that module."""
+        passed = {("polyvem.problems", "sample"), ("polyvem.problems", "sigma")}
         callers = {name: [] for name in ("mu", "eps", "beta", "gamma", "div_beta")}
 
         def spy(name):
@@ -317,6 +319,38 @@ class TestAssembly:
         assert len(callers["eps"]) > calls["eps"]  # and the indicators eps
         for name, seen in callers.items():
             assert seen and {module for module, _ in seen} == {"polyvem.forms"}, (name, seen)
+
+    def test_only_the_sampler_calls_fields(self):
+        """All 11 fields of a problem are called by ``problems.sample`` alone,
+        gamma and div_beta through ``SobolevProblem.sigma``: that is the
+        nearest polyvem frame of every call made by assembly, the time loop,
+        the interpolated initial value, the errors and the indicators."""
+        callers = {f.name: set() for f in dataclasses.fields(SobolevProblem) if f.name != "name"}
+
+        def spy(name):
+            field = getattr(VARIABLE_FROM_WAVE, name)
+
+            def wrapped(*args):
+                frame = sys._getframe(1)
+                while not frame.f_globals.get("__name__", "").startswith("polyvem"):
+                    frame = frame.f_back
+                callers[name].add((frame.f_globals["__name__"], frame.f_code.co_name))
+                return field(*args)
+
+            return wrapped
+
+        problem = dataclasses.replace(VARIABLE_FROM_WAVE, **{n: spy(n) for n in callers})
+        with pytest.warns(CoefficientWarning):
+            system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=2), 2, problem)
+        result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=1.0))
+        project_initial(dataclasses.replace(system, problem=dataclasses.replace(problem,
+                                                                                grad_u0=None)))
+        compute_errors(system, result.u, result.t)
+        error_indicators(system, result.u)
+        assert len(callers) == 11
+        for name, seen in callers.items():
+            where = "sigma" if name in ("gamma", "div_beta") else "sample"
+            assert seen == {("polyvem.problems", where)}, name
 
     def test_mass_operator_is_positive_definite(self):
         mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=2)
@@ -778,19 +812,37 @@ class TestProblemFieldShapes:
         with pytest.raises(ValueError, match=message):
             _solve_and_measure(problem)
 
-    @pytest.mark.parametrize("field, value, error", [
-        ("grad_u0", lambda x, y: np.full(np.shape(x) + (2,), np.nan), CoefficientError),
-        ("u0", lambda x, y: np.full(np.shape(x), np.nan), ValueError),
-    ], ids=["grad_u0", "u0"])
-    def test_non_finite_initial_datum_is_named(self, field, value, error):
+    @pytest.mark.parametrize("field, value, when", [
+        ("grad_u0", lambda x, y: np.full(np.shape(x) + (2,), np.nan), ""),
+        ("u0", lambda x, y: np.full(np.shape(x), np.nan), ""),
+        ("f", lambda x, y, t: np.full(np.shape(x), np.nan), ", t = 0.5"),
+        ("dirichlet", lambda x, y, t: np.full(np.shape(x), np.inf), ", t = 0.5"),
+        ("u_exact", lambda x, y, t: np.full(np.shape(x), np.nan), ", t = 0.5"),
+        ("grad_u_exact", lambda x, y, t: np.full(np.shape(x) + (2,), np.nan), ", t = 0.5"),
+    ], ids=["grad_u0", "u0", "f", "dirichlet", "u_exact", "grad_u_exact"])
+    def test_non_finite_initial_datum_is_named(self, field, value, when):
+        """A value that is not finite is named with its field and point, and
+        with its time for f, the Dirichlet data and the exact solution."""
         problem = dataclasses.replace(_GAUSSIAN, **{field: value})
-        with pytest.raises(error, match=rf"^(problem\.)?{field} is not finite at \(\S+, \S+\)$"):
+        with pytest.raises(CoefficientError,
+                           match=rf"^{field} is not finite at \(\S+, \S+\){when}$"):
             _solve_and_measure(problem)
+
+    def test_first_bad_time_then_point_is_named(self):
+        """f is sampled for a block of times at once; the message names the
+        earliest time with a value that is not finite, and its first point."""
+        points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        bad = dataclasses.replace(
+            _GAUSSIAN, f=lambda x, y, t: np.where((x > 0.2) & (t > 0.15), np.nan, x + t))
+        with pytest.raises(CoefficientError, match=r"^f is not finite at \(0\.3, 0\.4\), t = 0\.2$"):
+            sample(bad, "f", points, np.array([0.1, 0.2, 0.3]))
+        np.testing.assert_array_equal(sample(_GAUSSIAN, "dirichlet", points, np.array([0.0])),
+                                      np.zeros((3, 1)))
 
     @pytest.mark.parametrize("value, message", [
         (_ones(1), r"^problem\.u0 must give shape \((\d+),\) or \(\) for x and y of shape "
                    r"\(\1,\), got \(\1, 1\)$"),
-        (lambda x, y: np.full(np.shape(x), np.nan), r"^problem\.u0 is not finite at \(\S+, \S+\)$"),
+        (lambda x, y: np.full(np.shape(x), np.nan), r"^u0 is not finite at \(\S+, \S+\)$"),
     ], ids=["shape", "non-finite"])
     def test_interpolated_initial_datum_is_checked(self, value, message):
         """Without grad_u0 the initial value is interpolated, from a checked u0."""
