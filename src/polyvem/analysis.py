@@ -196,8 +196,8 @@ def least_squares_slope(h, errors) -> float:
 # ---------------------------------------------------------------------------
 
 
-def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
-    """Level ``level`` of a refinement ladder of the given mesh family.
+def _level_size(family: str, level: int) -> int:
+    """Generator size of level ``level`` of the family's ladder, or a ``ValueError``.
 
     distorted: n = 5 * 2^level randomly distorted squares (h halves exactly
     in distribution); voronoi: seed counts chosen so h roughly halves every
@@ -210,9 +210,13 @@ def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
     if family == "voronoi":
         if level >= len(VORONOI_LEVEL_SEEDS):
             raise ValueError(f"voronoi ladder defines {len(VORONOI_LEVEL_SEEDS)} levels")
-        size = VORONOI_LEVEL_SEEDS[level]
-    else:
-        size = (5 if family == "distorted" else 2) * 2**level
+        return VORONOI_LEVEL_SEEDS[level]
+    return (5 if family == "distorted" else 2) * 2**level
+
+
+def family_mesh(family: str, level: int, seed: int = 0) -> PolyMesh:
+    """Level ``level`` of the family's refinement ladder (see ``_level_size``)."""
+    size = _level_size(family, level)
     return MESH_GENERATORS[family](size, DISTORTION, LLOYD_STEPS, seed + level)
 
 
@@ -249,8 +253,8 @@ def run_convergence_sweep(
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    _level_size(family, levels - 1)  # the deepest level exists before any solve
     config = TimeStepperConfig(tau=tau, t_end=t_end)
-    config.num_steps()  # a step that does not divide T fails before any mesh
     threads = os.environ.get("POLYVEM_THREADS", "1")
     try:
         workers = max(1, int(threads))
@@ -291,10 +295,14 @@ def error_indicators(system: GlobalSystem, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def dorfler_marking(indicators: np.ndarray, theta: float) -> np.ndarray:
-    """Smallest cell set whose squared indicators carry a theta fraction."""
+def _check_fraction(theta: float) -> None:
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking fraction must lie in (0, 1]")
+
+
+def dorfler_marking(indicators: np.ndarray, theta: float) -> np.ndarray:
+    """Smallest cell set whose squared indicators carry a theta fraction."""
+    _check_fraction(theta)
     eta_sq = np.asarray(indicators, dtype=float) ** 2
     total = eta_sq.sum()
     if total <= 0.0:
@@ -340,8 +348,8 @@ def run_adaptive_study(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
+    _check_fraction(theta)
     config = TimeStepperConfig(tau=tau, t_end=t_end)
-    config.num_steps()  # a step that does not divide T fails before any mesh
 
     adaptive = ConvergenceRecord(family="adaptive", k=k, pairs=[])
     mesh = generate_distorted_square_mesh(start_n, 0.0, seed=0)

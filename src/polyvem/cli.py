@@ -114,9 +114,10 @@ def cmd_mesh(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = _resolve_problem(args.problem)
+    config = TimeStepperConfig(tau=args.tau, t_end=args.t_end)
     mesh = read_mesh(args.mesh) if args.mesh else _build_mesh(args)
     system = assemble(mesh, args.k, problem)
-    result = run_time_loop(system, TimeStepperConfig(tau=args.tau, t_end=args.t_end))
+    result = run_time_loop(system, config)
     if problem.u_exact is not None and problem.grad_u_exact is not None:
         pair = compute_errors(system, result.u, result.t)
         print(f"h {pair.h:.6e} E0h {pair.e0:.6e} E1h {pair.e1:.6e}")

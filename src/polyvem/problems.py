@@ -12,11 +12,10 @@ initial value ``u0``.  The built-in problems carry their exact solution
                   (sigma changes sign, which triggers a stability warning),
 * ``convection``  convection-dominated transport (eps = 1e-6, beta = (10,10))
                   with an exponential solution and non-homogeneous data,
-* ``gaussian``    narrow Gaussian bump, the adaptivity workhorse,
-* ``polynomial_patch(k)``  solution t * p with p in P_k and constant
-                  coefficients: reproduced exactly by the order-k method,
-* ``quadratic_time``  solution t^2 * sine with constant coefficients:
-                  spatial error negligible next to the O(tau) time error.
+* ``gaussian``    narrow Gaussian bump, the adaptivity workhorse.
+
+Other problems (a CLI problem file, the tests' patch and time-quadratic
+solutions) are built from ``SobolevProblem`` and the field helpers below.
 
 All callables are vectorized over point arrays; time enters only through
 ``f``, ``dirichlet`` and the exact solution.  The first two must broadcast
@@ -43,8 +42,6 @@ __all__ = [
     "constant_vector",
     "get_problem",
     "PROBLEM_NAMES",
-    "polynomial_patch",
-    "quadratic_time",
 ]
 
 
@@ -263,102 +260,6 @@ def _gaussian_bump() -> SobolevProblem:
         gamma=lambda x, y: np.ones(np.shape(x)),
         f=f,
         dirichlet=u_exact,
-        u0=_zeros,
-        grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
-        u_exact=u_exact,
-        grad_u_exact=grad_u_exact,
-    )
-
-
-def polynomial_patch(k: int) -> SobolevProblem:
-    """u = t * p with p in P_k, constant unit coefficients and no
-    convection: reproduced exactly by the order-k scheme (up to solver
-    tolerance), which pins down every assembly path."""
-    coeff = {1: (1.0, 2.0, -1.0), 2: (0.5, -1.0, 2.0), 3: (0.25, 1.0, -0.5)}[k]
-
-    def p(x, y):
-        base = coeff[0] + coeff[1] * x + coeff[2] * y
-        if k >= 2:
-            base = base + 0.75 * x * y - 0.5 * x**2
-        if k >= 3:
-            base = base + 0.3 * x**2 * y - 0.2 * y**3
-        return base
-
-    def lap_p(x, y):
-        out = np.zeros(np.shape(x))
-        if k >= 2:
-            out = out - 1.0
-        if k >= 3:
-            out = out + 0.6 * y - 1.2 * y
-        return out
-
-    def grad_p(x, y):
-        gx = np.full(np.shape(x), coeff[1])
-        gy = np.full(np.shape(x), coeff[2])
-        if k >= 2:
-            gx = gx + 0.75 * y - 1.0 * x
-            gy = gy + 0.75 * x
-        if k >= 3:
-            gx = gx + 0.6 * x * y
-            gy = gy + 0.3 * x**2 - 0.6 * y**2
-        return np.stack([gx, gy], axis=-1)
-
-    def f(x, y, t):
-        return p(x, y) - lap_p(x, y) - t * lap_p(x, y) + t * p(x, y)
-
-    def u_exact(x, y, t):
-        return t * p(x, y)
-
-    return SobolevProblem(
-        name=f"polynomial-patch-k{k}",
-        mu=constant_matrix(1.0),
-        eps=constant_matrix(1.0),
-        beta=constant_vector(0.0, 0.0),
-        div_beta=_zeros,
-        gamma=lambda x, y: np.ones(np.shape(x)),
-        f=f,
-        dirichlet=u_exact,
-        u0=_zeros,
-        grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
-        u_exact=u_exact,
-        grad_u_exact=lambda x, y, t: t * grad_p(x, y),
-    )
-
-
-def quadratic_time() -> SobolevProblem:
-    """u = t^2 sin(pi x) sin(pi y) with constant unit coefficients: on a
-    moderately fine mesh at k = 2 the backward-Euler O(tau) error dominates,
-    exposing the time-stepping order."""
-    pi = np.pi
-
-    def s(x, y):
-        return np.sin(pi * x) * np.sin(pi * y)
-
-    def f(x, y, t):
-        sv = s(x, y)
-        return 2 * t * sv + 4 * pi**2 * t * sv + 2 * pi**2 * t**2 * sv + t**2 * sv
-
-    def u_exact(x, y, t):
-        return t**2 * s(x, y)
-
-    def grad_u_exact(x, y, t):
-        return (
-            t**2
-            * pi
-            * np.stack(
-                [np.cos(pi * x) * np.sin(pi * y), np.sin(pi * x) * np.cos(pi * y)], axis=-1
-            )
-        )
-
-    return SobolevProblem(
-        name="quadratic-time",
-        mu=constant_matrix(1.0),
-        eps=constant_matrix(1.0),
-        beta=constant_vector(0.0, 0.0),
-        div_beta=_zeros,
-        gamma=lambda x, y: np.ones(np.shape(x)),
-        f=f,
-        dirichlet=lambda x, y, t: np.zeros(np.shape(x)),
         u0=_zeros,
         grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
         u_exact=u_exact,

@@ -334,10 +334,12 @@ def project_initial(system: GlobalSystem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeStepperConfig:
+    """A step tau that divides the end time t_end, both finite and positive."""
+
     tau: float
     t_end: float
 
-    def num_steps(self) -> int:
+    def __post_init__(self):
         for name, value in (("tau", self.tau), ("t_end", self.t_end)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -347,7 +349,9 @@ class TimeStepperConfig:
         n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(n * self.tau - self.t_end) > 1e-12 * max(1.0, self.t_end):
             raise ValueError(f"t_end/tau = {ratio!r} is not an integer step count")
-        return n
+
+    def num_steps(self) -> int:
+        return round(self.t_end / self.tau)
 
 
 @dataclass

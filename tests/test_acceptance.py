@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import benchmarks
+from manufactured import polynomial_patch, quadratic_time
 from polyvem import projectors as P
 from test_projectors import grad_projection_gram
 from polyvem.analysis import (
@@ -41,7 +42,7 @@ from polyvem.mesh import (
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
 )
-from polyvem.problems import get_problem, polynomial_patch, quadratic_time
+from polyvem.problems import get_problem
 from polyvem.system import TimeStepperConfig, assemble, run_time_loop
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from polyvem.mesh import (
     generate_voronoi_mesh,
     refine_cells,
 )
-from polyvem.problems import get_problem, polynomial_patch
+from polyvem.problems import get_problem
 from polyvem.quadrature import map_to_triangle, triangle_rule
 from polyvem.system import (
     TimeStepperConfig,
@@ -45,6 +45,7 @@ from polyvem.system import (
 )
 
 import benchmarks
+from manufactured import polynomial_patch
 
 
 def perturbed_interpolant(family, k, problem):
@@ -565,6 +566,16 @@ class TestSweeps:
             run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=0, tau=1e-3,
                                   t_end=1.0, seed=0)
 
+    def test_ladder_too_shallow_refused_before_any_mesh(self, monkeypatch):
+        """A sweep deeper than the Voronoi ladder fails before it solves
+        the levels that do exist."""
+        built = []
+        monkeypatch.setattr(A, "generate_voronoi_mesh", lambda *args, **kw: built.append(args))
+        with pytest.raises(ValueError, match="^voronoi ladder defines 6 levels$"):
+            run_convergence_sweep(get_problem("gaussian"), "voronoi", 1, levels=7, tau=0.5,
+                                  t_end=0.5, seed=0)
+        assert built == []
+
     def test_non_integer_thread_count_named(self, monkeypatch):
         monkeypatch.setenv("POLYVEM_THREADS", "two")
         with pytest.raises(ValueError, match="^POLYVEM_THREADS must be an integer, got 'two'$"):
@@ -664,6 +675,17 @@ class TestAdaptiveStudy:
         with pytest.raises(ValueError, match="cycles"):
             run_adaptive_study(get_problem("gaussian"), k=1, cycles=0, start_n=8, theta=0.3,
                                tau=1e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("cycles", [1, 2])
+    @pytest.mark.parametrize("theta", [0.0, 5.0, float("nan")])
+    def test_rejects_marking_fraction_before_any_mesh(self, theta, cycles, monkeypatch):
+        built = []
+        monkeypatch.setattr(A, "generate_distorted_square_mesh",
+                            lambda *args, **kw: built.append(args))
+        with pytest.raises(ValueError, match=r"^marking fraction must lie in \(0, 1\]$"):
+            run_adaptive_study(get_problem("gaussian"), k=1, cycles=cycles, start_n=4,
+                               theta=theta, tau=0.5, t_end=0.5)
+        assert built == []
 
     def test_first_mesh_is_solved_once(self, monkeypatch):
         """The uniform ladder starts from adaptive cycle 0: one assembly

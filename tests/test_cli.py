@@ -22,11 +22,39 @@ from polyvem.mesh import mesh_to_string, read_mesh
 from polyvem.problems import PROBLEM_NAMES
 from polyvem.system import read_solution
 
-PATCH_PROBLEM_PY = """\
-from polyvem.problems import polynomial_patch
+#: A problem file, as a user would write it, for the linear patch
+#: u = t (1 + 2x - y) with unit coefficients; ``{name}`` is a Python expression.
+PATCH_PROBLEM_TEMPLATE = """\
+import numpy as np
 
-PROBLEM = polynomial_patch(1)
+from polyvem.problems import SobolevProblem, constant_matrix, constant_vector
+
+
+def _p(x, y):
+    return 1.0 + 2.0 * x - y
+
+
+def _u(x, y, t):
+    return t * _p(x, y)
+
+
+PROBLEM = SobolevProblem(
+    name={name},
+    mu=constant_matrix(1.0),
+    eps=constant_matrix(1.0),
+    beta=constant_vector(0.0, 0.0),
+    div_beta=lambda x, y: np.zeros(np.shape(x)),
+    gamma=lambda x, y: np.ones(np.shape(x)),
+    f=lambda x, y, t: (1.0 + t) * _p(x, y),
+    dirichlet=_u,
+    u0=lambda x, y: np.zeros(np.shape(x)),
+    grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
+    u_exact=_u,
+    grad_u_exact=lambda x, y, t: t * constant_vector(2.0, -1.0)(x, y),
+)
 """
+
+PATCH_PROBLEM_PY = PATCH_PROBLEM_TEMPLATE.format(name='"polynomial-patch-k1"')
 
 ZERO_PROBLEM_PY = """\
 import numpy as np
@@ -266,11 +294,7 @@ def _named_problem_file(tmp_path, name):
     """A problem file whose ``PROBLEM`` is the linear patch under ``name``
     (a Python expression)."""
     path = tmp_path / "named.py"
-    path.write_text(
-        "import dataclasses\n\nfrom polyvem.problems import polynomial_patch\n\n"
-        f"PROBLEM = dataclasses.replace(polynomial_patch(1), name={name})\n",
-        encoding="utf-8",
-    )
+    path.write_text(PATCH_PROBLEM_TEMPLATE.format(name=name), encoding="utf-8")
     return path
 
 
@@ -491,8 +515,8 @@ class TestAdaptiveCommand:
 
 class TestRefusedRun:
     """A run that the library refuses writes nothing: the output directory is
-    made with the first file, and a step that does not divide T is refused
-    before any mesh is built."""
+    made with the first file, and a step that does not divide T, or a marking
+    fraction outside (0, 1], is refused before any mesh is built."""
 
     @pytest.mark.parametrize("argv, message", [
         (["converge", "--family", "concave", "--k", "1"], "levels must be >= 1"),
@@ -504,15 +528,31 @@ class TestRefusedRun:
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("argv", [["converge", "--family", "concave", "--k", "1"],
-                                      ["adaptive"]], ids=["converge", "adaptive"])
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--family", "concave", "--k", "1", "--levels", "2", "--outdir"],
+        ["adaptive", "--levels", "2", "--outdir"],
+        ["solve", "-o"],
+    ], ids=["converge", "adaptive", "solve"])
     def test_step_that_does_not_divide_t(self, argv, tmp_path, capsys, monkeypatch):
         for name in ("generate_concave_mesh", "generate_distorted_square_mesh", "assemble"):
             monkeypatch.setattr(analysis, name, _no_solve)
+        monkeypatch.setattr(cli, "assemble", _no_solve)
+        out = tmp_path / "out"
+        assert main(argv + [str(out), "--tau", "0.3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: t_end/tau = 3.3333333333333335 is not an integer step count\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["1", "2"])
+    def test_marking_fraction_outside_unit_interval(self, levels, tmp_path, capsys, monkeypatch):
+        for name in ("generate_distorted_square_mesh", "assemble"):
+            monkeypatch.setattr(analysis, name, _no_solve)
         outdir = tmp_path / "out"
-        assert main(argv + ["--levels", "2", "--tau", "0.3", "--outdir", str(outdir)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: t_end/tau = ") and "not an integer" in err
+        argv = ["adaptive", "--levels", levels, "--theta", "5", "--start-n", "4",
+                "--tau", "0.5", "--t-end", "0.5", "--outdir", str(outdir)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: ValueError: marking fraction must lie in (0, 1]\n"
         assert not outdir.exists()
 
 

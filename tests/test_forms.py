@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 import pytest
+import sympy as sp
 
+from manufactured import T, X, Y, polynomial_patch, residual
 from polyvem import forms as F
 from polyvem import problems as PR
 from polyvem.mesh import (
@@ -210,7 +212,7 @@ class TestFormMatrices:
         """m1_h(p, q) = (p, q) exactly for polynomials: the projection is
         exact and the stabilization vanishes."""
         el = cell_element(small_cell_geom(), k)
-        lf = cell_forms(el, PR.polynomial_patch(k))
+        lf = cell_forms(el, polynomial_patch(k))
         got = el.dof_matrix.T @ lf.m1 @ el.dof_matrix
         assert np.abs(got - el.mass_monomials).max() < 1e-12
 
@@ -315,13 +317,13 @@ LOAD_MESHES = {
 class TestLoad:
     def test_zero_source_gives_zero(self, k):
         el = cell_element(small_cell_geom(), k)
-        zeroed = _with_source(PR.polynomial_patch(k), lambda x, y, t: np.zeros(np.shape(x)))
+        zeroed = _with_source(polynomial_patch(k), lambda x, y, t: np.zeros(np.shape(x)))
         load = _element_load(el, zeroed, 0.7)
         assert np.abs(load).max() == 0.0
 
     def test_unit_source_k1_sums_to_area(self):
         el = cell_element(small_cell_geom(), 1)
-        unit = _with_source(PR.polynomial_patch(1), lambda x, y, t: np.ones(np.shape(x)))
+        unit = _with_source(polynomial_patch(1), lambda x, y, t: np.ones(np.shape(x)))
         load = _element_load(el, unit, 0.0)
         # k = 1 hat functions sum to one, so the loads sum to the area
         assert load.sum() == pytest.approx(el.geom.area, abs=1e-13)
@@ -359,7 +361,7 @@ class TestLoad:
         def f(x, y, t):
             return el.basis.eval(np.column_stack([x, y])) @ coeffs
 
-        load = _element_load(el, _with_source(PR.polynomial_patch(k), f), 0.0)
+        load = _element_load(el, _with_source(polynomial_patch(k), f), 0.0)
         pts, w, pi0_vals = _oracle_pi0_values(el)
         oracle = pi0_vals.T @ (w * f(pts[:, 0], pts[:, 1], 0.0))
         assert np.abs(load - oracle).max() <= 1e-13 * np.abs(oracle).max()
@@ -438,18 +440,8 @@ class TestProblemCatalog:
 class TestManufacturedSources:
     """The hand-coded source terms are frozen against symbolic residuals."""
 
-    @staticmethod
-    def _sympy_residual(u, mu, eps, bx, by, gamma):
-        import sympy as sp
-
-        x, y, t = sp.symbols("x y t", real=True)
-        ut = sp.diff(u, t)
-        div1 = sp.diff(mu * sp.diff(ut, x), x) + sp.diff(mu * sp.diff(ut, y), y)
-        div2 = sp.diff(eps * sp.diff(u, x), x) + sp.diff(eps * sp.diff(u, y), y)
-        conv = bx * sp.diff(u, x) + by * sp.diff(u, y)
-        return sp.lambdify((x, y, t), sp.simplify(ut - div1 - div2 + conv + gamma * u), "numpy")
-
-    def _check(self, prob, f_sym, rel=1e-12):
+    def _check(self, prob, mu, eps, beta, gamma, u, rel=1e-12):
+        f_sym = sp.lambdify((X, Y, T), residual(u, mu, eps, beta, gamma), "numpy")
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.05, 0.95, size=(50, 2))
         for t in (0.05, 0.4, 1.0):
@@ -459,48 +451,13 @@ class TestManufacturedSources:
             assert np.abs(got - want).max() / scale < rel
 
     def test_variable(self):
-        import sympy as sp
-
-        x, y, t = sp.symbols("x y t", real=True)
-        s = sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
-        f = self._sympy_residual(t * s, x + y + 1, x**2 + y, x, y, x + y)
-        self._check(PR.get_problem("variable"), f)
+        u = T * sp.sin(sp.pi * X) * sp.sin(sp.pi * Y)
+        self._check(PR.get_problem("variable"), X + Y + 1, X**2 + Y, (X, Y), X + Y, u)
 
     def test_convection(self):
-        import sympy as sp
-
-        x, y, t = sp.symbols("x y t", real=True)
-        f = self._sympy_residual(
-            t * sp.exp(x + y), 1, sp.Rational(1, 10**6), 10, 10, 1
-        )
-        self._check(PR.get_problem("convection"), f)
+        u = T * sp.exp(X + Y)
+        self._check(PR.get_problem("convection"), 1, sp.Rational(1, 10**6), (10, 10), 1, u)
 
     def test_gaussian(self):
-        import sympy as sp
-
-        x, y, t = sp.symbols("x y t", real=True)
-        r2 = (x - sp.Rational(1, 2)) ** 2 + (y - sp.Rational(1, 2)) ** 2
-        f = self._sympy_residual(t * sp.exp(-100 * r2), 1, 1, 1, 1, 1)
-        self._check(PR.get_problem("gaussian"), f, rel=1e-11)
-
-    def test_quadratic_time(self):
-        import sympy as sp
-
-        x, y, t = sp.symbols("x y t", real=True)
-        s = sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
-        f = self._sympy_residual(t**2 * s, 1, 1, 0, 0, 1)
-        self._check(PR.quadratic_time(), f)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_polynomial_patch(self, k):
-        import sympy as sp
-
-        x, y, t = sp.symbols("x y t", real=True)
-        coeff = {1: (1.0, 2.0, -1.0), 2: (0.5, -1.0, 2.0), 3: (0.25, 1.0, -0.5)}[k]
-        p = coeff[0] + coeff[1] * x + coeff[2] * y
-        if k >= 2:
-            p = p + sp.Rational(3, 4) * x * y - sp.Rational(1, 2) * x**2
-        if k >= 3:
-            p = p + sp.Rational(3, 10) * x**2 * y - sp.Rational(1, 5) * y**3
-        f = self._sympy_residual(t * p, 1, 1, 0, 0, 1)
-        self._check(PR.polynomial_patch(k), f)
+        u = T * sp.exp(-100 * ((X - sp.Rational(1, 2)) ** 2 + (Y - sp.Rational(1, 2)) ** 2))
+        self._check(PR.get_problem("gaussian"), 1, 1, (1, 1), 1, u, rel=1e-11)

@@ -1,5 +1,5 @@
-"""Package hygiene: public names that exist, short lines, no unused imports,
-no new defaults."""
+"""Package hygiene: public names that exist and are used, short lines, no
+unused imports, no new defaults."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ import pytest
 import polyvem
 
 SOURCES = sorted(Path(polyvem.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 MODULES = sorted(f"polyvem.{info.name}" for info in pkgutil.iter_modules(polyvem.__path__))
 MAX_COLUMNS = 101
 MAX_DEFAULTS = 7
@@ -59,6 +60,28 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= _public_names(tree)
     unused = [(line, name) for name, line in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def _loaded_names(path):
+    """Every name a file reads, bare or as an attribute: not the statement
+    that defines it, nor its entry in ``__all__``, which is a string."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_public_name_is_used():
+    """A name in a module's ``__all__`` is read somewhere in the package or
+    by the benchmark under ``perfbench/``: no public name serves only tests."""
+    assert PERFBENCH, "perfbench/ not found next to tests/"
+    used = {name for path in SOURCES + PERFBENCH for name in _loaded_names(path)}
+    unused = [f"{path.stem}.{name}" for path in SOURCES
+              for name in sorted(_public_names(ast.parse(path.read_text(encoding="utf-8"))))
+              if name not in used]
     assert unused == []
 
 

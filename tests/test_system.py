@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyvem.system as system_module
+from manufactured import polynomial_patch
 from polyvem.analysis import compute_errors, error_indicators
 from polyvem.forms import CoefficientWarning, build_local_forms
 from polyvem.projectors import build_element, polynomial_dimension
@@ -29,7 +30,6 @@ from polyvem.problems import (
     constant_matrix,
     constant_vector,
     get_problem,
-    polynomial_patch,
     sample,
 )
 from polyvem.system import (
