@@ -19,6 +19,7 @@ set POLYVEM_THREADS to solve them in parallel.
 from __future__ import annotations
 
 import argparse
+import logging
 import runpy
 import sys
 import traceback
@@ -141,7 +142,7 @@ def cmd_converge(args) -> int:
         )
 
     series = []
-    for k in args.k:
+    for k in dict.fromkeys(args.k):  # each order once, in first-seen order
         record = run_convergence_sweep(
             problem, args.family, k, levels=args.levels, tau=args.tau,
             t_end=args.t_end, seed=args.seed,
@@ -250,11 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    notes = logging.StreamHandler(sys.stderr)  # the library's notes, one line each
+    notes.setLevel(logging.WARNING)
+    notes.setFormatter(logging.Formatter("warning: %(message)s"))
+    package_logger = logging.getLogger("polyvem")
+    package_logger.addHandler(notes)
     try:
         return args.func(args)
     except Exception as exc:  # surface one parsable line, nonzero exit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_logger.removeHandler(notes)
 
 
 if __name__ == "__main__":

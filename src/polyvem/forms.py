@@ -32,9 +32,9 @@ at its centroids for the stabilization scales (``stabilization_scales``,
 which the error indicators also read).  The initial projection's load
 (mu grad u0, pi0 grad phi_i) lives here too, next to the m2 form it
 projects with.  The stability theory also assumes sigma >= 0; that is
-only warned about, so each group reports its lowest sigma and
-``coefficient_notes`` turns the lowest of an assembly into one
-``CoefficientWarning`` and one note.
+only noted, so each group reports its lowest sigma and
+``coefficient_notes`` turns the lowest of an assembly into one note,
+which it also logs at WARNING on this module's logger.
 
 The forms, the load (f, pi0 phi_i) and the initial projection's load all
 integrate with the element's one rule of degree 2k.  It is exact for the
@@ -46,7 +46,6 @@ pi0 v) with a non-constant sigma is inexact, at higher order than the scheme.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,6 @@ from .projectors import LocalElement, polynomial_dimension
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "CoefficientWarning",
     "LocalForms",
     "stabilization_scales",
     "build_local_forms",
@@ -68,7 +66,8 @@ __all__ = [
 
 
 class CoefficientWarning(UserWarning):
-    """A coefficient violates an assumption that only weakens the theory."""
+    """Never raised (``coefficient_notes`` logs instead); kept only because
+    ``perfbench/run.py`` imports and filters it.  ROADMAP item 9 deletes both."""
 
 
 @dataclass
@@ -139,23 +138,15 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
 
 
 def coefficient_notes(sigma_lows) -> list[str]:
-    """Warn once, and return one note, if sigma = gamma - div(beta)/2 is
-    negative at a form point: ``sigma_lows`` are the groups'
+    """Return one note, and log it once at WARNING, if sigma = gamma -
+    div(beta)/2 is negative at a form point: ``sigma_lows`` are the groups'
     ``LocalForms.sigma_low``, and the note names the lowest of them, the
     earliest group's on a tie."""
     value, x, y = min(sigma_lows, key=lambda low: low[0])
     if value >= -1e-14:
         return []
-    # keep the warning text value-free so repeated assemblies of the
-    # same problem deduplicate; the sample point goes to the note/log
-    warnings.warn(
-        "sigma = gamma - div(beta)/2 takes negative values; "
-        "the stability theory assumes sigma >= 0",
-        CoefficientWarning,
-        stacklevel=2,
-    )
     note = f"sigma = gamma - div(beta)/2 is negative (min {value:.4g} at ({x:.4g}, {y:.4g}))"
-    logger.info(note)
+    logger.warning(note)
     return [note]
 
 

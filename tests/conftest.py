@@ -7,19 +7,14 @@ cached by their parameters.
 """
 
 import re
-from contextlib import nullcontext
 
 import pytest
 
+from ladders import PROTOCOL, RECORD, read_record, shifts
 from polyvem.analysis import run_convergence_sweep
-from polyvem.forms import CoefficientWarning
 from polyvem.problems import get_problem
 
 _CACHE = {}
-
-#: Catalog problems whose sigma = gamma - div(beta)/2 is negative somewhere,
-#: so that every assembly of them warns.
-NEGATIVE_SIGMA = {"variable"}
 
 
 @pytest.fixture(scope="session")
@@ -27,12 +22,9 @@ def sweep_cache():
     def get(problem, family, k, levels=4, tau=1e-3, seed=0):
         key = (problem, family, k, levels, tau, seed)
         if key not in _CACHE:
-            # levels run on worker threads, so the sweep as a whole expects the warning
-            expected = pytest.warns(CoefficientWarning) if problem in NEGATIVE_SIGMA else nullcontext()
-            with expected:
-                _CACHE[key] = run_convergence_sweep(
-                    get_problem(problem), family, k, levels=levels, tau=tau, t_end=1.0, seed=seed
-                )
+            _CACHE[key] = run_convergence_sweep(
+                get_problem(problem), family, k, levels=levels, tau=tau, t_end=1.0, seed=seed
+            )
         return _CACHE[key]
 
     return get
@@ -43,7 +35,7 @@ def sweep_cache():
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
+def _criterion_lines(terminalreporter):
     outcomes = {}
     for status, label in (("failed", "FAIL"), ("error", "FAIL"),
                           ("skipped", "SKIP"), ("passed", "PASS")):
@@ -51,14 +43,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             match = _CRITERION.search(getattr(report, "nodeid", ""))
             if match:
                 outcomes.setdefault(int(match.group(1)), label)
-    if not outcomes:
-        return
     try:
         from test_acceptance import CRITERIA
     except ImportError:
         CRITERIA = {}
-    terminalreporter.section("acceptance criteria")
-    for num in sorted(outcomes):
-        terminalreporter.write_line(
-            f"criterion {num:2d}: {outcomes[num]}  {CRITERIA.get(num, '')}"
-        )
+    return [f"criterion {num:2d}: {outcomes[num]}  {CRITERIA.get(num, '')}"
+            for num in sorted(outcomes)]
+
+
+def _ladder_lines():
+    """The largest relative E0h and E1h shift from the record of each
+    criteria ladder this test run computed."""
+    recorded = read_record()
+    lines = []
+    for key, record in _CACHE.items():  # (problem, family, k, levels, tau, seed)
+        ladder = key[:3]
+        if ladder in recorded and key[3:] == tuple(PROTOCOL.values()):
+            e0, e1 = (shift.max() for shift in shifts(record, recorded[ladder]))
+            lines.append(f"ladder {ladder[0]}/{ladder[1]} k={ladder[2]}: largest shift from "
+                         f"{RECORD.name}: E0h {e0:.1e}, E1h {e1:.1e}")
+    return sorted(lines)
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    lines = _criterion_lines(terminalreporter) + _ladder_lines()
+    if lines:
+        terminalreporter.section("acceptance criteria")
+        for line in lines:
+            terminalreporter.write_line(line)

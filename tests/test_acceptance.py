@@ -36,7 +36,6 @@ from polyvem.analysis import (
     matched_dof_comparison,
     run_adaptive_study,
 )
-from polyvem.forms import CoefficientWarning
 from polyvem.mesh import (
     generate_concave_mesh,
     generate_distorted_square_mesh,
@@ -163,8 +162,7 @@ def test_criterion_01_projector_suite():
 def test_criterion_02_structural_identities():
     with _report(2):
         mesh = generate_voronoi_mesh(40, lloyd_iterations=3, seed=2)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
 
         # convection matrix exactly skew: b_h(w, w) = w^T B w = 0
         b = system.b.toarray()

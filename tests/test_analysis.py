@@ -28,7 +28,6 @@ from polyvem.analysis import (
     run_adaptive_study,
     run_convergence_sweep,
 )
-from polyvem.forms import CoefficientWarning
 from polyvem.mesh import (
     PolyMesh,
     generate_distorted_square_mesh,
@@ -116,8 +115,7 @@ class TestComputeErrors:
         """With u_h = 0 the surrogates reduce to ||u(t)|| and ||grad u(t)||."""
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(6, 0.0, seed=0)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 1, problem)
+        system = assemble(mesh, 1, problem)
         pair = compute_errors(system, np.zeros(system.dofmap.size), 1.0)
         # u = t sin(pi x) sin(pi y): ||u(1)|| = 1/2, |u(1)|_1 = pi/sqrt(2)
         assert pair.e0 == pytest.approx(0.5, rel=1e-12)
@@ -133,8 +131,7 @@ class TestComputeErrors:
             }
         )
         mesh = generate_distorted_square_mesh(2, 0.0, seed=0)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 1, stripped)
+        system = assemble(mesh, 1, stripped)
         with pytest.raises(ValueError, match="exact solution"):
             compute_errors(system, np.zeros(system.dofmap.size), 1.0)
 
@@ -144,8 +141,7 @@ class TestComputeErrors:
         """The group-wise errors equal a cell-by-cell evaluation through the
         per-cell element views, up to summation order."""
         problem = get_problem("variable")
-        with pytest.warns(CoefficientWarning):
-            system, u = perturbed_interpolant(family, k, problem)
+        system, u = perturbed_interpolant(family, k, problem)
         nk, nk1 = (k + 1) * (k + 2) // 2, k * (k + 1) // 2
         e0_sq = e1_sq = 0.0
         for ci, el in enumerate(system.elements):
@@ -165,8 +161,7 @@ class TestComputeErrors:
     def test_metadata_fields(self):
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(3, 0.0, seed=0)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, problem)
+        system = assemble(mesh, 2, problem)
         pair = compute_errors(system, np.zeros(system.dofmap.size), 1.0)
         assert pair.h == system.mesh.h
         assert pair.num_dofs == system.dofmap.size
@@ -176,8 +171,7 @@ class TestComputeErrors:
 
 def _errors_at_t1(mesh, k):
     problem = get_problem("variable")
-    with pytest.warns(CoefficientWarning):
-        system = assemble(mesh, k, problem)
+    system = assemble(mesh, k, problem)
     result = run_time_loop(system, TimeStepperConfig(tau=1e-2, t_end=1.0))
     pair = compute_errors(system, result.u, result.t)
     return pair.e0, pair.e1
@@ -389,8 +383,7 @@ class TestErrorIndicators:
     def test_positive_on_transcendental_solution(self):
         problem = get_problem("variable")
         mesh = generate_distorted_square_mesh(4, 0.2, seed=0)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 1, problem)
+        system = assemble(mesh, 1, problem)
         u = interpolate_global(system, lambda x, y: problem.u_exact(x, y, 1.0))
         eta = error_indicators(system, u)
         assert np.all(eta > 0)

@@ -17,10 +17,10 @@ import pytest
 import polyvem
 from polyvem import analysis, cli
 from polyvem.cli import build_parser, main
-from polyvem.forms import CoefficientWarning
+from polyvem.analysis import run_convergence_sweep
 from polyvem.mesh import mesh_to_string, read_mesh
 from polyvem.problems import PROBLEM_NAMES
-from polyvem.system import read_solution
+from polyvem.system import assemble, read_solution
 
 #: A problem file, as a user would write it, for the linear patch
 #: u = t (1 + 2x - y) with unit coefficients; ``{name}`` is a Python expression.
@@ -249,10 +249,28 @@ class TestSolveCommand:
                 "--n", "3", "--seed", "4", "--tau", "0.5",
                 "-o", str(tmp_path / f"{spec}.sol"),
             ]
-            with pytest.warns(CoefficientWarning):
-                assert main(argv) == 0
+            assert main(argv) == 0
             outputs.append(_parse_error_line(capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+    def test_negative_sigma_note_is_one_warning_line(self, tmp_path, capsys, monkeypatch):
+        """The variable problem's sigma is negative near the origin: its note
+        is the one line on stderr, and the run succeeds."""
+        systems = []
+
+        def spy(*args):
+            systems.append(assemble(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(cli, "assemble", spy)
+        argv = [
+            "solve", "--problem", "1", "--family", "distorted", "--n", "8", "--k", "2",
+            "--tau", "0.01", "--t-end", "0.1", "-o", str(tmp_path / "v.sol"),
+        ]
+        assert main(argv) == 0
+        (system,) = systems
+        (note,) = system.coefficient_notes
+        assert capsys.readouterr().err == f"warning: {note}\n"
 
     def test_unknown_problem_fails_cleanly(self, capsys):
         assert main(["solve", "--problem", "nope"]) == 1
@@ -359,6 +377,48 @@ class TestConvergeCommand:
         text = svgs[0].read_text(encoding="utf-8")
         assert text.startswith("<svg")
         assert "E0h k=1" in text and "E1h k=2" in text
+
+    def test_each_negative_sigma_level_prints_its_note(self, tmp_path, capsys, monkeypatch):
+        """One ``warning:`` line per assembly with a negative sigma, in level
+        order on one thread."""
+        notes = []
+
+        def spy(*args):
+            system = assemble(*args)
+            notes.extend(system.coefficient_notes)
+            return system
+
+        monkeypatch.setattr(analysis, "assemble", spy)
+        monkeypatch.setenv("POLYVEM_THREADS", "1")
+        argv = [
+            "converge", "--problem", "1", "--family", "concave", "--k", "1", "--levels", "2",
+            "--tau", "0.1", "--t-end", "0.2", "--outdir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert len(notes) == 2
+        assert capsys.readouterr().err == "".join(f"warning: {note}\n" for note in notes)
+
+    def test_repeated_order_is_solved_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return run_convergence_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_convergence_sweep", spy)
+        problem_py = tmp_path / "patch.py"
+        problem_py.write_text(PATCH_PROBLEM_PY, encoding="utf-8")
+        outdir = tmp_path / "results"
+        argv = [
+            "converge", "--problem", str(problem_py), "--family", "concave",
+            "--k", "1", "1", "--levels", "2", "--tau", "0.25", "--outdir", str(outdir),
+        ]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        assert wrote == [f"wrote {path}" for path in sorted(outdir.iterdir())]
+        svg = (outdir / "polynomial-patch-k1-concave.svg").read_text(encoding="utf-8")
+        assert svg.count(">E0h k=1<") == svg.count(">E1h k=1<") == 1
 
     def test_single_level_warns_and_skips_plot(self, tmp_path, capsys):
         problem_py = tmp_path / "patch.py"

@@ -1,7 +1,9 @@
 """Local form assembly tests: structure, consistency, and coefficient checks."""
 
 import dataclasses
+import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -132,12 +134,15 @@ class TestCoefficientChecks:
         x, y = map(float, re.search(r"at \((\S+), (\S+)\)$", str(info.value)).groups())
         assert 0.5 < x < 1.0 and 0.0 < y < 1.0
 
-    def test_negative_sigma_warns_not_raises(self):
+    def test_negative_sigma_warns_not_raises(self, caplog):
         # the variable problem has sigma = x + y - 1 < 0 near the origin;
-        # the note names the lowest sigma over every group's form points
+        # the note names the lowest sigma over every group's form points,
+        # and is logged once at WARNING, not raised as a Python warning
         prob = PR.get_problem("variable")
-        with pytest.warns(F.CoefficientWarning, match="sigma"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             system = assemble(generate_distorted_square_mesh(4, 0.0, seed=0), 1, prob)
+        assert caught == []
         pts = np.concatenate([g.quad_points.reshape(-1, 2) for g in system.groups])
         sigma = prob.sigma(pts[:, 0], pts[:, 1])
         low = np.argmin(sigma)
@@ -145,15 +150,17 @@ class TestCoefficientChecks:
             f"sigma = gamma - div(beta)/2 is negative (min {sigma[low]:.4g} at "
             f"({pts[low, 0]:.4g}, {pts[low, 1]:.4g}))"
         ]
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("polyvem.forms", logging.WARNING, system.coefficient_notes[0])
+        ]
 
-    def test_clean_problem_passes_silently(self):
+    def test_clean_problem_passes_silently(self, caplog):
         prob = PR.get_problem("convection")
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             mesh = generate_distorted_square_mesh(2, 0.0, seed=0)
             assert assemble(mesh, 1, prob).coefficient_notes == []
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestStabilization:

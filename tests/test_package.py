@@ -63,6 +63,22 @@ def test_every_import_is_used(path):
     assert unused == []
 
 
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_warnings():
+    """The package reports what it notes as data and log records, never as a
+    Python warning, which a caller running with ``-W error`` would see fail."""
+    importers = [path.stem for path in SOURCES
+                 if "warnings" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
+
+
 def _loaded_names(path):
     """Every name a file reads, bare or as an attribute: not the statement
     that defines it, nor its entry in ``__all__``, which is a string."""

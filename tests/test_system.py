@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import polyvem.system as system_module
 from manufactured import polynomial_patch
+from p1 import p1_matrices, triangle_grid
 from polyvem.analysis import compute_errors, error_indicators
-from polyvem.forms import CoefficientWarning, build_local_forms
+from polyvem.forms import build_local_forms
 from polyvem.projectors import build_element, polynomial_dimension
 from polyvem.mesh import (
     PolyMesh,
@@ -25,6 +26,7 @@ from polyvem.mesh import (
     refine_cells,
 )
 from polyvem.problems import (
+    PROBLEM_NAMES,
     CoefficientError,
     SobolevProblem,
     constant_matrix,
@@ -192,8 +194,7 @@ class TestAssembly:
         each cell once and ``elements`` is in cell order."""
         mesh = GROUP_MESHES[family]()
         problem = get_problem("variable")
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, k, problem)
+        system = assemble(mesh, k, problem)
         covered = np.concatenate([group.geom.index for group in system.groups])
         assert sorted(covered) == list(range(mesh.num_cells))
         assert [int(el.geom.index) for el in system.elements] == list(range(mesh.num_cells))
@@ -218,8 +219,7 @@ class TestAssembly:
     def test_single_cell_matches_local_forms(self):
         mesh = unit_square_mesh()
         problem = get_problem("variable")
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, problem)
+        system = assemble(mesh, 2, problem)
         local = build_local_forms(build_element(mesh.cell_geometry(0)[None], 2), problem)
         cd = system.dofmap.cell_dofs(0)
         for name, mat in [("m1", local.m1), ("m2", local.m2), ("a", local.a), ("b", local.b)]:
@@ -231,8 +231,7 @@ class TestAssembly:
         mesh = two_square_mesh()
         problem = get_problem("variable")
         k = 2
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, k, problem)
+        system = assemble(mesh, k, problem)
         dm = system.dofmap
         n = dm.size
         for name in ["m1", "m2", "a", "b"]:
@@ -246,16 +245,16 @@ class TestAssembly:
 
     def test_global_convection_skew(self):
         mesh = generate_voronoi_mesh(25, lloyd_iterations=3, seed=1)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
         b = system.b.toarray()
         assert np.max(np.abs(b + b.T)) <= 1e-12
 
-    def test_coefficients_sampled_once_at_form_points(self):
+    def test_coefficients_sampled_once_at_form_points(self, caplog):
         """Each coefficient field is evaluated once per assembly: at every
         form point of every group, and mu, eps and sigma also at the
         centroids, which scale the stabilization.  The source reads the
-        same points.  The lowest sigma of all groups gives one warning."""
+        same points.  The lowest sigma of all groups gives one note, logged
+        once at WARNING, and no Python warning."""
         problem = get_problem("variable")
         seen = {name: [] for name in ("mu", "eps", "beta", "gamma", "div_beta")}
 
@@ -281,8 +280,11 @@ class TestAssembly:
         for name, calls in seen.items():
             want = form_points if name == "beta" else with_centroids
             np.testing.assert_array_equal(np.concatenate(calls), np.concatenate(want), err_msg=name)
-        assert [w.category for w in caught] == [CoefficientWarning]
+        assert caught == []
         assert len(system.coefficient_notes) == 1
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("polyvem.forms", logging.WARNING, system.coefficient_notes[0])
+        ]
         np.testing.assert_array_equal(np.concatenate(form_points), system.quad_points)
 
     def test_only_forms_reads_coefficients(self):
@@ -309,8 +311,7 @@ class TestAssembly:
             return wrapped
 
         problem = dataclasses.replace(VARIABLE_FROM_WAVE, **{n: spy(n) for n in callers})
-        with pytest.warns(CoefficientWarning):
-            system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=2), 2, problem)
+        system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=2), 2, problem)
         calls = {name: len(seen) for name, seen in callers.items()}
         result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=0.5))
         assert len(callers["mu"]) > calls["mu"]  # the projection sampled mu
@@ -340,8 +341,7 @@ class TestAssembly:
             return wrapped
 
         problem = dataclasses.replace(VARIABLE_FROM_WAVE, **{n: spy(n) for n in callers})
-        with pytest.warns(CoefficientWarning):
-            system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=2), 2, problem)
+        system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=2), 2, problem)
         result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=1.0))
         project_initial(dataclasses.replace(system, problem=dataclasses.replace(problem,
                                                                                 grad_u0=None)))
@@ -354,11 +354,28 @@ class TestAssembly:
 
     def test_mass_operator_is_positive_definite(self):
         mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=2)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
         g = (system.m1 + system.m2).toarray()
         eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
         assert eigs[0] > 0
+
+
+class TestP1Oracle:
+    """On triangles the k = 1 space is P1: the assembled forms equal the P1
+    finite element matrices of ``p1.p1_matrices``, which share no code with
+    the solver but the quadrature rule."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_k1_forms_are_p1_matrices(self, name, seed):
+        mesh = triangle_grid(6, seed)
+        assert mesh.num_cells == 72
+        problem = get_problem(name)
+        system = assemble(mesh, 1, problem)
+        assert system.dofmap.size == mesh.num_vertices
+        for form, want in p1_matrices(mesh, problem).items():
+            got = getattr(system, form).toarray()
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), form
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +510,7 @@ class TestLinearSolver:
 class TestProjectInitial:
     def test_zero_datum_is_exact_zero(self):
         mesh = generate_distorted_square_mesh(4, 0.3, seed=1)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
         u0 = project_initial(system)
         assert np.all(u0 == 0.0)
 
@@ -521,8 +537,7 @@ class TestProjectInitial:
         solves m2 against (mu grad u0, pi0 grad phi_i) summed cell by cell
         on the forms' rule, with the trace of u0 on the boundary."""
         problem = VARIABLE_FROM_WAVE
-        with pytest.warns(CoefficientWarning):
-            system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=4), 3, problem)
+        system = assemble(generate_voronoi_mesh(16, lloyd_iterations=3, seed=4), 3, problem)
         dm = system.dofmap
         rhs = np.zeros(system.size)
         for ci, el in enumerate(system.elements):
@@ -603,8 +618,7 @@ class TestTimeStepper:
 
     def test_dirichlet_trace_exact(self):
         mesh = generate_distorted_square_mesh(3, 0.2, seed=5)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
         result = run_time_loop(system, TimeStepperConfig(tau=0.25, t_end=1.0))
         bdry = system.dofmap.boundary
         assert np.array_equal(result.u[bdry], dirichlet_values(system, np.array([1.0]))[:, 0])
@@ -614,8 +628,7 @@ class TestTimeStepper:
         backward-Euler step, confirming the cached factorization path."""
         mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=6)
         problem = get_problem("variable")
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, problem)
+        system = assemble(mesh, 2, problem)
         tau = 0.5
         result = run_time_loop(system, TimeStepperConfig(tau=tau, t_end=tau))
 
@@ -663,8 +676,7 @@ class TestTimeStepper:
     def test_bitwise_determinism(self):
         def run():
             mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=9)
-            with pytest.warns(CoefficientWarning):
-                system = assemble(mesh, 2, get_problem("variable"))
+            system = assemble(mesh, 2, get_problem("variable"))
             return run_time_loop(system, TimeStepperConfig(tau=0.1, t_end=1.0)).u
 
         assert np.array_equal(run(), run())
@@ -711,9 +723,7 @@ class TestBlockedTimeLoop:
     @pytest.mark.parametrize("block", [None, 3, 1], ids=["one-block", "B=3", "B=1"])
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_matches_per_step_loop_bitwise(self, case, block, monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CoefficientWarning)
-            system = BLOCK_CASES[case]()
+        system = BLOCK_CASES[case]()
         assert len(system.coefficient_notes) == case.startswith("variable")
         n_points = len(system.quad_points)
         if block is None:
@@ -865,8 +875,7 @@ class TestProblemFieldShapes:
 class TestSnapshots:
     def _solved(self):
         mesh = generate_distorted_square_mesh(3, 0.2, seed=4)
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
         result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=1.0))
         return system, result
 
@@ -896,8 +905,7 @@ class TestSnapshots:
         """On a mesh of several cell groups every row is, bit for bit, the
         per-cell view's pi0 times the cell's dofs, in cell order."""
         mesh = GROUP_MESHES["hanging"]()
-        with pytest.warns(CoefficientWarning):
-            system = assemble(mesh, 2, get_problem("variable"))
+        system = assemble(mesh, 2, get_problem("variable"))
         result = run_time_loop(system, TimeStepperConfig(tau=0.5, t_end=1.0))
         assert len(system.groups) > 1
         _, _, _, coeffs = solution_from_string(solution_to_string(system, result))
