@@ -27,10 +27,8 @@ PALETTE = (
 
 _WIDTH = 720
 _HEIGHT = 540
-_MARGIN_L = 64.0
-_MARGIN_R = 16.0
-_MARGIN_T = 34.0
-_MARGIN_B = 46.0
+#: The plot region: its left and top edges, width and height.
+_FRAME = (64.0, 34.0, 640.0, 460.0)
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,27 @@ class Curve:
             raise ValueError("log-log curves need positive finite data")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+def _element(tag: str, body, **attrs) -> str:
+    """One SVG element, its attributes in call order with ``_`` in a name
+    written ``-``.  A value is written as given but a float, which gets two
+    decimals; a tuple (template, *values) is its template filled with its
+    values so written.  body is the element's text (escaped), None for an
+    empty element, or a list of written elements, one a line."""
+    def written(value):
+        template, *values = value if isinstance(value, tuple) else ("{}", value)
+        return template.format(*(f"{v:.2f}" if isinstance(v, float) else v for v in values))
+
+    head = tag + "".join(f' {name.replace("_", "-")}="{written(value)}"'
+                         for name, value in attrs.items())
+    if body is None:
+        return f"<{head}/>"
+    inner = "\n".join(["", *body, ""]) if isinstance(body, list) else escape(body)
+    return f"<{head}>{inner}</{tag}>"
+
+
+def _text(body: str, x, y, size: int, **attrs) -> str:
+    return _element("text", body, x=x, y=y, font_family="monospace", font_size=size,
+                    fill="#222222", **attrs)
 
 
 def _decades(lo: float, hi: float) -> list[int]:
@@ -60,135 +77,74 @@ def _decades(lo: float, hi: float) -> list[int]:
 def loglog_svg(curves, *, title: str, xlabel: str, ylabel: str, slope_guides: tuple) -> str:
     """Render curves into an SVG document string.
 
-    slope_guides draws, for each slope s, a reference triangle whose legs
-    are one decade wide and s decades tall, anchored in the lower right of
-    the data region.
+    slope_guides draws, for each slope s, a reference triangle in the lower
+    right of the data region: its base is min(1, 0.3 x the plotted x range)
+    decades wide and its height s times its base.
     """
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
 
-    lx = [math.log10(v) for c in curves for v in c.x]
-    ly = [math.log10(v) for c in curves for v in c.y]
-    x_lo, x_hi = min(lx), max(lx)
-    y_lo, y_hi = min(ly), max(ly)
-    x_pad = 0.06 * max(x_hi - x_lo, 0.5)
-    y_pad = 0.06 * max(y_hi - y_lo, 0.5)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    def padded(logs):  # an axis's data range in decades, 6% (at least 0.03) wider each side
+        pad = 0.06 * max(max(logs) - min(logs), 0.5)
+        return min(logs) - pad, max(logs) + pad
 
-    width, height = _WIDTH, _HEIGHT
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    x_lo, x_hi = padded([math.log10(v) for c in curves for v in c.x])
+    y_lo, y_hi = padded([math.log10(v) for c in curves for v in c.y])
+    left, top, plot_w, plot_h = _FRAME
+    right, bottom = left + plot_w, top + plot_h
 
     def px(log_x: float) -> float:
-        return _MARGIN_L + (log_x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + (log_x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(log_y: float) -> float:
-        return _MARGIN_T + (y_hi - log_y) / (y_hi - y_lo) * plot_h
+        return top + (y_hi - log_y) / (y_hi - y_lo) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    text = (
-        '<text x="{x}" y="{y}" font-family="monospace" font-size="{s}" '
-        'fill="#222222"{extra}>{body}</text>'
-    )
+    parts = [_element("rect", None, width=_WIDTH, height=_HEIGHT, fill="#ffffff")]
 
     # decade grid
+    grid = {"stroke": "#dddddd", "stroke_width": 1}
     for ex in _decades(x_lo, x_hi):
-        gx = _fmt(px(ex))
-        parts.append(
-            f'<line x1="{gx}" y1="{_fmt(_MARGIN_T)}" x2="{gx}" '
-            f'y2="{_fmt(_MARGIN_T + plot_h)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            text.format(x=gx, y=_fmt(height - _MARGIN_B + 18), s=12,
-                        extra=' text-anchor="middle"', body=f"1e{ex}")
-        )
+        parts.append(_element("line", None, x1=px(ex), y1=top, x2=px(ex), y2=bottom, **grid))
+        parts.append(_text(f"1e{ex}", px(ex), bottom + 18, 12, text_anchor="middle"))
     for ex in _decades(y_lo, y_hi):
-        gy = _fmt(py(ex))
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_L)}" y1="{gy}" x2="{_fmt(_MARGIN_L + plot_w)}" '
-            f'y2="{gy}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            text.format(x=_fmt(_MARGIN_L - 6), y=_fmt(py(ex) + 4), s=12,
-                        extra=' text-anchor="end"', body=f"1e{ex}")
-        )
+        parts.append(_element("line", None, x1=left, y1=py(ex), x2=right, y2=py(ex), **grid))
+        parts.append(_text(f"1e{ex}", left - 6, py(ex) + 4, 12, text_anchor="end"))
 
     # frame and axis labels
-    parts.append(
-        f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}" fill="none" stroke="#444444" stroke-width="1"/>'
-    )
+    parts.append(_element("rect", None, x=left, y=top, width=plot_w, height=plot_h, fill="none",
+                          stroke="#444444", stroke_width=1))
     if title:
-        parts.append(
-            text.format(x=_fmt(width / 2), y="20", s=14,
-                        extra=' text-anchor="middle"', body=escape(title))
-        )
-    parts.append(
-        text.format(x=_fmt(_MARGIN_L + plot_w / 2), y=_fmt(height - 8), s=13,
-                    extra=' text-anchor="middle"', body=escape(xlabel))
-    )
-    parts.append(
-        text.format(
-            x="16", y=_fmt(_MARGIN_T + plot_h / 2), s=13,
-            extra=f' text-anchor="middle" transform="rotate(-90 16 {_fmt(_MARGIN_T + plot_h / 2)})"',
-            body=escape(ylabel),
-        )
-    )
+        parts.append(_text(title, _WIDTH / 2, 20, 14, text_anchor="middle"))
+    parts.append(_text(xlabel, left + plot_w / 2, _HEIGHT - 8.0, 13, text_anchor="middle"))
+    mid_y = top + plot_h / 2
+    parts.append(_text(ylabel, 16, mid_y, 13, text_anchor="middle",
+                       transform=("rotate(-90 16 {})", mid_y)))
 
     # slope reference triangles
     tri_x1 = x_hi - 0.08 * (x_hi - x_lo)
     tri_x0 = tri_x1 - min(1.0, 0.3 * (x_hi - x_lo))
     tri_base = y_lo + 0.10 * (y_hi - y_lo)
     for slope in slope_guides:
-        y0 = tri_base
-        y1 = tri_base + slope * (tri_x1 - tri_x0)
-        p0 = (px(tri_x0), py(y0))
-        p1 = (px(tri_x1), py(y0))
-        p2 = (px(tri_x1), py(y1))
-        parts.append(
-            f'<path d="M {_fmt(p0[0])} {_fmt(p0[1])} L {_fmt(p1[0])} {_fmt(p1[1])} '
-            f'L {_fmt(p2[0])} {_fmt(p2[1])} Z" fill="none" stroke="#888888" '
-            f'stroke-width="1"/>'
-        )
-        parts.append(
-            text.format(x=_fmt(p1[0] + 4), y=_fmt((p1[1] + p2[1]) / 2 + 4), s=11,
-                        extra="", body=f"{slope:g}")
-        )
+        x0, x1 = px(tri_x0), px(tri_x1)
+        y0, y1 = py(tri_base), py(tri_base + slope * (tri_x1 - tri_x0))
+        parts.append(_element("path", None, d=("M {} {} L {} {} L {} {} Z", x0, y0, x1, y0, x1, y1),
+                              fill="none", stroke="#888888", stroke_width=1))
+        parts.append(_text(f"{slope:g}", x1 + 4, (y0 + y1) / 2 + 4, 11))
 
-    # curves and legend
-    legend_y = _MARGIN_T + 14
+    # curves and legend; a legend line takes its curve's stroke
     for i, curve in enumerate(curves):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(
-            f"{_fmt(px(math.log10(xv)))},{_fmt(py(math.log10(yv)))}"
-            for xv, yv in zip(curve.x, curve.y)
-        )
-        dash = ' stroke-dasharray="6 4"' if curve.dashed else ""
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"{dash}/>'
-        )
-        for xv, yv in zip(curve.x, curve.y):
-            parts.append(
-                f'<circle cx="{_fmt(px(math.log10(xv)))}" '
-                f'cy="{_fmt(py(math.log10(yv)))}" r="3" fill="{color}"/>'
-            )
-        lx0 = _MARGIN_L + plot_w - 170
-        parts.append(
-            f'<line x1="{_fmt(lx0)}" y1="{_fmt(legend_y - 4)}" x2="{_fmt(lx0 + 26)}" '
-            f'y2="{_fmt(legend_y - 4)}" stroke="{color}" stroke-width="1.8"{dash}/>'
-        )
-        parts.append(
-            text.format(x=_fmt(lx0 + 32), y=_fmt(legend_y), s=12, extra="",
-                        body=escape(curve.label))
-        )
-        legend_y += 16
+        dash = {"stroke_dasharray": "6 4"} if curve.dashed else {}
+        stroke = {"stroke": PALETTE[i % len(PALETTE)], "stroke_width": "1.8", **dash}
+        points = [(px(math.log10(xv)), py(math.log10(yv))) for xv, yv in zip(curve.x, curve.y)]
+        parts.append(_element("polyline", None, points=(" ".join(["{},{}"] * len(points)),
+                                                         *sum(points, ())), fill="none", **stroke))
+        parts.extend(_element("circle", None, cx=cx, cy=cy, r=3, fill=stroke["stroke"])
+                     for cx, cy in points)
+        legend_x, legend_y = right - 170, top + 14 + 16 * i
+        parts.append(_element("line", None, x1=legend_x, y1=legend_y - 4, x2=legend_x + 26,
+                              y2=legend_y - 4, **stroke))
+        parts.append(_text(curve.label, legend_x + 32, legend_y, 12))
 
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _element("svg", parts, xmlns="http://www.w3.org/2000/svg", width=_WIDTH, height=_HEIGHT,
+                    viewBox=f"0 0 {_WIDTH} {_HEIGHT}")

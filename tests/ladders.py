@@ -45,7 +45,8 @@ def shifts(record, recorded) -> tuple:
                  for got, want in zip((record.e0, record.e1), recorded))
 
 
-def _commit() -> str:
+def commit_label() -> str:
+    """The short HEAD commit, noting uncommitted changes to ``src/``."""
     root = Path(__file__).parents[1]
 
     def git(*args):
@@ -62,7 +63,7 @@ def main():
 
     lines = [
         "# E0h and E1h of the criteria ladders (4 levels, tau = 1e-3, T = 1, seed 0)",
-        f"# as hex floats, recorded at {_commit()} by tests/ladders.py",
+        f"# as hex floats, recorded at {commit_label()} by tests/ladders.py",
         "# problem family k level E0h E1h",
     ]
     for problem, family, k in LADDERS:

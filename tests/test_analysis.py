@@ -169,12 +169,22 @@ class TestComputeErrors:
         assert pair.seconds == 0.0
 
 
-def _errors_at_t1(mesh, k):
+def _errors(mesh, k, config):
     problem = get_problem("variable")
     system = assemble(mesh, k, problem)
-    result = run_time_loop(system, TimeStepperConfig(tau=1e-2, t_end=1.0))
+    result = run_time_loop(system, config)
     pair = compute_errors(system, result.u, result.t)
     return pair.e0, pair.e1
+
+
+def _renumbered(mesh, rng):
+    """The mesh with its vertices relabeled and its cells reordered, each
+    loop keeping its cyclic order and its first vertex."""
+    cell_order = rng.permutation(mesh.num_cells)
+    vertex_order = rng.permutation(mesh.num_vertices)
+    new_index = np.argsort(vertex_order)
+    loops = [new_index[mesh.cells[c]] for c in cell_order]
+    return PolyMesh(mesh.vertices[vertex_order], loops)
 
 
 class TestRenumberingInvariance:
@@ -188,13 +198,19 @@ class TestRenumberingInvariance:
             mesh = refine_cells(generate_distorted_square_mesh(4, 0.2, seed=1), [2, 9])
         else:
             mesh = family_mesh(family, 0)
-        rng = np.random.default_rng(k)
-        cell_order = rng.permutation(mesh.num_cells)
-        vertex_order = rng.permutation(mesh.num_vertices)
-        new_index = np.argsort(vertex_order)
-        loops = [new_index[mesh.cells[c]] for c in cell_order]
-        permuted = PolyMesh(mesh.vertices[vertex_order], loops)
-        np.testing.assert_allclose(_errors_at_t1(permuted, k), _errors_at_t1(mesh, k), rtol=1e-10)
+        config = TimeStepperConfig(tau=1e-2, t_end=1.0)
+        permuted = _renumbered(mesh, np.random.default_rng(k))
+        np.testing.assert_allclose(_errors(permuted, k, config), _errors(mesh, k, config),
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family, level", [("distorted", 1), ("concave", 1), ("voronoi", 2)])
+    def test_permuted_finer_level_gives_same_errors(self, family, level, k):
+        mesh = family_mesh(family, level)
+        config = TimeStepperConfig(tau=0.02, t_end=0.2)
+        permuted = _renumbered(mesh, np.random.default_rng([level, k]))
+        got, want = _errors(permuted, k, config), _errors(mesh, k, config)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import sympy as sp
 
 from manufactured import T, X, Y, polynomial_patch, residual
+from p1 import triangle_grid
 from polyvem import forms as F
 from polyvem import problems as PR
 from polyvem.mesh import (
@@ -311,6 +312,7 @@ LOAD_CELLS = {
     "voronoi": generate_voronoi_mesh(16, 2, seed=3).cell_geometry(5),
     "concave": generate_concave_mesh(1).cell_geometry(1),
     "hanging": HANGING_NODE_CELL,
+    "triangle": triangle_grid(3, 0).cell_geometry(4),
 }
 
 
@@ -318,6 +320,7 @@ LOAD_MESHES = {
     "one-cell": lambda: PolyMesh(small_cell_geom().coords, [[0, 1, 2, 3]]),
     "voronoi": lambda: generate_voronoi_mesh(30, lloyd_iterations=3, seed=4),
     "hanging": lambda: refine_cells(generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10]),
+    "triangles": lambda: triangle_grid(4, 0),
 }
 
 

@@ -1,11 +1,13 @@
-"""The log-log plot takes only samples a log axis can show, and writes
-well-formed XML whatever its text holds."""
+"""The log-log plot takes only samples a log axis can show, writes
+well-formed XML whatever its text holds, and writes the recorded figures
+(see ``figures``) byte for byte."""
 
 import math
 from xml.dom import minidom
 
 import pytest
 
+from figures import FIGURES, RECORD, render
 from polyvem.svgplot import Curve, loglog_svg
 
 
@@ -23,3 +25,8 @@ def test_markup_characters_in_text_are_escaped():
     texts = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
     for body in ("E0h <R&D>", "R&D on <concave> meshes", "h & k", "a<b"):
         assert body in texts
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_figures_match_the_record(name):
+    assert render(name) == (RECORD / f"{name}.svg").read_text(encoding="utf-8")

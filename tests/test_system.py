@@ -180,6 +180,7 @@ GROUP_MESHES = {
     "voronoi": lambda: generate_voronoi_mesh(30, lloyd_iterations=3, seed=4),
     "hanging": lambda: refine_cells(generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10]),
     "concave": lambda: generate_concave_mesh(2),
+    "triangles": lambda: triangle_grid(4, 0),
 }
 
 ELEMENT_FIELDS = ("dof_matrix", "b_matrix", "pi_grad_star", "pi0_star", "pi0_grad_star", "stab_q")
@@ -199,7 +200,8 @@ class TestAssembly:
         assert sorted(covered) == list(range(mesh.num_cells))
         assert [int(el.geom.index) for el in system.elements] == list(range(mesh.num_cells))
         keys = [(g.layout.num_vertices, g.geom.triangles.shape[1]) for g in system.groups]
-        assert len(set(keys)) == len(keys) > (family != "concave")
+        one_group = family in ("concave", "triangles")  # all hexagons; all (3, 1) triangles
+        assert len(set(keys)) == len(keys) > (not one_group)
         if family == "hanging":  # a hanging node next to vertex 0 drops a fan triangle
             assert any(t < m - 2 for m, t in keys)
 
@@ -376,6 +378,31 @@ class TestP1Oracle:
         for form, want in p1_matrices(mesh, problem).items():
             got = getattr(system, form).toarray()
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), form
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_k1_steps_are_the_p1_scheme(self, name, seed):
+        """Two backward-Euler steps equal dense solves of the P1 scheme
+        (M1 + M2 + tau (A + B)) U^n = (M1 + M2) U^{n-1} + tau F^n from the
+        projected U^0, with the boundary dofs set to the Dirichlet data at t_n
+        and eliminated; F^n is the system's own load at t_n."""
+        tau = 0.1
+        mesh = triangle_grid(6, seed)
+        problem = get_problem(name)
+        system = assemble(mesh, 1, problem)
+        p1 = p1_matrices(mesh, problem)
+        mass = p1["m1"] + p1["m2"]
+        lhs = mass + tau * (p1["a"] + p1["b"])
+        act, bdry = system.dofmap.active, system.dofmap.boundary
+        want = project_initial(system)
+        for t in (np.array([tau]), np.array([2 * tau])):
+            load = system.load_map @ sample(problem, "f", system.quad_points, t)[:, 0]
+            rhs = mass @ want + tau * load
+            want[bdry] = sample(problem, "dirichlet", system.dofmap.dof_points[bdry], t)[:, 0]
+            want[act] = np.linalg.solve(lhs[np.ix_(act, act)],
+                                        rhs[act] - lhs[np.ix_(act, bdry)] @ want[bdry])
+        got = run_time_loop(system, TimeStepperConfig(tau=tau, t_end=2 * tau)).u
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
