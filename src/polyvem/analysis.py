@@ -247,9 +247,9 @@ def run_convergence_sweep(
 ) -> ConvergenceRecord:
     """Solve the problem on ``levels`` nested meshes and collect errors.
 
-    Levels are independent solves on a pool of POLYVEM_THREADS threads
-    (default 1), with results merged in level order, so output is
-    scheduling-independent.
+    Levels are independent solves on a pool of POLYVEM_THREADS (an integer
+    >= 1, default 1) threads, with results merged in level order, so output
+    is scheduling-independent.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -257,9 +257,11 @@ def run_convergence_sweep(
     config = TimeStepperConfig(tau=tau, t_end=t_end)
     threads = os.environ.get("POLYVEM_THREADS", "1")
     try:
-        workers = max(1, int(threads))
+        workers = int(threads)
     except ValueError:
-        raise ValueError(f"POLYVEM_THREADS must be an integer, got {threads!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"POLYVEM_THREADS must be an integer >= 1, got {threads!r}")
     solve = partial(_solve_level, problem, family, k, config=config, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pairs = list(pool.map(solve, range(levels)))

@@ -498,37 +498,25 @@ def _compact_mesh(coords: np.ndarray, loops: list[np.ndarray]) -> PolyMesh:
 
 def voronoi_mesh_from_seeds(seeds: np.ndarray, lloyd_iterations: int) -> PolyMesh:
     """Clipped Voronoi mesh of explicit seed points in (0,1)^2.  Seeds within
-    ``_SNAP`` of each other are spread apart; a ``MeshError`` of the build
-    after that names the coincident seed indices."""
-    seeds = np.asarray(seeds, dtype=float).copy()
+    ``_SNAP`` of each other are refused with a ``MeshError`` naming them."""
+    seeds = np.asarray(seeds, dtype=float)
     if len(seeds) < 4:
         raise ValueError("need at least 4 seeds")
     if lloyd_iterations < 0:
         raise ValueError(f"lloyd_iterations must be >= 0, got {lloyd_iterations}")
-    if seeds.min() <= 0.0 or seeds.max() >= 1.0:
+    if not ((seeds > 0.0) & (seeds < 1.0)).all():  # NaN too
         raise MeshError("seeds must lie strictly inside (0,1)^2")
-    # the m copies of a point (seeds chained within _SNAP) go round the circle with
-    # diameter c to c + m/2 * _SNAP * (r + 1) * (+-1, +-1) for c the first copy, r the row
-    # of the second, signs into the square: in convex position no cell shrinks to the snap
+    # the copies of a point: seeds chained within _SNAP
     label = np.arange(len(seeds))
     for a, b in cKDTree(seeds).query_pairs(_SNAP, output_type="ndarray"):
         label[label == label[b]] = label[a]
     copies = [np.flatnonzero(label == g) for g in np.flatnonzero(np.bincount(label) > 1)]
-    for rows in copies:
-        turn = np.exp(2j * np.pi * np.arange(len(rows)) / len(rows))
-        ring = 0.25 * len(rows) * _SNAP * (rows[1] + 1) * (1 + 1j) * (1 - turn)
-        offset = np.column_stack([ring.real, ring.imag])
-        seeds[rows] = seeds[rows[0]] + np.where(seeds[rows[0]] + offset.max(0) < 1, offset, -offset)
-    try:
-        for _ in range(lloyd_iterations):
-            seeds = _voronoi_cells_in_square(seeds)[2]
-        return _compact_mesh(*_voronoi_cells_in_square(seeds)[:2])
-    except MeshError as exc:
-        if not copies:
-            raise
-        # a spread circle is a few _SNAP wide, so near a side its cells can collapse
-        named = "; ".join(", ".join(map(str, rows)) for rows in copies)
-        raise MeshError(f"coincident seeds ({named}) could not be given a cell each") from exc
+    if copies:
+        named = "; ".join(f"({', '.join(map(str, rows))})" for rows in copies)
+        raise MeshError(f"coincident seeds {named} lie within {_SNAP:g} of each other")
+    for _ in range(lloyd_iterations):
+        seeds = _voronoi_cells_in_square(seeds)[2]
+    return _compact_mesh(*_voronoi_cells_in_square(seeds)[:2])
 
 
 #: Largest seed offset of ``generate_voronoi_mesh``, in local spacings.

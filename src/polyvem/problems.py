@@ -9,7 +9,7 @@ initial value ``u0``.  The built-in problems carry their exact solution
 (and gradient) so convergence studies can measure errors directly:
 
 * ``variable``    smooth sine solution, fully variable coefficients
-                  (sigma changes sign, which triggers a stability warning),
+                  (sigma changes sign, which leaves a coefficient note),
 * ``convection``  convection-dominated transport (eps = 1e-6, beta = (10,10))
                   with an exponential solution and non-homogeneous data,
 * ``gaussian``    narrow Gaussian bump, the adaptivity workhorse.

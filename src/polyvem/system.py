@@ -27,11 +27,12 @@ index for the four forms, one for the load map), and the initial
 projection, errors and indicators zip groups with their dofs.
 Every field of the problem is read through ``problems.sample``, which
 checks its shape and finiteness: f and the Dirichlet data once per block
-here, u0 at the boundary dofs.  Only ``forms`` reads the coefficients, once
-per group, and the initial projection takes each group's load from
-``forms.initial_projection_load`` and keeps the scatter, the Dirichlet
-split and the solve; assembly passes each group's lowest sigma to
-``forms.coefficient_notes``, which warns at most once per assembly.
+here, u0 at the boundary dofs.  Only ``forms`` asks for a coefficient,
+always through ``problems.sample``, and the initial projection takes each
+group's load from ``forms.initial_projection_load`` and keeps the scatter,
+the Dirichlet split and the solve; assembly passes each group's lowest
+sigma to ``forms.coefficient_notes``, which returns at most one note per
+assembly and logs it.
 Per-cell access (``GlobalSystem.elements``, ``GlobalDofMap.cell_dofs``)
 goes through the mesh's (group, position) slot of the cell.  Snapshots are
 read with the rules of ``polyvem.textfile`` that the mesh file shares.

@@ -3,14 +3,17 @@
 The full-protocol convergence sweeps (tau = 1e-3, four levels) are by far
 the most expensive computations in the suite and several test modules
 assert against the same ones, so they are computed once per session and
-cached by their parameters.
+cached by their parameters.  Criterion 9's adaptive study is run once per
+session too, for the criterion and for its record.
 """
 
 import re
+import time
 
 import pytest
 
-from ladders import PROTOCOL, RECORD, read_record, shifts
+from ladders import (PROTOCOL, RECORD, STUDY_RECORD, read_record, read_study_record, run_study,
+                     shifts, study_shifts)
 from polyvem.analysis import run_convergence_sweep
 from polyvem.problems import get_problem
 
@@ -28,6 +31,17 @@ def sweep_cache():
         return _CACHE[key]
 
     return get
+
+
+_STUDY = []
+
+
+@pytest.fixture(scope="session")
+def adaptive_study():
+    """Criterion 9's adaptive study (``ladders.STUDY``) and its wall time in seconds."""
+    start = time.perf_counter()
+    _STUDY.append(run_study())
+    return _STUDY[0], time.perf_counter() - start
 
 
 # one line per acceptance criterion at the end of the run, independent of
@@ -65,8 +79,18 @@ def _ladder_lines():
     return sorted(lines)
 
 
+def _study_lines():
+    """The adaptive study's largest relative E0h and E1h shift from its
+    record, if this test run computed the study."""
+    if not _STUDY:
+        return []
+    per_history = study_shifts(_STUDY[0], read_study_record()).values()
+    e0, e1 = (max(shift.max() for shift in each) for each in zip(*per_history))
+    return [f"adaptive study: largest shift from {STUDY_RECORD.name}: E0h {e0:.1e}, E1h {e1:.1e}"]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    lines = _criterion_lines(terminalreporter) + _ladder_lines()
+    lines = _criterion_lines(terminalreporter) + _ladder_lines() + _study_lines()
     if lines:
         terminalreporter.section("acceptance criteria")
         for line in lines:

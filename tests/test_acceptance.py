@@ -34,7 +34,6 @@ from polyvem.analysis import (
     compute_errors,
     least_squares_slope,
     matched_dof_comparison,
-    run_adaptive_study,
 )
 from polyvem.mesh import (
     generate_concave_mesh,
@@ -325,12 +324,10 @@ def test_criterion_08_temporal_order():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_09_adaptive_beats_uniform():
+def test_criterion_09_adaptive_beats_uniform(adaptive_study):
     with _report(9):
-        start = time.perf_counter()
-        study = run_adaptive_study(
-            get_problem("gaussian"), k=1, cycles=5, start_n=8, theta=0.3, tau=1e-3, t_end=1.0
-        )
+        # ladders.STUDY, run once per session and shared with its record's test
+        study, seconds = adaptive_study
         matched = matched_dof_comparison(study)
         assert len(matched) >= 3, "too few matched active-dof points"
         for dofs, e_adapt, e_unif in matched:
@@ -341,4 +338,4 @@ def test_criterion_09_adaptive_beats_uniform():
         assert any(len(cell) > 4 for cell in study.final_mesh.cells), (
             "final adaptive mesh has no hanging nodes"
         )
-        assert time.perf_counter() - start < 300.0
+        assert seconds < 300.0

@@ -585,11 +585,17 @@ class TestSweeps:
                                   t_end=0.5, seed=0)
         assert built == []
 
-    def test_non_integer_thread_count_named(self, monkeypatch):
-        monkeypatch.setenv("POLYVEM_THREADS", "two")
-        with pytest.raises(ValueError, match="^POLYVEM_THREADS must be an integer, got 'two'$"):
+    @pytest.mark.parametrize("threads", ["two", "0", "-2"])
+    def test_bad_thread_count_refused_before_any_mesh(self, monkeypatch, threads):
+        built = []
+        for family in A.MESH_GENERATORS:
+            monkeypatch.setitem(A.MESH_GENERATORS, family, lambda *args: built.append(args))
+        monkeypatch.setenv("POLYVEM_THREADS", threads)
+        with pytest.raises(ValueError,
+                           match=f"^POLYVEM_THREADS must be an integer >= 1, got '{threads}'$"):
             run_convergence_sweep(get_problem("variable"), "distorted", 1, levels=1, tau=1e-3,
                                   t_end=1.0, seed=0)
+        assert built == []
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         problem = polynomial_patch(2)

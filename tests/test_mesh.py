@@ -1,5 +1,7 @@
 """Mesh data model, generators, refinement and I/O tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,11 @@ UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 # edge 2-3 crosses edge 0-1); vertices 5-7: a separate triangle
 TANGLED = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.5, -0.5], [0.0, 2.0],
            [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]
+
+
+# Voronoi seeds: one per quadrant, and 20 scattered well inside the square
+QUADRANTS = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
+RANDOM_20 = np.random.default_rng(1).uniform(0.1, 0.9, (20, 2)).tolist()
 
 
 def total_area(mesh):
@@ -225,8 +232,7 @@ class TestDistortedFamily:
 
 class TestVoronoiFamily:
     def test_quadrant_seeds_give_blocks(self):
-        seeds = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
-        mesh = M.voronoi_mesh_from_seeds(seeds, lloyd_iterations=0)
+        mesh = M.voronoi_mesh_from_seeds(np.array(QUADRANTS), lloyd_iterations=0)
         assert mesh.num_cells == 4
         for ci in range(4):
             assert mesh.cell_geometry(ci).area == pytest.approx(0.25, abs=1e-12)
@@ -260,43 +266,38 @@ class TestVoronoiFamily:
 
         assert spread(smooth) < spread(rough)
 
-    def test_coincident_seeds_are_jittered_apart(self):
-        """A repeated seed is nudged along the diagonal, so the Voronoi
-        edge between the two copies splits their quadrant on the anti-diagonal."""
-        quadrants = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
-        mesh = M.voronoi_mesh_from_seeds(np.array(quadrants + [(0.75, 0.75)]), lloyd_iterations=0)
-        areas = sorted(mesh.cell_geometry(i).area for i in range(mesh.num_cells))
-        np.testing.assert_allclose(areas, [0.125, 0.125, 0.25, 0.25, 0.25], atol=1e-8)
+    @pytest.mark.parametrize("outside", [(0.0, 0.5), (0.5, 1.2), (np.nan, 0.5)],
+                             ids=["on-side", "beyond-side", "nan"])
+    def test_seeds_outside_the_square_are_refused(self, outside):
+        with pytest.raises(M.MeshError, match=r"^seeds must lie strictly inside \(0,1\)\^2$"):
+            M.voronoi_mesh_from_seeds(np.array(QUADRANTS + [outside]), lloyd_iterations=0)
 
-    @pytest.mark.parametrize("seeds", [
-        [(0.5, 0.5)] * 6,
-        [(0.3, 0.3)] * 3 + [(0.7, 0.3), (0.3, 0.7), (0.7, 0.7)],
-    ], ids=["six-copies", "three-of-six"])
-    def test_many_coincident_seeds_get_one_cell_each(self, seeds):
-        """Three or more copies of a point are spread in distinct directions,
-        so each gets a convex cell of its own instead of a winding error."""
-        mesh = M.voronoi_mesh_from_seeds(np.array(seeds), lloyd_iterations=0)
+    @pytest.mark.parametrize("seeds, named", [
+        (QUADRANTS + [(0.75, 0.75)], "(3, 4)"),
+        ([(0.5, 0.5)] * 6, "(0, 1, 2, 3, 4, 5)"),
+        ([(0.3, 0.3)] * 3 + [(0.7, 0.3), (0.3, 0.7), (0.7, 0.7)], "(0, 1, 2)"),
+        (RANDOM_20 + [(1e-10, 1e-10)] * 2, "(20, 21)"),
+        (RANDOM_20 + [(0.5, 1.0 - 1e-10)] * 3, "(20, 21, 22)"),
+        (RANDOM_20 + [(1.0 - 1e-8, 0.5)] * 6, "(20, 21, 22, 23, 24, 25)"),
+        (QUADRANTS + [(0.25, 0.25), (0.75, 0.75 + 5e-10)], "(0, 4); (3, 5)"),
+    ], ids=["pair", "six-copies", "three-of-six", "pair-at-corner", "three-at-side",
+            "six-near-side", "two-groups"])
+    def test_coincident_seeds_are_refused_by_name(self, monkeypatch, seeds, named):
+        """Seeds within the 1e-9 vertex snap of each other are refused before
+        any Voronoi diagram is built; the error names every copy, grouped."""
+        calls = TestVoronoiMirroring.spy(monkeypatch)
+        with pytest.raises(M.MeshError, match=rf"^coincident seeds {re.escape(named)} lie within"):
+            M.voronoi_mesh_from_seeds(np.array(seeds), lloyd_iterations=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("gap", [1.5e-9, 1e-8, 1e-6])
+    @pytest.mark.parametrize("first", [(0.5, 0.5), (0.3, 0.6), (0.5, 1.0 - 2e-9)],
+                             ids=["centre", "off-centre", "below-top"])
+    def test_seeds_just_beyond_the_snap_get_a_cell_each(self, first, gap):
+        seeds = np.array(QUADRANTS + [first, (first[0] + gap, first[1])])
+        mesh = M.voronoi_mesh_from_seeds(seeds, lloyd_iterations=0)
         assert mesh.num_cells == 6
         assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
-        for group in mesh.cell_groups:
-            assert (group.area > 1e-3).all()
-            c = group.coords
-            turns = M.triangle_areas(np.stack([c, np.roll(c, -1, 1), np.roll(c, -2, 1)], axis=2))
-            assert (turns > -1e-15).all()
-
-    @pytest.mark.parametrize("extra", [
-        [(1e-10, 1e-10)] * 2,
-        [(0.5, 1.0 - 1e-10)] * 3,
-        [(1.0 - 1e-8, 0.5)] * 6,
-    ], ids=["pair-at-corner", "three-at-side", "six-near-side"])
-    def test_coincident_seeds_that_cannot_be_spread_are_named(self, extra):
-        """Copies of a point at a corner or a side collapse under the vertex
-        snap; the error names the copies, not an edge or the square."""
-        seeds = np.vstack([np.random.default_rng(1).uniform(0.1, 0.9, (20, 2)), extra])
-        names = ", ".join(str(i) for i in range(20, 20 + len(extra)))
-        with pytest.raises(M.MeshError, match=rf"^coincident seeds \({names}\) ") as info:
-            M.voronoi_mesh_from_seeds(seeds, lloyd_iterations=0)
-        assert isinstance(info.value.__cause__, M.MeshError)
 
     def test_determinism(self):
         a = M.generate_voronoi_mesh(36, 2, seed=5)
@@ -311,9 +312,8 @@ class TestVoronoiMirroring:
     back to mirroring every seed."""
 
     @staticmethod
-    def build(monkeypatch, make):
-        """The mesh, its seeds (the first rows of the last diagram) and the
-        number of Voronoi diagrams computed on the way."""
+    def spy(monkeypatch):
+        """The list of the points of every Voronoi diagram computed from now on."""
         calls, voronoi_diagram = [], M.Voronoi
 
         def voronoi(points):
@@ -321,6 +321,13 @@ class TestVoronoiMirroring:
             return voronoi_diagram(points)
 
         monkeypatch.setattr(M, "Voronoi", voronoi)
+        return calls
+
+    @classmethod
+    def build(cls, monkeypatch, make):
+        """The mesh, its seeds (the first rows of the last diagram) and the
+        number of Voronoi diagrams computed on the way."""
+        calls = cls.spy(monkeypatch)
         mesh = make()
         monkeypatch.undo()
         return mesh, calls[-1][: mesh.num_cells], len(calls)
