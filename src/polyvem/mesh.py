@@ -7,13 +7,13 @@ index loops; edges, boundary flags and per-cell geometry are derived, and
 the one sort that numbers the edges gives each cell its edge ids.
 
 The mesh owns the one grouping of cells that every later stage follows:
-``PolyMesh.cell_groups`` stacks the cells with the same vertex count and
-the same triangle count, with their geometry and triangulation, and
-``cell_slot`` gives each cell's (group, position).  Each cell is
-triangulated once, here, by one ear clipper that runs on a whole stack of
-cells at once; on a convex cell (hanging nodes included) its ears are the
-fan from vertex 0.  A cell that cannot be triangulated is rejected like
-any other invalid cell.
+``PolyMesh.cell_groups`` stacks the cells with the same vertex count, the
+same triangle count and the same convexity, with their geometry and
+triangulation, and ``cell_slot`` gives each cell's (group, position).  Each
+cell is triangulated once, here, a whole stack of cells at once: a convex
+cell (hanging nodes included) gets the fan from vertex 0, any other cell
+one ear clipper's triangles.  A cell that cannot be triangulated is
+rejected like any other invalid cell.
 
 One geometry kernel, ``polygon_geometry`` with ``triangle_areas``, sums
 relative to each cell's vertex 0, so the centroid and diameter that the
@@ -116,33 +116,25 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
 
 
-def triangulate_polygons(coords: np.ndarray, area: np.ndarray, diameter: np.ndarray):
-    """Split a (G, m, 2) stack of CCW polygons, with their signed areas and
-    diameters from ``polygon_geometry``, into triangles by ear clipping,
-    all rows at once.
+def _clip_ears(coords: np.ndarray, tol: np.ndarray):
+    """Ear clipping of a (G, m, 2) stack of CCW polygons, all rows at once,
+    with each row's flat tolerance ``tol``.
 
     Each of the m-3 steps removes one vertex per row: the first one,
     scanning the remaining loop from position 1, that is an ear tip (the
     triangle with its neighbours is not flat, and no other remaining
     vertex lies strictly inside it, or on its new edge where the loop turns)
     or a collinear vertex between its neighbours (dropped without a
-    triangle); the last three vertices make the last triangle.
-    On a convex polygon every step clips position 1, so its triangles are
-    the fan (v0, vi, vi+1) from vertex 0, less the zero-area ones of a
-    straight run.  Returns one (ascending rows, (rows, T, 3, 2) triangles)
-    pair per triangle count T, and the rows that cannot be triangulated:
-    not CCW or flat, or left without an ear or not covered by their
-    triangles (a self-intersecting loop).  Flat means an area of at most
-    1e-12 d**2 for the polygon's diameter d, as in ``PolyMesh``.
+    triangle); the last three vertices make the last triangle.  Returns
+    the (G, m-2, 3, 2) triangles, which of them were made (a dropped vertex
+    leaves an unmade one) and the rows left without an ear.
     """
     g, m = coords.shape[:2]
-    tol = _FLAT * diameter**2
-    failed = area <= tol
-
     rows = np.arange(g)
     loops = np.broadcast_to(np.arange(m), (g, m))
     tris = np.zeros((g, m - 2, 3, 2))
     made = np.zeros((g, m - 2), dtype=bool)
+    stuck = np.zeros(g, dtype=bool)
     tol_r, tol_rr = tol[:, None], tol[:, None, None]
     for step in range(m - 3):
         pts = coords[rows[:, None], loops]
@@ -165,20 +157,51 @@ def triangulate_polygons(coords: np.ndarray, area: np.ndarray, diameter: np.ndar
         ahead = (edge * np.roll(edge, -1, axis=1)).sum(axis=-1) > 0
         pick = ear | (flat & ahead)
         j = pick.argmax(axis=1)
-        failed |= ~pick.any(axis=1)
+        stuck |= ~pick.any(axis=1)
         tris[:, step] = abc[rows, j]
         made[:, step] = ear[rows, j]
         loops = loops[np.arange(m - step) != (j[:, None] + 1) % (m - step)].reshape(g, -1)
     tris[:, -1] = coords[rows[:, None], loops]
     made[:, -1] = triangle_areas(tris[:, -1]) > tol
+    return tris, made, stuck
+
+
+def triangulate_polygons(coords: np.ndarray, area: np.ndarray, diameter: np.ndarray):
+    """Split a (G, m, 2) stack of CCW polygons, with their signed areas and
+    diameters from ``polygon_geometry``, into triangles, all rows at once.
+
+    A convex row, one whose corners all turn left or go straight on (a
+    hanging node), gets the fan (v0, vi, vi+1) from vertex 0, less the
+    zero-area triangles of a straight run: the triangles ear clipping would
+    give it, without the ear tests.  Every other row is ear clipped
+    (``_clip_ears``).  Returns one (ascending rows, (rows, T, 3, 2)
+    triangles, convex) triple per triangle count T and convexity, in that
+    order, and the rows that cannot be triangulated: not CCW or flat, or
+    left without an ear or not covered by their triangles (a
+    self-intersecting loop).  Flat means an area of at most 1e-12 d**2 for
+    the polygon's diameter d, as in ``PolyMesh``; a corner turns right if
+    its triangle with its neighbours has a signed area below minus that.
+    """
+    tol = _FLAT * diameter**2
+    corners = np.stack([np.roll(coords, 1, axis=1), coords, np.roll(coords, -1, axis=1)], axis=2)
+    convex = (triangle_areas(corners) >= -tol[:, None]).all(axis=1)
+
+    tris = np.stack([np.broadcast_to(coords[:, :1], coords[:, 2:].shape), coords[:, 1:-1],
+                     coords[:, 2:]], axis=2)
+    made = triangle_areas(tris) > tol[:, None]
+    failed = area <= tol
+    clip = np.flatnonzero(~convex)
+    if clip.size:
+        tris[clip], made[clip], stuck = _clip_ears(coords[clip], tol[clip])
+        failed[clip] |= stuck
     counts = made.sum(axis=1)
     covered = np.where(made, triangle_areas(tris), 0.0).sum(axis=1)
     failed |= np.abs(covered - area) > 1e-9 * diameter**2
 
     groups = []
-    for t in np.unique(counts[~failed]):
-        picked = np.flatnonzero((counts == t) & ~failed)
-        groups.append((picked, tris[picked][made[picked]].reshape(-1, t, 3, 2)))
+    for t, c in sorted(set(zip(counts[~failed].tolist(), convex[~failed].tolist()))):
+        picked = np.flatnonzero((counts == t) & (convex == c) & ~failed)
+        groups.append((picked, tris[picked][made[picked]].reshape(-1, t, 3, 2), c))
     return groups, np.flatnonzero(failed)
 
 
@@ -193,11 +216,12 @@ def stack_by_size(loops) -> list[tuple[np.ndarray, np.ndarray]]:
 @dataclass(frozen=True)
 class CellGeometry:
     """Derived geometric data of one cell, or of a stack of cells with one
-    vertex count and one triangle count (a leading axis on every field;
-    indexing gives a cell or a sub-stack, ``geom[None]`` a stack of one).
-    Edge i runs from local vertex i to i+1 (mod m), with mesh edge id
-    ``edge_ids[i]`` and outward unit normal ``normals[i]``; ``triangles``
-    (T, 3, 2) cover the cell.
+    vertex count, one triangle count and one convexity (a leading axis on
+    every field; indexing gives a cell or a sub-stack, ``geom[None]`` a
+    stack of one).  Edge i runs from local vertex i to i+1 (mod m), with
+    mesh edge id ``edge_ids[i]`` and outward unit normal ``normals[i]``;
+    ``triangles`` (T, 3, 2) cover the cell, and on a ``convex`` cell they
+    are the fan from vertex 0 (see ``triangulate_polygons``).
     """
 
     index: np.ndarray  # mesh cell index
@@ -210,6 +234,7 @@ class CellGeometry:
     edge_lengths: np.ndarray
     normals: np.ndarray
     triangles: np.ndarray
+    convex: np.ndarray
 
     def __getitem__(self, index) -> CellGeometry:
         return CellGeometry(*(getattr(self, f.name)[index] for f in fields(self)))
@@ -236,7 +261,8 @@ class PolyMesh:
     each edge used by at most two cells with opposite orientation); an
     invalid cell raises a ``MeshError`` naming the lowest bad cell.
     ``cell_groups`` stacks the cells' geometry and triangles by (vertex
-    count, triangle count), both ascending, cells ascending within a group;
+    count, triangle count, convex), all ascending, cells ascending within a
+    group, so a cell's group depends on that cell alone;
     ``cell_slot[ci]`` is the (group, position) of cell ci.
     """
 
@@ -290,7 +316,7 @@ class PolyMesh:
         self.boundary_vertices = np.zeros(nv, dtype=bool)
         self.boundary_vertices[self.edges[self.boundary_edges]] = True
 
-        # geometry and triangles per vertex-count stack, split by triangle count
+        # geometry and triangles per vertex-count stack, split by triangle count and convexity
         self.cell_groups: list[CellGeometry] = []
         self.cell_slot = np.empty((len(self.cells), 2), dtype=np.int64)
         stack_ids = np.split(edge_ids, np.cumsum([loops.size for _, loops in stacks])[:-1])
@@ -307,10 +333,11 @@ class PolyMesh:
                     for p in tangled if not (flat[p] or short[p])]
             stack = (idx, loops, ids.reshape(loops.shape), coords, area, centroid, diameter,
                      lengths, normals)
-            for rows, tris in pieces:
+            for rows, tris, convex in pieces:
                 self.cell_slot[idx[rows], 0] = len(self.cell_groups)
                 self.cell_slot[idx[rows], 1] = np.arange(len(rows))
-                self.cell_groups.append(CellGeometry(*(a[rows] for a in stack), tris))
+                self.cell_groups.append(CellGeometry(*(a[rows] for a in stack), tris,
+                                                     np.full(len(rows), convex)))
         _raise_lowest(bad)
 
     # -- basic queries ------------------------------------------------------

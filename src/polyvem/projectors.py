@@ -19,10 +19,11 @@ by the cell centroid and diameter so all matrices stay well conditioned.
 
 Elements are built a group at a time, one per cell group of the mesh
 (``PolyMesh.cell_groups``): cells with the same vertex and triangle counts
-share every array shape, so D, B, G = BD, the projections and Q of a
-group's G cells are (G, ., .) stacks from one pass of array expressions
-and batched solves, and the volume rules are mapped onto the triangles
-the mesh stored.  A single cell is a group of one, ``geom[None]``.
+and the same convexity share every array shape and one volume rule, so D,
+B, G = BD, the projections and Q of a group's G cells are (G, ., .) stacks
+from one pass of array expressions and batched solves, and the volume
+rule is mapped onto the triangles the mesh stored.  A single cell is a
+group of one, ``geom[None]``.
 
 The nodes of the (k+1)-point Gauss-Lobatto rule on each edge are exactly
 the boundary dofs: the two end vertices and the edge's k-1 interior
@@ -43,12 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import CellGeometry
-from .quadrature import (
-    gauss_lobatto,
-    lobatto_edge_points,
-    map_to_triangle,
-    triangle_rule,
-)
+from .quadrature import cell_rule, gauss_lobatto, lobatto_edge_points
 
 __all__ = [
     "VemError",
@@ -173,8 +169,10 @@ class LocalElement:
     cells; ``group[i]`` is the view of cell i, with the shapes listed here.
     Matrices act on local dof vectors (length ``layout.size``); projector
     coefficient matrices return expansions in ``basis``.  One rule of
-    degree 2k (``quad_points``, ``quad_weights``), mapped onto
-    ``geom.triangles``, serves every integral over the cell.
+    degree 2k (``quad_points``, ``quad_weights``), ``quadrature.cell_rule``
+    on ``geom.triangles`` (tensor Gauss rules on pairs of fan triangles of a
+    convex cell, the triangle rule otherwise), serves every integral over
+    the cell.
     """
 
     k: int
@@ -223,7 +221,7 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
     area = geom.area[:, None, None]
 
     # degree 2k is exact for H = int m_i m_j, and for (f, pi0 phi) with f in P_k
-    quad_points, quad_weights = map_to_triangle(triangle_rule(2 * k), geom.triangles)
+    quad_points, quad_weights = cell_rule(2 * k, geom.triangles, geom.convex.all())
     vk = basis.eval(quad_points)
     mass = np.swapaxes(vk, 1, 2) @ (quad_weights[..., None] * vk)
     mass = 0.5 * (mass + np.swapaxes(mass, 1, 2))

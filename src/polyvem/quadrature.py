@@ -1,12 +1,16 @@
-"""Quadrature rules on triangles and edges.
+"""Quadrature rules on triangles, quadrilaterals and edges.
 
 Triangle rules are Dunavant's fully symmetric rules of degree 4 to 12,
 with positive weights and interior points, polished to double precision
 (see ``triangle_rule``, also for why no rule is below degree 4).  A rule
-over a polygonal cell is the triangle rule mapped onto the cell's
-triangles, which the mesh computes once per cell (see ``mesh``): every
-rule of a cell group is one array of shape (cells, points, 2), and mapping
-several rules onto the same triangles costs no second triangulation.
+over a polygonal cell is mapped onto the cell's triangles, which the mesh
+computes once per cell (see ``mesh``): every rule of a cell group is one
+array of shape (cells, points, 2), and mapping several rules onto the same
+triangles costs no second triangulation.  On a convex cell ``cell_rule``
+joins each consecutive pair of its fan triangles into a quadrilateral and
+maps the tensor Gauss-Legendre rule through that quadrilateral's bilinear
+map (Stroud, 1971), which needs fewer points than the triangle rule on the
+two triangles: 9 instead of 12 at degree 4, 16 instead of 24 at degree 6.
 The reference Gauss-Lobatto rule on [-1, 1] serves the cell edges: the
 nodes of its (k+1)-point rule, mapped onto an edge, are the vertex and
 edge degrees of freedom of the order-k virtual space, which makes
@@ -112,6 +116,56 @@ def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
     pts = rule.points @ tri
     lead = tri.shape[:-3]
     return pts.reshape(*lead, -1, 2), (area[..., None] * rule.weights).reshape(*lead, -1)
+
+
+# ---------------------------------------------------------------------------
+# quadrilateral and cell rules
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _square_rule(order: int):
+    """Nodes s, t and weights (summing to 1) of the n x n Gauss-Legendre
+    rule on the unit square, n = d/2 + 1 for the even degree d >= order, at
+    least 4.  Through a bilinear map the Jacobian has degree 1 in s and in t,
+    so a polynomial of total degree d integrates to a degree of at most
+    d + 1 in each, and n Gauss nodes are exact up to 2n - 1 >= d + 1."""
+    nodes, weights = _leg.leggauss((max(order, 4) + 3) // 2)
+    s, t = np.meshgrid((nodes + 1.0) / 2.0, (nodes + 1.0) / 2.0, indexing="ij")
+    return s.reshape(-1, 1), t.reshape(-1, 1), np.outer(weights, weights).ravel() / 4.0
+
+
+def map_to_quadrilateral(order: int, quads: np.ndarray):
+    """The rule of ``_square_rule(order)`` mapped onto each quadrilateral
+    (v0, v1, v2, v3) of a stack ``quads`` of shape (..., Q, 4, 2) through its
+    bilinear map v0 + s a + t b + s t c, with weights w |J|.  Returns
+    (points, weights), quadrilateral by quadrilateral, (..., Q * n*n, 2) and
+    (..., Q * n*n).  On a convex quadrilateral, a straight angle allowed,
+    every point lies inside it and every weight is positive."""
+    s, t, weights = _square_rule(order)
+    v0, v1, v2, v3 = (quads[..., i, None, :] for i in range(4))
+    a, b = v1 - v0, v3 - v0
+    c = v2 - v3 - a
+    pts = v0 + s * a + t * b + (s * t) * c
+    d_s, d_t = a + t * c, b + s * c
+    det = np.abs(d_s[..., 0] * d_t[..., 1] - d_s[..., 1] * d_t[..., 0])
+    lead = quads.shape[:-3]
+    return pts.reshape(*lead, -1, 2), (weights * det).reshape(*lead, -1)
+
+
+def cell_rule(order: int, triangles: np.ndarray, convex: bool):
+    """(points, weights) of the rule of degree ``order`` (at least 4) over
+    cells stacked as (G, T, 3, 2) triangles.  On convex cells, whose
+    triangles are the fan (v0, va, vb), (v0, vb, vc), ... from vertex 0,
+    each consecutive pair is the quadrilateral (v0, va, vb, vc) and gets
+    ``map_to_quadrilateral``, and an odd last triangle the triangle rule;
+    any other cell gets the triangle rule on every triangle."""
+    pairs = triangles.shape[1] // 2 if convex else 0
+    fan = triangles[:, : 2 * pairs]
+    quads = np.concatenate([fan[:, ::2], fan[:, 1::2, 2:]], axis=2)
+    rest = map_to_triangle(triangle_rule(order), triangles[:, 2 * pairs :])
+    return tuple(np.concatenate(parts, axis=1)
+                 for parts in zip(map_to_quadrilateral(order, quads), rest))
 
 
 # ---------------------------------------------------------------------------

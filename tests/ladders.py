@@ -125,4 +125,8 @@ def main():
 
 
 if __name__ == "__main__":
+    import logging
+
+    # the 36 variable assemblies would each log sigma's note; keep the two "wrote" lines
+    logging.getLogger("polyvem").setLevel(logging.ERROR)
     main()

@@ -217,8 +217,8 @@ class TestDistortedFamily:
         interior = (grid.vertices > 0.0) & (grid.vertices < 1.0)
         signs = np.random.default_rng(n).choice([-1.0, 1.0], size=grid.vertices.shape)
         mesh = M.PolyMesh(grid.vertices + interior * signs * distortion / n, grid.cells)
-        assert [g.triangles.shape[1] for g in mesh.cell_groups] == [2]
-        area = mesh.cell_groups[0].area
+        assert {g.triangles.shape[1] for g in mesh.cell_groups} == {2}
+        area = np.concatenate([g.area for g in mesh.cell_groups])
         side = (1.0 - 2.0 * distortion) / n
         assert len(area) == n * n
         assert area.min() >= (side - 4 * np.finfo(float).eps) ** 2

@@ -3,15 +3,19 @@ single triangles and over polygons triangulated by the mesh layer."""
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from p1 import triangle_grid
+from test_system import GROUP_MESHES
 from polyvem import quadrature as Q
 from polyvem.analysis import family_mesh
 from polyvem.mesh import (
     MeshError,
     PolyMesh,
+    _clip_ears,
     generate_concave_mesh,
     generate_distorted_square_mesh,
     generate_voronoi_mesh,
@@ -33,7 +37,7 @@ def clip(stack):
 
 def triangulate(coords):
     """Triangulation of one polygon, triangulated as a stack of one."""
-    [(rows, tris)], failed = clip(np.asarray(coords, dtype=float)[None])
+    [(rows, tris, _)], failed = clip(np.asarray(coords, dtype=float)[None])
     assert rows.tolist() == [0] and failed.size == 0
     return tris[0]
 
@@ -68,6 +72,33 @@ def greens_theorem_monomial_integral(coords: np.ndarray, a: int, b: int) -> floa
         y = p[1] + t * tangent[1]
         total += float((w * x ** (a + 1) * y**b).sum()) * length * nx / (a + 1)
     return total
+
+
+@lru_cache(maxsize=None)
+def rule_meshes():
+    """Levels 0-3 of the three families (seeds 0-2; the concave family has
+    no seed), a mesh with hanging nodes, two deep at places, and a triangle
+    grid."""
+    hanging = refine_cells(generate_distorted_square_mesh(6, 0.2, seed=4), [3, 8, 14, 21, 30])
+    hanging = refine_cells(hanging, [0, 9, 17])
+    meshes = [family_mesh(family, level, seed=seed) for family in ("distorted", "voronoi")
+              for level in range(4) for seed in range(3)]
+    return meshes + [family_mesh("concave", level) for level in range(4)] + [
+        hanging, triangle_grid(4, 0)]
+
+
+def scaled_moments(geom, degree):
+    """(G, dim) integrals of ((x - x_c)/h)^a ((y - y_c)/h)^b, a + b <= degree,
+    over a cell group, by the divergence theorem on its edges (the integral
+    of X^(a+1) Y^b n_x / (a+1), with Gauss-Legendre on each edge): exact up
+    to rounding and independent of any triangulation."""
+    rel = (geom.coords - geom.centroid[:, None]) / geom.diameter[:, None, None]
+    t, w = np.polynomial.legendre.leggauss(degree // 2 + 2)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    step = np.roll(rel, -1, axis=1) - rel
+    x, y = (rel[..., None, i] + t * step[..., None, i] for i in range(2))
+    return np.stack([((w * x ** (a + 1) * y**b).sum(-1) * step[..., 1]).sum(-1) / (a + 1)
+                     for d in range(degree + 1) for b in range(d + 1) for a in [d - b]], -1)
 
 
 class TestTriangleRules:
@@ -218,49 +249,60 @@ class TestPolygonRules:
             want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(2 * k), tris)
             np.testing.assert_array_equal(el.quad_points, want_pts)
             np.testing.assert_array_equal(el.quad_weights, want_w)
+        convex = generate_voronoi_mesh(16, 2, seed=3).cell_groups[-1]
+        for k in (1, 2, 3):
+            el = build_element(convex, k)
+            want_pts, want_w = Q.cell_rule(2 * k, convex.triangles, True)
+            np.testing.assert_array_equal(el.quad_points, want_pts)
+            np.testing.assert_array_equal(el.quad_weights, want_w)
 
     def test_stack_splits_by_triangle_count(self):
-        """A stack of pentagons splits into one group per triangle count,
-        rows ascending, each polygon triangulated as it would be alone."""
+        """A stack of pentagons splits into one group per triangle count and
+        convexity, rows ascending, each polygon triangulated as it would be
+        alone."""
         pentagon = np.array([[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 2.0 * np.pi, 6)[:-1]])
         hanging = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         reflex = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0]])
         stack = np.stack([pentagon, hanging, reflex, 2.0 * hanging, pentagon + 1.0])
         groups, failed = clip(stack)
         assert failed.size == 0
-        assert [(rows.tolist(), tris.shape) for rows, tris in groups] == [
-            ([1, 3], (2, 2, 3, 2)),
-            ([0, 2, 4], (3, 3, 3, 2)),
+        assert [(rows.tolist(), tris.shape, convex) for rows, tris, convex in groups] == [
+            ([1, 3], (2, 2, 3, 2), True),
+            ([2], (1, 3, 3, 2), False),
+            ([0, 4], (2, 3, 3, 2), True),
         ]
-        for rows, tris in groups:
+        for rows, tris, _ in groups:
             for row, got in zip(rows, tris):
                 np.testing.assert_array_equal(got, triangulate(stack[row]))
 
     def test_cells_without_reflex_vertex_get_the_vertex0_fan(self):
-        """The ear clipper's convex case: every cell without a reflex vertex
-        gets the fan (v0, vi, vi+1), less its zero-area triangles, bit for bit."""
-        hanging = generate_distorted_square_mesh(6, 0.2, seed=4)
-        hanging = refine_cells(hanging, [3, 8, 14, 21, 30])
-        hanging = refine_cells(hanging, [0, 9, 17])
-        meshes = [family_mesh(family, level, seed=seed) for family in ("distorted", "voronoi")
-                  for level in range(3) for seed in range(2)]
-        meshes += [family_mesh("concave", 1), hanging]
+        """Every cell without a reflex vertex is convex and gets the fan
+        (v0, vi, vi+1), less its zero-area triangles, bit for bit: what ear
+        clipping gives it.  Consecutive fan triangles share their edge from
+        v0, so each pair is a quadrilateral (v0, va, vb, vc)."""
         fans = 0
-        for mesh in meshes:
-            for ci in range(mesh.num_cells):
-                geom = mesh.cell_geometry(ci)
+        for mesh in rule_meshes():
+            for geom in mesh.cell_groups:
                 c = geom.coords
-                tol = 1e-12 * np.ptp(c, axis=0).max() ** 2
-                prev, nxt = c - np.roll(c, 1, axis=0), np.roll(c, -1, axis=0) - c
-                turns = prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
-                if turns.min() < -tol:
+                tol = 1e-12 * np.ptp(c, axis=1).max(axis=1) ** 2
+                prev, nxt = c - np.roll(c, 1, axis=1), np.roll(c, -1, axis=1) - c
+                turns = prev[..., 0] * nxt[..., 1] - prev[..., 1] * nxt[..., 0]
+                convex = turns.min(axis=1) >= -tol
+                np.testing.assert_array_equal(geom.convex, convex)
+                if not convex.all():
                     continue
-                fan = np.stack([np.broadcast_to(c[0], c[1:-1].shape), c[1:-1], c[2:]], axis=1)
-                e1, e2 = fan[:, 1] - fan[:, 0], fan[:, 2] - fan[:, 0]
-                area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-                np.testing.assert_array_equal(geom.triangles, fan[area > tol])
-                fans += 1
-        assert fans > 1000 and max(map(len, hanging.cells)) > 4
+                fan = np.stack([np.broadcast_to(c[:, :1], c[:, 2:].shape), c[:, 1:-1], c[:, 2:]],
+                               axis=2)
+                e1, e2 = fan[:, :, 1] - fan[:, :, 0], fan[:, :, 2] - fan[:, :, 0]
+                area = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+                kept = fan[area > tol[:, None]].reshape(geom.triangles.shape)
+                np.testing.assert_array_equal(geom.triangles, kept)
+                clipped, made, stuck = _clip_ears(c, 1e-12 * geom.diameter**2)
+                assert not stuck.any()
+                np.testing.assert_array_equal(clipped[made].reshape(kept.shape), kept)
+                np.testing.assert_array_equal(kept[:, 1:, 1], kept[:, :-1, 2])
+                fans += len(c)
+        assert fans > 7000
 
     def test_mixed_stack_clips_rows_independently(self):
         """One stack of hexagons: both concave halves, a reflex hexagon with a
@@ -278,9 +320,9 @@ class TestPolygonRules:
                          + [np.roll(ell, -s, axis=0) for s in range(6)])
         groups, failed = clip(stack)
         assert failed.tolist() == [1]
-        assert sorted(row for rows, _ in groups for row in rows) == [0, *range(2, 11)]
+        assert sorted(row for rows, _, _ in groups for row in rows) == [0, *range(2, 11)]
         rule = Q.triangle_rule(4)
-        for rows, tris in groups:
+        for rows, tris, _ in groups:
             for row, got in zip(rows, tris):
                 np.testing.assert_array_equal(got, triangulate(stack[row]))
                 assert min(greens_theorem_monomial_integral(t, 0, 0) for t in got) > 0.0
@@ -293,12 +335,88 @@ class TestPolygonRules:
 
     def test_tangled_polygon_raises(self):
         """The triangulation reports a tangled polygon's row, and the mesh
-        rejects it as a cell."""
+        rejects it as a cell: a bowtie, and a pentagram, which turns left at
+        every corner, so it gets the fan, but is not covered by it."""
         bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         groups, failed = clip(bowtie[None])
         assert groups == [] and failed.tolist() == [0]
         with pytest.raises(MeshError, match="^cell 0 "):
             PolyMesh(bowtie, [[0, 1, 2, 3]])
+        angles = np.deg2rad([0.0, 144.0, 288.0, 72.0, 216.0])
+        pentagram = np.column_stack([np.cos(angles), np.sin(angles)])
+        groups, failed = clip(pentagram[None])
+        assert groups == [] and failed.tolist() == [0]
+        with pytest.raises(MeshError, match="^cell 0 cannot be triangulated"):
+            PolyMesh(pentagram, [range(5)])
+
+
+class TestCellRules:
+    def test_square_rule_is_gauss_legendre(self):
+        """n = d/2 + 1 points per direction for the even degree d >= order,
+        at least 4, inside the unit square."""
+        for order, n in [(0, 3), (2, 3), (4, 3), (5, 4), (6, 4), (8, 5)]:
+            s, t, weights = Q._square_rule(order)
+            assert s.shape == t.shape == (n * n, 1) and (weights > 0).all()
+            assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+            assert 0.0 < min(s.min(), t.min()) and max(s.max(), t.max()) < 1.0
+
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_quadrilateral_exact_through_its_bilinear_map(self, order):
+        quad = np.array([[0.2, -0.1], [1.3, 0.2], [1.6, 1.4], [0.1, 0.9]])
+        pts, w = Q.map_to_quadrilateral(order, quad[None])
+        assert (w > 0).all()
+        for a in range(order + 1):
+            for b in range(order + 1 - a):
+                oracle = greens_theorem_monomial_integral(quad, a, b)
+                assert float(w @ (pts[:, 0] ** a * pts[:, 1] ** b)) == pytest.approx(
+                    oracle, rel=1e-12, abs=1e-14)
+
+    def test_point_counts_of_convex_cells(self):
+        """Pairs of fan triangles: quad, pentagon and hexagon at k <= 2
+        (degree 4) and at k = 3 (degree 6)."""
+        counts = {}
+        for m in (3, 4, 5, 6):
+            angles = np.linspace(0.0, 2.0 * np.pi, m + 1)[:-1]
+            tris = triangulate(np.column_stack([np.cos(angles), np.sin(angles)]))
+            counts[m] = [Q.cell_rule(order, tris[None], True)[1].shape[1] for order in (4, 6)]
+            concave = Q.cell_rule(6, tris[None], False)[1].shape[1]
+            assert concave == (m - 2) * len(Q.triangle_rule(6).weights)
+        assert counts == {3: [6, 12], 4: [9, 16], 5: [15, 28], 6: [18, 32]}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_cell_rule_is_exact_positive_and_inside(self, k):
+        """Each cell's rule of degree 2k integrates every scaled monomial up
+        to degree 2k to 1e-13 of the cell's area, with positive weights and
+        every point inside the cell (winding number 1)."""
+        for mesh in rule_meshes():
+            for geom in mesh.cell_groups:
+                pts, w = Q.cell_rule(2 * k, geom.triangles, geom.convex.all())
+                assert (w > 0).all()
+                rel = (pts - geom.centroid[:, None]) / geom.diameter[:, None, None]
+                got = np.stack([w * rel[..., 0] ** (d - b) * rel[..., 1] ** b
+                                for d in range(2 * k + 1) for b in range(d + 1)], -1).sum(1)
+                want = geom.diameter[:, None] ** 2 * scaled_moments(geom, 2 * k)
+                assert (np.abs(got - want).max(axis=1) <= 1e-13 * geom.area).all()
+                to_a = geom.coords[:, None] - pts[:, :, None]
+                to_b = np.roll(geom.coords, -1, axis=1)[:, None] - pts[:, :, None]
+                cross = to_a[..., 0] * to_b[..., 1] - to_a[..., 1] * to_b[..., 0]
+                turns = np.arctan2(cross, (to_a * to_b).sum(-1)).sum(-1) / (2.0 * np.pi)
+                np.testing.assert_allclose(turns, 1.0, atol=1e-9)
+
+    def test_non_convex_quad_keeps_the_triangle_rule(self):
+        """A distorted quad that turns right at a corner has its own group,
+        and its rule is the triangle rule on its stored triangles."""
+        from polyvem.projectors import build_element
+
+        mesh = GROUP_MESHES["mixed"]()
+        geom = mesh.cell_groups[mesh.cell_slot[11, 0]]
+        assert not geom.convex.any() and geom.index.tolist() == [11]
+        assert all(g.convex.all() for g in mesh.cell_groups if g is not geom)
+        for k in (1, 2, 3):
+            el = build_element(geom, k)
+            want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(2 * k), geom.triangles)
+            np.testing.assert_array_equal(el.quad_points, want_pts)
+            np.testing.assert_array_equal(el.quad_weights, want_w)
 
 
 class TestGaussLobatto:

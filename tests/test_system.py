@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,6 +182,8 @@ GROUP_MESHES = {
     "hanging": lambda: refine_cells(generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10]),
     "concave": lambda: generate_concave_mesh(2),
     "triangles": lambda: triangle_grid(4, 0),
+    # cell 11 turns right at one corner: the one non-convex quad among 25
+    "mixed": lambda: generate_distorted_square_mesh(5, 0.3, seed=35),
 }
 
 ELEMENT_FIELDS = ("dof_matrix", "b_matrix", "pi_grad_star", "pi0_star", "pi0_grad_star", "stab_q")
@@ -199,11 +202,16 @@ class TestAssembly:
         covered = np.concatenate([group.geom.index for group in system.groups])
         assert sorted(covered) == list(range(mesh.num_cells))
         assert [int(el.geom.index) for el in system.elements] == list(range(mesh.num_cells))
-        keys = [(g.layout.num_vertices, g.geom.triangles.shape[1]) for g in system.groups]
+        keys = [(g.layout.num_vertices, g.geom.triangles.shape[1], bool(g.geom.convex[0]))
+                for g in system.groups]
         one_group = family in ("concave", "triangles")  # all hexagons; all (3, 1) triangles
         assert len(set(keys)) == len(keys) > (not one_group)
+        assert all((g.geom.convex == g.geom.convex[0]).all() for g in system.groups)
         if family == "hanging":  # a hanging node next to vertex 0 drops a fan triangle
-            assert any(t < m - 2 for m, t in keys)
+            assert any(t < m - 2 for m, t, _ in keys)
+        if family == "mixed":
+            assert keys == [(4, 2, False), (4, 2, True)]
+            assert system.groups[0].geom.index.tolist() == [11]
 
         def close(got, want):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -438,6 +446,22 @@ class TestLinearSolver:
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SolverError):
             LinearSolver(a).solve(np.array([1.0, 0.0]))
+
+    def test_first_pass_returns_the_lu_solution(self):
+        """A solve that passes at once returns the double LU solution itself,
+        bit for bit, signed zeros included."""
+        rng = np.random.default_rng(5)
+        r = rng.standard_normal((20, 20))
+        a = sp.block_diag([r @ r.T + 20.0 * np.eye(20), sp.eye(2)], format="csc")
+        b = np.concatenate([rng.standard_normal(20), [-0.0, 0.0]])
+        solver = LinearSolver(a)
+        apply, calls = solver._apply, []
+        solver._apply = lambda vec: calls.append(vec) or apply(vec)
+        x = solver.solve(b)
+        want = splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
+        assert len(calls) == 1 and x.dtype == np.float64
+        assert x.tobytes() == want.tobytes()
+        assert np.signbit(x[-2:]).tolist() == [True, False]
 
     def test_factorization_reused_across_solves(self):
         rng = np.random.default_rng(3)
