@@ -5,12 +5,12 @@ The error quantities are the computable surrogates
     E0h^2 = sum_K || u - P0_k u_h ||_{0,K}^2
     E1h^2 = sum_K || grad u - P0_{k-1} grad u_h ||_{0,K}^2
 
-evaluated with a triangle rule of degree 2k + 4 against assembly's 2k
-(which has degree 4 as its floor), mapped onto the triangles the mesh
-stores for each cell, so the measurement error stays well below the
-discretization error being measured.  Errors and indicators run over the
-mesh's cell groups, each group zipped with its dof array: one basis
-evaluation and one exact-solution call per group.
+evaluated with the triangle rule of degree 2k + 4 against assembly's
+``quadrature.cell_rule(2k, geom)``, mapped by ``map_to_triangle`` onto the
+triangles the mesh stores for each cell, so the measurement error stays
+well below the discretization error being measured.  Errors and
+indicators run over the mesh's cell groups, each group zipped with its dof
+array: one basis evaluation and one exact-solution call per group.
 
 The adaptive study's uniform ladder starts on the adaptive study's first
 mesh, which is solved once for both histories.
@@ -39,7 +39,7 @@ from .mesh import (
 from .forms import stabilization_scales
 from .problems import SobolevProblem, sample
 from .projectors import polynomial_dimension
-from .quadrature import map_to_triangle, triangle_rule
+from .quadrature import map_to_triangle
 from .system import GlobalSystem, TimeStepperConfig, assemble, run_time_loop
 
 __all__ = [
@@ -141,11 +141,10 @@ def compute_errors(system: GlobalSystem, u: np.ndarray, t: float) -> ErrorPair:
     nk1 = polynomial_dimension(k - 1)
     dofmap = system.dofmap
 
-    rule = triangle_rule(2 * k + 4)
     e0_sq = 0.0
     e1_sq = 0.0
     for group, gdofs in zip(system.groups, dofmap.groups):
-        pts, w = map_to_triangle(rule, group.geom.triangles)
+        pts, w = map_to_triangle(2 * k + 4, group.geom.triangles)
         vals = group.basis.eval(pts)
         ud = u[gdofs][..., None]
 

@@ -258,8 +258,9 @@ class PolyMesh:
     Edge connectivity and boundary flags are derived during construction
     and every cell is validated (>= 3 distinct vertices, not flat and no
     zero-length edge under the degeneracy rule, triangles that cover it,
-    each edge used by at most two cells with opposite orientation); an
-    invalid cell raises a ``MeshError`` naming the lowest bad cell.
+    turning number 1, each edge used by at most two cells with opposite
+    orientation); an invalid cell raises a ``MeshError`` naming the lowest
+    bad cell.
     ``cell_groups`` stacks the cells' geometry and triangles by (vertex
     count, triangle count, convex), all ascending, cells ascending within a
     group, so a cell's group depends on that cell alone;
@@ -331,6 +332,12 @@ class PolyMesh:
             bad += [(idx[p], "has a zero-length edge") for p in np.flatnonzero(short)]
             bad += [(idx[p], "cannot be triangulated (self-intersecting loop?)")
                     for p in tangled if not (flat[p] or short[p])]
+            # the corners' turns, angles between consecutive edge normals, sum to
+            # 2 pi times the turning number, which is 1 on a loop that winds round once
+            turn = normals @ [1.0, 1j]
+            turns = np.rint(np.angle(turn * np.roll(turn, 1, axis=1).conj()).sum(axis=1) / 2 / np.pi)
+            bad += [(idx[p], f"has turning number {turns[p]:.0f}, not 1")
+                    for p in np.flatnonzero(turns != 1) if not (flat[p] or short[p] or p in tangled)]
             stack = (idx, loops, ids.reshape(loops.shape), coords, area, centroid, diameter,
                      lengths, normals)
             for rows, tris, convex in pieces:
@@ -714,11 +721,13 @@ def write_mesh(path, mesh: PolyMesh) -> None:
 
 def mesh_from_string(text: str) -> PolyMesh:
     """Parse the text written by ``mesh_to_string``.  A cell row is its vertex
-    count, then its vertex indices; a bad row, or a cell that ``PolyMesh``
-    rejects, raises a ``MeshError`` that names the row's line."""
+    count, then its vertex indices; a bad row, a cell that ``PolyMesh``
+    rejects, or a cell count of 0, raises a ``MeshError`` that names its line."""
     reader = LineReader(text, "polymesh 1", MeshError)
     verts = reader.floats(reader.count("vertices", "vertex"), 2)
     nc = reader.count("cells", "cell")
+    if nc == 0:
+        raise reader.fail(reader.at - 1, "a mesh needs at least one cell")
     first = reader.at
     cells = []
     for line in range(first, first + nc):
@@ -733,8 +742,6 @@ def mesh_from_string(text: str) -> PolyMesh:
     try:
         return PolyMesh(verts, cells)
     except MeshError as exc:
-        if exc.cell is None:
-            raise
         # a content error names its cell, and so the line of that cell
         raise reader.fail(first + exc.cell, f"invalid mesh: {exc}") from exc
 

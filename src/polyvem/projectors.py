@@ -22,8 +22,8 @@ Elements are built a group at a time, one per cell group of the mesh
 and the same convexity share every array shape and one volume rule, so D,
 B, G = BD, the projections and Q of a group's G cells are (G, ., .) stacks
 from one pass of array expressions and batched solves, and the volume
-rule is mapped onto the triangles the mesh stored.  A single cell is a
-group of one, ``geom[None]``.
+rule is the group's ``quadrature.cell_rule(2k, geom)``, the one place it is
+chosen.  A single cell is a group of one, ``geom[None]``.
 
 The nodes of the (k+1)-point Gauss-Lobatto rule on each edge are exactly
 the boundary dofs: the two end vertices and the edge's k-1 interior
@@ -169,10 +169,9 @@ class LocalElement:
     cells; ``group[i]`` is the view of cell i, with the shapes listed here.
     Matrices act on local dof vectors (length ``layout.size``); projector
     coefficient matrices return expansions in ``basis``.  One rule of
-    degree 2k (``quad_points``, ``quad_weights``), ``quadrature.cell_rule``
-    on ``geom.triangles`` (tensor Gauss rules on pairs of fan triangles of a
-    convex cell, the triangle rule otherwise), serves every integral over
-    the cell.
+    degree 2k (``quad_points``, ``quad_weights``), ``cell_rule(2k, geom)``
+    (tensor Gauss rules on pairs of fan triangles of a convex cell, the
+    triangle rule otherwise), serves every integral over the cell.
     """
 
     k: int
@@ -221,7 +220,7 @@ def build_element(geom: CellGeometry, k: int) -> LocalElement:
     area = geom.area[:, None, None]
 
     # degree 2k is exact for H = int m_i m_j, and for (f, pi0 phi) with f in P_k
-    quad_points, quad_weights = cell_rule(2 * k, geom.triangles, geom.convex.all())
+    quad_points, quad_weights = cell_rule(2 * k, geom)
     vk = basis.eval(quad_points)
     mass = np.swapaxes(vk, 1, 2) @ (quad_weights[..., None] * vk)
     mass = 0.5 * (mass + np.swapaxes(mass, 1, 2))

@@ -1,4 +1,4 @@
-"""Quadrature rules on triangles, quadrilaterals and edges.
+"""Quadrature rules on triangles, quadrilaterals and edges, keyed by degree.
 
 Triangle rules are Dunavant's fully symmetric rules of degree 4 to 12,
 with positive weights and interior points, polished to double precision
@@ -6,10 +6,11 @@ with positive weights and interior points, polished to double precision
 over a polygonal cell is mapped onto the cell's triangles, which the mesh
 computes once per cell (see ``mesh``): every rule of a cell group is one
 array of shape (cells, points, 2), and mapping several rules onto the same
-triangles costs no second triangulation.  On a convex cell ``cell_rule``
-joins each consecutive pair of its fan triangles into a quadrilateral and
-maps the tensor Gauss-Legendre rule through that quadrilateral's bilinear
-map (Stroud, 1971), which needs fewer points than the triangle rule on the
+triangles costs no second triangulation.  ``cell_rule(order, geom)`` is
+the one place a cell group's rule is chosen: on a convex group it joins
+each consecutive pair of fan triangles into a quadrilateral and maps the
+tensor Gauss-Legendre rule through that quadrilateral's bilinear map
+(Stroud, 1971), which needs fewer points than the triangle rule on the
 two triangles: 9 instead of 12 at degree 4, 16 instead of 24 at degree 6.
 The reference Gauss-Lobatto rule on [-1, 1] serves the cell edges: the
 nodes of its (k+1)-point rule, mapped onto an edge, are the vertex and
@@ -21,35 +22,20 @@ are sampled at these points by ``problems.sample``, not here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .mesh import triangle_areas
+from .mesh import CellGeometry, triangle_areas
+
+__all__ = ["triangle_rule", "map_to_triangle", "map_to_quadrilateral", "cell_rule",
+           "gauss_lobatto", "lobatto_edge_points"]
 
 
 # ---------------------------------------------------------------------------
 # reference triangle rules
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TriangleRule:
-    """Rule on the reference triangle (0,0)-(1,0)-(0,1).
-
-    Parameters
-    ----------
-    points : ndarray, shape (n, 3)
-        Barycentric coordinates of the nodes.
-    weights : ndarray, shape (n,)
-        Normalized weights, summing to 1.  The physical weight on a
-        triangle T is ``weights * area(T)``.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
 
 
 #: Dunavant (IJNME 21, 1985) by degree: orbits (w, a, b) of a per-point weight w and the
@@ -83,13 +69,15 @@ _ORBITS = {
 
 
 @lru_cache(maxsize=None)
-def triangle_rule(order: int) -> TriangleRule:
-    """The symmetric rule of the lowest degree >= max(order, 4): degrees 4,
-    6, 8, 10, 12 have 6, 12, 16, 25, 33 points.  Newton's method on the
-    moment equations, in 40 digits, polished Dunavant's constants until each
-    monomial up to the degree is exact to 1e-15.  The k=1 load (order 2)
-    gets the 6-point rule, not a 3-point one: with the degree-2 rule the
-    adaptive k=1 study no longer beats uniform refinement at matched dofs.
+def triangle_rule(order: int):
+    """Barycentric points (n, 3) and weights (n,), summing to 1, of the
+    symmetric rule on a triangle of the lowest degree >= max(order, 4):
+    degrees 4, 6, 8, 10, 12 have 6, 12, 16, 25, 33 points.  Newton's method
+    on the moment equations, in 40 digits, polished Dunavant's constants
+    until each monomial up to the degree is exact to 1e-15.  The k=1 load
+    (order 2) gets the 6-point rule, not a 3-point one: with the degree-2
+    rule the adaptive k=1 study no longer beats uniform refinement at
+    matched dofs.
     """
     degree = min((d for d in _ORBITS if d >= order), default=None)
     if degree is None:
@@ -100,22 +88,24 @@ def triangle_rule(order: int) -> TriangleRule:
         _, first = np.unique(orbit.round(12), axis=0, return_index=True)  # 1 - 2/3 != 1/3
         points.append(orbit[np.sort(first)])
         weights += [w] * len(first)
-    return TriangleRule(points=np.concatenate(points), weights=np.array(weights))
+    return np.concatenate(points), np.array(weights)
 
 
-def map_to_triangle(rule: TriangleRule, tri: np.ndarray):
-    """Map a reference rule to the physical triangle ``tri`` (3x2 array), or
-    to each triangle of a stack ``tri`` of shape (..., T, 3, 2).
+def map_to_triangle(order: int, tri: np.ndarray):
+    """The rule of ``triangle_rule(order)`` mapped onto the triangle ``tri``
+    (3x2 array), or onto each triangle of a stack ``tri`` of shape
+    (..., T, 3, 2).
 
     Returns (points, weights), the points of a stack triangle by triangle,
     (..., T * n, 2) and (..., T * n), with weights summing to the covered
     area.  Orientation does not matter; the absolute area is used.
     """
+    points, weights = triangle_rule(order)
     tri = np.asarray(tri, dtype=float)
     area = np.abs(triangle_areas(tri))
-    pts = rule.points @ tri
+    pts = points @ tri
     lead = tri.shape[:-3]
-    return pts.reshape(*lead, -1, 2), (area[..., None] * rule.weights).reshape(*lead, -1)
+    return pts.reshape(*lead, -1, 2), (area[..., None] * weights).reshape(*lead, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +143,18 @@ def map_to_quadrilateral(order: int, quads: np.ndarray):
     return pts.reshape(*lead, -1, 2), (weights * det).reshape(*lead, -1)
 
 
-def cell_rule(order: int, triangles: np.ndarray, convex: bool):
-    """(points, weights) of the rule of degree ``order`` (at least 4) over
-    cells stacked as (G, T, 3, 2) triangles.  On convex cells, whose
-    triangles are the fan (v0, va, vb), (v0, vb, vc), ... from vertex 0,
-    each consecutive pair is the quadrilateral (v0, va, vb, vc) and gets
+def cell_rule(order: int, geom: CellGeometry):
+    """(points, weights), (G, n, 2) and (G, n), of the rule of degree
+    ``order`` (at least 4) over the G cells of the cell group ``geom``: the
+    one place a group's rule is chosen.  The triangles of a convex group
+    are the fan (v0, va, vb), (v0, vb, vc), ... from vertex 0, so each
+    consecutive pair is the quadrilateral (v0, va, vb, vc) and gets
     ``map_to_quadrilateral``, and an odd last triangle the triangle rule;
-    any other cell gets the triangle rule on every triangle."""
-    pairs = triangles.shape[1] // 2 if convex else 0
-    fan = triangles[:, : 2 * pairs]
+    any other group gets the triangle rule on every triangle."""
+    pairs = geom.triangles.shape[1] // 2 if geom.convex.all() else 0
+    fan = geom.triangles[:, : 2 * pairs]
     quads = np.concatenate([fan[:, ::2], fan[:, 1::2, 2:]], axis=2)
-    rest = map_to_triangle(triangle_rule(order), triangles[:, 2 * pairs :])
+    rest = map_to_triangle(order, geom.triangles[:, 2 * pairs :])
     return tuple(np.concatenate(parts, axis=1)
                  for parts in zip(map_to_quadrilateral(order, quads), rest))
 

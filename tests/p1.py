@@ -7,7 +7,7 @@ but the quadrature rule."""
 import numpy as np
 
 from polyvem.mesh import PolyMesh
-from polyvem.quadrature import map_to_triangle, triangle_rule
+from polyvem.quadrature import map_to_triangle
 
 
 def triangle_grid(n: int, seed: int, jitter: float = 0.2) -> PolyMesh:
@@ -32,12 +32,11 @@ def p1_matrices(mesh: PolyMesh, problem) -> dict:
     m1 = (w, v), m2 = (mu grad w, grad v),
     a = (eps grad w, grad v) + (sigma w, v) with sigma = gamma - div(beta)/2,
     b = [(beta . grad w, v) - (w, beta . grad v)] / 2."""
-    rule = triangle_rule(12)
     n = mesh.num_vertices
     mats = {name: np.zeros((n, n)) for name in ("m1", "m2", "a", "b")}
     for cell in mesh.cells:
         tri = mesh.vertices[cell]
-        pts, w = map_to_triangle(rule, tri)
+        pts, w = map_to_triangle(12, tri)
         x, y = pts[:, 0], pts[:, 1]
         coef = np.linalg.inv(np.column_stack([np.ones(3), tri]))  # column i: lambda_i
         phi = np.column_stack([np.ones(len(pts)), pts]) @ coef  # (nq, 3)

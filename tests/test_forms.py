@@ -21,7 +21,7 @@ from polyvem.mesh import (
     refine_cells,
 )
 from polyvem.projectors import build_element, polynomial_dimension
-from polyvem.quadrature import map_to_triangle, triangle_rule
+from polyvem.quadrature import map_to_triangle
 from polyvem.system import assemble
 
 UNIT_SQUARE_GEOM = PolyMesh(
@@ -233,10 +233,9 @@ class TestFormMatrices:
         lf = cell_forms(el, prob)
         got = el.dof_matrix.T @ lf.m2 @ el.dof_matrix
 
-        rule = triangle_rule(12)
         exact = np.zeros_like(got)
         for tri in el.geom.triangles:
-            pts, w = map_to_triangle(rule, tri)
+            pts, w = map_to_triangle(12, tri)
             vals = el.basis.eval(pts)
             gx, gy = vals @ el.basis.derivative_map(0), vals @ el.basis.derivative_map(1)
             mu = prob.mu(pts[:, 0], pts[:, 1])[:, 0, 0]  # isotropic
@@ -297,7 +296,7 @@ def _element_load(el, prob, t):
 def _oracle_pi0_values(el, order=10):
     """Points, weights and pi0 phi_i values (one column per dof) of an
     order-``order`` rule over the cell, far above the load rule's 2k."""
-    pts, w = map_to_triangle(triangle_rule(order), el.geom.triangles)
+    pts, w = map_to_triangle(order, el.geom.triangles)
     return pts, w, el.basis.eval(pts) @ el.pi0_star
 
 

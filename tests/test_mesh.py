@@ -18,6 +18,15 @@ TANGLED = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.5, -0.5], [0.0, 2.0],
            [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]
 
 
+def spiral(end):
+    """(0, 0), (1, 0), then 24 points from angle 0.1 to ``end`` at radii
+    from 1 to 1.1: a loop that winds round more than once, of positive area
+    and covered by its triangles."""
+    angles, radii = np.linspace(0.1, end, 24), np.linspace(1.0, 1.1, 24)
+    arc = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    return [[0.0, 0.0], [1.0, 0.0]] + arc.tolist()
+
+
 # Voronoi seeds: one per quadrant, and 20 scattered well inside the square
 QUADRANTS = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
 RANDOM_20 = np.random.default_rng(1).uniform(0.1, 0.9, (20, 2)).tolist()
@@ -124,6 +133,15 @@ class TestPolyMeshBasics:
             ([[0, 0], [10, 0], [5, 2e-12]], [[0, 1, 2]], "^cell 0 is degenerate or not CCW"),
             ([[0, 0], [1, 0], [1, 1], [1 - 1e-13, 1], [0, 1]], [[0, 1, 2, 3, 4]],
              "^cell 0 has a zero-length edge"),
+            # the input as a whole
+            ([0.0, 0.0, 1.0], [[0, 1, 2]], "^vertices must be an"),
+            ([[0, 0], [1, 0], [0, np.inf]], [[0, 1, 2]], "^non-finite vertex coordinates$"),
+            (UNIT_SQUARE, [], "^a mesh needs at least one cell$"),
+            # loops that wind round more than once: every corner turning left
+            # (the fan), and one turning right (ear clipped)
+            (spiral(4 * np.pi + 0.05), [range(26)], "^cell 0 has turning number 3, not 1"),
+            (spiral(4 * np.pi - 0.42) + TANGLED[5:], [[26, 27, 28], range(26)],
+             "^cell 1 has turning number 2, not 1"),
         ],
     )
     def test_validation_errors(self, vertices, cells, fragment):
@@ -252,6 +270,12 @@ class TestVoronoiFamily:
         mesh = M.generate_voronoi_mesh(16, lloyd_iterations=3, seed=0)
         assert 0.25 <= mesh.h <= 0.4
 
+    def test_fewer_than_four_seeds_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 4 seeds$"):
+            M.voronoi_mesh_from_seeds(np.array(QUADRANTS[:3]), lloyd_iterations=0)
+        with pytest.raises(ValueError, match="^n_seeds must be >= 4$"):
+            M.generate_voronoi_mesh(3, lloyd_iterations=0, seed=0)
+
     def test_negative_lloyd_iterations_rejected(self):
         with pytest.raises(ValueError, match="lloyd_iterations must be >= 0, got -3"):
             M.generate_voronoi_mesh(16, lloyd_iterations=-3, seed=0)
@@ -356,6 +380,10 @@ class TestVoronoiMirroring:
 
 
 class TestConcaveFamily:
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            M.generate_concave_mesh(0)
+
     def test_two_cells_partition_unit_square(self):
         mesh = M.generate_concave_mesh(1)
         assert mesh.num_cells == 2
@@ -439,6 +467,12 @@ class TestRefinement:
             if np.linalg.norm(mesh.cell_geometry(ci).centroid - center) < 0.25
         )
         assert inside / mesh.num_cells >= 0.5
+
+    @pytest.mark.parametrize("cell", [-1, 9])
+    def test_marked_index_out_of_range_rejected(self, cell):
+        mesh = M.generate_distorted_square_mesh(3, 0.2, seed=0)
+        with pytest.raises(M.MeshError, match="^marked cell index out of range$"):
+            M.refine_cells(mesh, [0, cell])
 
     def test_non_quad_cell_rejected(self):
         mesh = M.generate_concave_mesh(1)
@@ -553,6 +587,15 @@ class TestMeshIO:
     def test_negative_cell_count_rejected(self):
         text = self.TRIANGLE.replace("cells 1\n3 0 1 2\n", "cells -2\n")
         with pytest.raises(M.MeshError, match="^line 6: negative cell count -2"):
+            M.mesh_from_string(text)
+
+    def test_no_cells_names_the_count_line(self):
+        with pytest.raises(M.MeshError, match="^line 3: a mesh needs at least one cell$"):
+            M.mesh_from_string("polymesh 1\nvertices 0\ncells 0\n")
+
+    def test_cell_vertex_count_mismatch_names_its_line(self):
+        text = self.TRIANGLE.replace("3 0 1 2\n", "4 0 1 2\n")
+        with pytest.raises(M.MeshError, match="^line 7: cell vertex count mismatch$"):
             M.mesh_from_string(text)
 
     def test_extra_line_rejected(self):

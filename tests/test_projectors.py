@@ -6,7 +6,7 @@ import pytest
 from polyvem.mesh import PolyMesh, generate_concave_mesh, generate_voronoi_mesh
 from polyvem import projectors as P
 from p1 import triangle_grid
-from polyvem.quadrature import gauss_lobatto, map_to_triangle, triangle_rule
+from polyvem.quadrature import gauss_lobatto, map_to_triangle
 from test_system import GROUP_MESHES
 
 
@@ -55,6 +55,10 @@ def k(request):
 
 
 class TestBasis:
+    def test_negative_degree_rejected(self):
+        with pytest.raises(P.VemError, match="^degree must be non-negative$"):
+            P.ScaledMonomialBasis(-1, np.zeros(2), 1.0)
+
     def test_graded_prefix_ordering(self):
         basis = P.ScaledMonomialBasis(3, np.array([0.3, 0.4]), 1.5)
         assert basis.dim == 10
@@ -231,7 +235,7 @@ class TestInterpolation:
             total = 0.0
             for geom in mesh.cell_groups:
                 group = P.build_element(geom, k)
-                pts, w = map_to_triangle(triangle_rule(2 * k + 4), group.geom.triangles)
+                pts, w = map_to_triangle(2 * k + 4, group.geom.triangles)
                 coeffs = group.pi0_star @ P.interpolate(group, u)[..., None]
                 diff = (group.basis.eval(pts) @ coeffs)[..., 0] - u(pts[..., 0], pts[..., 1])
                 total += float(np.sum(w * diff**2))

@@ -3,6 +3,7 @@ single triangles and over polygons triangulated by the mesh layer."""
 
 import itertools
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +45,7 @@ def triangulate(coords):
 
 def polygon_rule(coords, order):
     """(points, weights) of the order-``order`` rule over one polygon."""
-    return Q.map_to_triangle(Q.triangle_rule(order), triangulate(coords))
+    return Q.map_to_triangle(order, triangulate(coords))
 
 
 def monomial_integral_reference_triangle(a: int, b: int) -> float:
@@ -104,7 +105,7 @@ def scaled_moments(geom, degree):
 class TestTriangleRules:
     @pytest.mark.parametrize("order", range(0, 13))
     def test_exact_on_reference_triangle(self, order):
-        pts, w = Q.map_to_triangle(Q.triangle_rule(order), REF_TRIANGLE)
+        pts, w = Q.map_to_triangle(order, REF_TRIANGLE)
         for a in range(order + 1):
             for b in range(order + 1 - a):
                 got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
@@ -113,7 +114,7 @@ class TestTriangleRules:
 
     def test_exact_on_mapped_triangle(self):
         tri = np.array([[0.2, -0.1], [1.3, 0.4], [0.5, 1.7]])
-        pts, w = Q.map_to_triangle(Q.triangle_rule(6), tri)
+        pts, w = Q.map_to_triangle(6, tri)
         for a in range(7):
             for b in range(7 - a):
                 oracle = greens_theorem_monomial_integral(tri, a, b)
@@ -123,19 +124,19 @@ class TestTriangleRules:
 
     def test_weights_positive_and_sum(self):
         for order in range(0, 13):
-            rule = Q.triangle_rule(order)
-            assert (rule.weights > 0).all()
-            assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+            _, weights = Q.triangle_rule(order)
+            assert (weights > 0).all()
+            assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_point_counts(self):
-        counts = [len(Q.triangle_rule(order).weights) for order in range(0, 13)]
+        counts = [len(Q.triangle_rule(order)[1]) for order in range(0, 13)]
         assert counts == [6, 6, 6, 6, 6, 12, 12, 16, 16, 25, 25, 33, 33]
 
     @pytest.mark.parametrize("order", range(0, 13))
     def test_points_interior(self, order):
-        rule = Q.triangle_rule(order)
-        assert rule.points.shape == (len(rule.weights), 3)
-        assert (rule.points > 0).all()
+        points, weights = Q.triangle_rule(order)
+        assert points.shape == (len(weights), 3)
+        assert (points > 0).all()
 
     @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
     def test_independent_of_vertex_order(self, order):
@@ -144,7 +145,7 @@ class TestTriangleRules:
         tri = np.array([[0.2, -0.1], [1.3, 0.4], [0.5, 1.7]])
 
         def pairs(perm):
-            pts, w = Q.map_to_triangle(Q.triangle_rule(order), tri[list(perm)])
+            pts, w = Q.map_to_triangle(order, tri[list(perm)])
             table = np.column_stack([pts, w])
             return table[np.lexsort(table.round(9).T[::-1])]
 
@@ -246,13 +247,13 @@ class TestPolygonRules:
         for k in (1, 2, 3):
             el = build_element(geom[None], k)[0]
             np.testing.assert_array_equal(el.geom.triangles, tris)
-            want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(2 * k), tris)
+            want_pts, want_w = Q.map_to_triangle(2 * k, tris)
             np.testing.assert_array_equal(el.quad_points, want_pts)
             np.testing.assert_array_equal(el.quad_weights, want_w)
         convex = generate_voronoi_mesh(16, 2, seed=3).cell_groups[-1]
         for k in (1, 2, 3):
             el = build_element(convex, k)
-            want_pts, want_w = Q.cell_rule(2 * k, convex.triangles, True)
+            want_pts, want_w = Q.cell_rule(2 * k, convex)
             np.testing.assert_array_equal(el.quad_points, want_pts)
             np.testing.assert_array_equal(el.quad_weights, want_w)
 
@@ -321,12 +322,11 @@ class TestPolygonRules:
         groups, failed = clip(stack)
         assert failed.tolist() == [1]
         assert sorted(row for rows, _, _ in groups for row in rows) == [0, *range(2, 11)]
-        rule = Q.triangle_rule(4)
         for rows, tris, _ in groups:
             for row, got in zip(rows, tris):
                 np.testing.assert_array_equal(got, triangulate(stack[row]))
                 assert min(greens_theorem_monomial_integral(t, 0, 0) for t in got) > 0.0
-                pts, w = Q.map_to_triangle(rule, got)
+                pts, w = Q.map_to_triangle(4, got)
                 for a in range(5):
                     for b in range(5 - a):
                         oracle = greens_theorem_monomial_integral(stack[row], a, b)
@@ -377,10 +377,11 @@ class TestCellRules:
         counts = {}
         for m in (3, 4, 5, 6):
             angles = np.linspace(0.0, 2.0 * np.pi, m + 1)[:-1]
-            tris = triangulate(np.column_stack([np.cos(angles), np.sin(angles)]))
-            counts[m] = [Q.cell_rule(order, tris[None], True)[1].shape[1] for order in (4, 6)]
-            concave = Q.cell_rule(6, tris[None], False)[1].shape[1]
-            assert concave == (m - 2) * len(Q.triangle_rule(6).weights)
+            [geom] = PolyMesh(np.column_stack([np.cos(angles), np.sin(angles)]),
+                              [range(m)]).cell_groups
+            counts[m] = [Q.cell_rule(order, geom)[1].shape[1] for order in (4, 6)]
+            concave = Q.cell_rule(6, replace(geom, convex=~geom.convex))[1].shape[1]
+            assert concave == (m - 2) * len(Q.triangle_rule(6)[1])
         assert counts == {3: [6, 12], 4: [9, 16], 5: [15, 28], 6: [18, 32]}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -390,7 +391,7 @@ class TestCellRules:
         every point inside the cell (winding number 1)."""
         for mesh in rule_meshes():
             for geom in mesh.cell_groups:
-                pts, w = Q.cell_rule(2 * k, geom.triangles, geom.convex.all())
+                pts, w = Q.cell_rule(2 * k, geom)
                 assert (w > 0).all()
                 rel = (pts - geom.centroid[:, None]) / geom.diameter[:, None, None]
                 got = np.stack([w * rel[..., 0] ** (d - b) * rel[..., 1] ** b
@@ -414,12 +415,17 @@ class TestCellRules:
         assert all(g.convex.all() for g in mesh.cell_groups if g is not geom)
         for k in (1, 2, 3):
             el = build_element(geom, k)
-            want_pts, want_w = Q.map_to_triangle(Q.triangle_rule(2 * k), geom.triangles)
+            want_pts, want_w = Q.map_to_triangle(2 * k, geom.triangles)
             np.testing.assert_array_equal(el.quad_points, want_pts)
             np.testing.assert_array_equal(el.quad_weights, want_w)
 
 
 class TestGaussLobatto:
+    @pytest.mark.parametrize("npts", [0, 1])
+    def test_fewer_than_two_points_rejected(self, npts):
+        with pytest.raises(ValueError, match="^Gauss-Lobatto needs at least 2 points$"):
+            Q.gauss_lobatto(npts)
+
     def test_two_point_is_trapezoid(self):
         x, w = Q.gauss_lobatto(2)
         np.testing.assert_allclose(x, [-1.0, 1.0])

@@ -18,6 +18,17 @@ def test_curve_rejects_what_a_log_axis_cannot_show(bad):
             Curve("x", x, y, dashed=False)
 
 
+@pytest.mark.parametrize("x, y", [((0.5, 0.25), (1e-3,)), ((), ())], ids=["mismatched", "empty"])
+def test_curve_needs_matching_non_empty_samples(x, y):
+    with pytest.raises(ValueError, match="^curve needs matching non-empty x and y$"):
+        Curve("x", x, y, dashed=False)
+
+
+def test_plot_needs_a_curve():
+    with pytest.raises(ValueError, match="^need at least one curve$"):
+        loglog_svg([], title="t", xlabel="h", ylabel="e", slope_guides=())
+
+
 def test_markup_characters_in_text_are_escaped():
     curve = Curve("E0h <R&D>", (0.5, 0.25), (1e-2, 1e-3), dashed=False)
     svg = loglog_svg([curve], title="R&D on <concave> meshes", xlabel="h & k", ylabel="a<b",
