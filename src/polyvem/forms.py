@@ -27,9 +27,10 @@ This module is the one that reads the coefficients, each through
 ``problems.sample``, which checks the values before any product (a value
 that is not finite, or an mu or eps that is not positive definite, raises
 a ``CoefficientError`` naming the field and the point).  Each group samples
-mu, eps, beta and sigma once at its form points, and mu, eps and sigma once
-at its centroids for the stabilization scales (``stabilization_scales``,
-which the error indicators also read).  The initial projection's load
+mu, eps, beta, gamma and div_beta once at its form points, and all but beta
+once at its centroids for the stabilization scales (``stabilization_scales``,
+which the error indicators also read); ``_sigma`` forms sigma from gamma
+and div_beta.  The initial projection's load
 (mu grad u0, pi0 grad phi_i) lives here too, next to the m2 form it
 projects with.  The stability theory also assumes sigma >= 0; that is
 only noted, so each group reports its lowest sigma and
@@ -88,13 +89,19 @@ def _weighted_mass(values_i: np.ndarray, weights: np.ndarray, values_j: np.ndarr
     return np.swapaxes(values_i, 1, 2) @ (weights[..., None] * values_j)
 
 
+def _sigma(problem, points: np.ndarray) -> np.ndarray:
+    """The reaction sigma = gamma - div(beta)/2 of the symmetric part."""
+    return sample(problem, "gamma", points) - 0.5 * sample(problem, "div_beta", points)
+
+
 def stabilization_scales(element: LocalElement, problem):
     """Per-cell scales (|K|, mu_K, eps_K + max(sigma_K, 0) |K|) of the
     dofi-dofi stabilizations S1, S2, S3 of a group, from mu, eps and sigma
     sampled and checked at the cell centroids; mu_K and eps_K are half the
     traces."""
     centroid, area = element.geom.centroid, element.geom.area
-    mu, eps, sigma = (sample(problem, name, centroid) for name in ("mu", "eps", "sigma"))
+    mu, eps = (sample(problem, name, centroid) for name in ("mu", "eps"))
+    sigma = _sigma(problem, centroid)
     mu_k = 0.5 * (mu[:, 0, 0] + mu[:, 1, 1])
     eps_k = 0.5 * (eps[:, 0, 0] + eps[:, 1, 1])
     return area, mu_k, eps_k + np.maximum(sigma, 0.0) * area
@@ -111,7 +118,8 @@ def build_local_forms(element: LocalElement, problem) -> LocalForms:
     pig = np.moveaxis(element.pi0_grad_star, 1, 0)  # x and y components
     pig_t = np.swapaxes(pig, 2, 3)
 
-    mu, eps, beta, sigma = (sample(problem, name, pts) for name in ("mu", "eps", "beta", "sigma"))
+    mu, eps, beta = (sample(problem, name, pts) for name in ("mu", "eps", "beta"))
+    sigma = _sigma(problem, pts)
 
     q = element.stab_q
     base = np.swapaxes(q, 1, 2) @ q

@@ -18,8 +18,10 @@ rejected like any other invalid cell.
 One geometry kernel, ``polygon_geometry`` with ``triangle_areas``, sums
 relative to each cell's vertex 0, so the centroid and diameter that the
 scaled monomials rest on do not depend on position or scale.  One degeneracy
-rule relative to the cell diameter serves every check but the corner test of
-``refine_cells`` (a turn whose sine exceeds 1e-7), which it would make stricter.
+rule relative to the cell diameter serves every check but two tests of
+``refine_cells``, which it would make stricter than the rounding of the
+coordinates: a corner turns by a sine above 1e-7, and a side's vertex is its
+midpoint within 1e-7 of the side's length.
 
 The three built-in families discretize the unit square:
 
@@ -81,6 +83,8 @@ class MeshError(Exception):
 # the one degeneracy rule, relative to the diameter d: a cell or an ear is
 # flat at an area of at most _FLAT * d**2, an edge zero at a length <= _FLAT * d
 _FLAT = 1e-12
+# refine_cells' corner and midpoint tests (see the module docstring)
+_REFINE_TOL = 1e-7
 
 
 def polygon_geometry(coords: np.ndarray):
@@ -624,11 +628,11 @@ def generate_concave_mesh(n: int) -> PolyMesh:
 
 
 def _find_corners(coords: np.ndarray) -> list[int]:
-    """Loop positions whose turn angle is not flat (within 1e-7 of sin)."""
+    """Loop positions whose turn angle is not flat (a sine above ``_REFINE_TOL``)."""
     before, after = np.roll(coords, 1, axis=0), np.roll(coords, -1, axis=0)
     turn = 2.0 * triangle_areas(np.stack([before, coords, after], axis=1))
     norm = np.hypot(*(coords - before).T) * np.hypot(*(after - coords).T)
-    return [i for i in range(len(coords)) if abs(turn[i]) > 1e-7 * norm[i]]
+    return [i for i in range(len(coords)) if abs(turn[i]) > _REFINE_TOL * norm[i]]
 
 
 def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
@@ -636,7 +640,7 @@ def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
     midpoints and corner centroid.
 
     A side's midpoint is found by topology, not by coordinates: a vertex of
-    the side's chain that sits there (within ``_FLAT`` of the side length)
+    the side's chain that sits there (within ``_REFINE_TOL`` of the side length)
     is reused; otherwise one new vertex splits the mesh edge that contains
     the midpoint, shared by both cells on that edge.  Every cell's loop,
     marked or not, then gains the midpoints of its split edges (an unmarked
@@ -671,7 +675,7 @@ def refine_cells(mesh: PolyMesh, marked) -> PolyMesh:
             t = (coords[p0 : p1 + 1] - a) @ (b - a) / ((b - a) @ (b - a))  # 0 to 1 along the side
             near = np.abs(t - 0.5).argmin()
             mid = twice[p0 + near]
-            if abs(t[near] - 0.5) > _FLAT:  # no vertex there: split the edge across t = 0.5
+            if abs(t[near] - 0.5) > _REFINE_TOL:  # no vertex there: split the edge across t = 0.5
                 e = edges[p0 + np.count_nonzero(t < 0.5) - 1]
                 if split[e] < 0:
                     split[e] = nv + len(new)

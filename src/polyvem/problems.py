@@ -21,9 +21,10 @@ All callables are vectorized over point arrays; time enters only through
 ``f``, ``dirichlet`` and the exact solution.  The first two must broadcast
 over t: given (n, 1) columns x, y and a (1, B) row t, they return (n, 1) or (n, B).
 Every other field, at n points, gives (n,) values, or (n, 2) or (n, 2, 2)
-as ``VALUE_SHAPES`` lists; a scalar field may give one value for all
-points.  ``sample`` is the one function that calls a field and checks its
-values (``SobolevProblem.sigma`` checks the shapes of gamma and div_beta).
+as ``VALUE_SHAPES`` lists.  Any field may instead give one value, of shape
+() or ``VALUE_SHAPES``, for all points.  ``sample`` is the one function that
+calls a field and checks its values; ``forms`` forms the reaction
+sigma = gamma - div(beta)/2 from the sampled gamma and div_beta.
 """
 
 from __future__ import annotations
@@ -54,41 +55,34 @@ class CoefficientError(ValueError):
 VALUE_SHAPES = {"mu": (2, 2), "eps": (2, 2), "beta": (2,), "grad_u0": (2,), "grad_u_exact": (2,)}
 
 
-def _field_values(name: str, values, lead: tuple) -> np.ndarray:
-    """Values of field ``name`` at points whose x and y have shape ``lead``,
-    broadcast to lead + ``VALUE_SHAPES`` of the field (one value of a scalar
-    field stands for all points); any other shape raises a ``ValueError``."""
-    values = np.asarray(values, dtype=float)
-    shape = (*lead, *VALUE_SHAPES.get(name, ()))
-    if values.shape != shape and (values.ndim or shape != lead):
-        want = f"{shape} or ()" if shape == lead else f"{shape}"
-        raise ValueError(f"problem.{name} must give shape {want} for x and y of shape {lead}, "
-                         f"got {values.shape}")
-    return np.broadcast_to(values, shape)
-
-
 def sample(problem, name: str, points: np.ndarray, *t) -> np.ndarray:
     """Field ``name`` of ``problem`` at points stacked as (..., 2), called once
     on the flat coordinates, at the time t of the exact solution or the 1-D
     times of f and ``dirichlet``, which give (n, B) values at n points and B
-    times; the values keep the points' leading shape.  A wrong shape raises a
-    ``ValueError``; a value that is not finite, or an mu or eps that is not
-    positive definite, a ``CoefficientError`` naming the field, the first bad
-    point and its time (the earliest, for f and ``dirichlet``)."""
+    times; one value stands for all points, and the values keep the points'
+    leading shape.  A wrong shape raises a ``ValueError``; a value that is not
+    finite, or an mu or eps that is not positive definite, a
+    ``CoefficientError`` naming the field, the first bad point and its time
+    (the earliest, for f and ``dirichlet``)."""
     xy, fn = points.reshape(-1, 2), getattr(problem, name)
     n = len(xy)
     if name in ("f", "dirichlet"):
         times = t[0]
-        values = np.asarray(fn(xy[:, :1], xy[:, 1:], times[None, :]), dtype=float)
-        if values.shape not in ((n, 1), (n, len(times))):
-            raise ValueError(f"problem.{name} must broadcast over t to shape ({n}, 1) or ({n}, "
-                             f"{len(times)}) for (n, 1) points and (1, B) times, got {values.shape}")
-        values = np.broadcast_to(values, (n, len(times)))
-        bad = ~np.isfinite(values.T)  # (B, n)
+        values = fn(xy[:, :1], xy[:, 1:], times[None, :])
+        shape, steps = (n, len(times)), len(times)
+        allowed = [(n, 1), shape, ()]
+        rule = "broadcast over t to shape {} for (n, 1) points and (1, B) times"
     else:
-        times = t
-        values = _field_values(name, fn(*xy.T, *t), (n,))
-        bad = ~np.isfinite(values.reshape(1, n, -1)).all(axis=2)
+        times, steps = t, 1
+        values = fn(*xy.T, *t)
+        shape = (n, *VALUE_SHAPES.get(name, ()))
+        allowed, rule = [shape, shape[1:]], f"give shape {{}} for x and y of shape {(n,)}"
+    values = np.asarray(values, dtype=float)
+    if values.shape not in allowed:
+        want = " or ".join(map(str, allowed))
+        raise ValueError(f"problem.{name} must {rule.format(want)}, got {values.shape}")
+    values = np.broadcast_to(values, shape)
+    bad = ~np.isfinite(values.reshape(n, steps, -1)).all(axis=2).T  # (steps, n)
     what = "finite"
     if not bad.any() and name in ("mu", "eps"):  # the symmetric part is [[a, s], [s, d]]
         a, b, c, d = values.reshape(n, 4).T
@@ -103,25 +97,22 @@ def sample(problem, name: str, points: np.ndarray, *t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SobolevProblem:
-    """Coefficients, data and (optionally) the exact solution."""
+    """Coefficients, data and (optionally) the exact solution; each field
+    gives a shape noted on its right: its values at n points, or one value
+    for all of them."""
 
     name: str
-    mu: Callable  # (x, y) -> (n, 2, 2)
-    eps: Callable  # (x, y) -> (n, 2, 2)
-    beta: Callable  # (x, y) -> (n, 2)
-    div_beta: Callable  # (x, y) -> (n,)
-    gamma: Callable  # (x, y) -> (n,)
-    f: Callable  # (x, y, t) -> (n, 1) or (n, B) for (n, 1) x, y and (1, B) t
-    dirichlet: Callable  # (x, y, t) -> (n, 1) or (n, B), as f
-    u0: Callable  # (x, y) -> (n,)
-    grad_u0: Callable | None = None  # (x, y) -> (n, 2)
-    u_exact: Callable | None = None  # (x, y, t) -> (n,)
-    grad_u_exact: Callable | None = None  # (x, y, t) -> (n, 2)
-
-    def sigma(self, x, y):
-        """Reaction seen by the symmetric part: gamma - div(beta)/2."""
-        gamma = _field_values("gamma", self.gamma(x, y), np.shape(x))
-        return gamma - 0.5 * _field_values("div_beta", self.div_beta(x, y), np.shape(x))
+    mu: Callable  # (x, y) -> (n, 2, 2) or (2, 2)
+    eps: Callable  # (x, y) -> (n, 2, 2) or (2, 2)
+    beta: Callable  # (x, y) -> (n, 2) or (2,)
+    div_beta: Callable  # (x, y) -> (n,) or ()
+    gamma: Callable  # (x, y) -> (n,) or ()
+    f: Callable  # (x, y, t) -> (n, 1), (n, B) or () for (n, 1) x, y and (1, B) t
+    dirichlet: Callable  # (x, y, t) -> (n, 1), (n, B) or (), as f
+    u0: Callable  # (x, y) -> (n,) or ()
+    grad_u0: Callable | None = None  # (x, y) -> (n, 2) or (2,)
+    u_exact: Callable | None = None  # (x, y, t) -> (n,) or ()
+    grad_u_exact: Callable | None = None  # (x, y, t) -> (n, 2) or (2,)
 
 
 def isotropic(scalar: Callable) -> Callable:
@@ -138,21 +129,11 @@ def isotropic(scalar: Callable) -> Callable:
 
 
 def constant_matrix(value: float) -> Callable:
-    return isotropic(lambda x, y: np.full(np.shape(x), float(value)))
+    return isotropic(lambda x, y: float(value))
 
 
 def constant_vector(bx: float, by: float) -> Callable:
-    def field(x, y):
-        out = np.empty(np.shape(x) + (2,))
-        out[..., 0] = bx
-        out[..., 1] = by
-        return out
-
-    return field
-
-
-def _zeros(x, y):
-    return np.zeros(np.shape(x))
+    return lambda x, y: np.array([bx, by], dtype=float)
 
 
 def _sine_variable() -> SobolevProblem:
@@ -190,12 +171,12 @@ def _sine_variable() -> SobolevProblem:
         mu=isotropic(lambda x, y: x + y + 1.0),
         eps=isotropic(lambda x, y: x**2 + y),
         beta=lambda x, y: np.stack([x, y], axis=-1),
-        div_beta=lambda x, y: np.full(np.shape(x), 2.0),
+        div_beta=lambda x, y: 2.0,
         gamma=lambda x, y: x + y,
         f=f,
-        dirichlet=lambda x, y, t: np.zeros(np.shape(x)),
-        u0=_zeros,
-        grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
+        dirichlet=lambda x, y, t: 0.0,
+        u0=lambda x, y: 0.0,
+        grad_u0=lambda x, y: np.zeros(2),
         u_exact=u_exact,
         grad_u_exact=grad_u_exact,
     )
@@ -222,12 +203,12 @@ def _convection_dominated() -> SobolevProblem:
         mu=constant_matrix(1.0),
         eps=constant_matrix(eps0),
         beta=constant_vector(10.0, 10.0),
-        div_beta=_zeros,
-        gamma=lambda x, y: np.ones(np.shape(x)),
+        div_beta=lambda x, y: 0.0,
+        gamma=lambda x, y: 1.0,
         f=f,
         dirichlet=u_exact,
-        u0=_zeros,
-        grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
+        u0=lambda x, y: 0.0,
+        grad_u0=lambda x, y: np.zeros(2),
         u_exact=u_exact,
         grad_u_exact=grad_u_exact,
     )
@@ -256,12 +237,12 @@ def _gaussian_bump() -> SobolevProblem:
         mu=constant_matrix(1.0),
         eps=constant_matrix(1.0),
         beta=constant_vector(1.0, 1.0),
-        div_beta=_zeros,
-        gamma=lambda x, y: np.ones(np.shape(x)),
+        div_beta=lambda x, y: 0.0,
+        gamma=lambda x, y: 1.0,
         f=f,
         dirichlet=u_exact,
-        u0=_zeros,
-        grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)),
+        u0=lambda x, y: 0.0,
+        grad_u0=lambda x, y: np.zeros(2),
         u_exact=u_exact,
         grad_u_exact=grad_u_exact,
     )

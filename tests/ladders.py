@@ -93,8 +93,8 @@ def commit_label() -> str:
         return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
                               check=True).stdout.strip()
 
-    dirty = git("status", "--porcelain", "--", "src")
-    return git("rev-parse", "--short", "HEAD") + (" with uncommitted changes to src/" if dirty else "")
+    dirty = " with uncommitted changes to src/" if git("status", "--porcelain", "--", "src") else ""
+    return git("rev-parse", "--short", "HEAD") + dirty
 
 
 def _write(path, title, columns, rows):

@@ -26,14 +26,17 @@ def residual(u, mu, eps, beta, gamma):
 
 
 def _field(exprs, *symbols):
-    """The numpy field of one expression, or of two stacked last, broadcast
-    to the shape of its arguments (so a constant gives one value per point)."""
+    """The numpy field of one expression, or of two stacked last; a stacked
+    pair is broadcast to the shape of its arguments, so that a constant
+    component stacks with a varying one."""
     fn = sp.lambdify(symbols, exprs, "numpy")
 
     def field(*args):
+        values = fn(*args)
+        if len(values) == 1:
+            return values[0]
         shape = np.broadcast_shapes(*map(np.shape, args))
-        values = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in fn(*args)]
-        return np.stack(values, axis=-1) if len(values) == 2 else values[0]
+        return np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
 
     return field
 

@@ -2,11 +2,12 @@
 space is P1, the projections are the identity on it and every stabilization
 vanishes, so the assembled forms must equal the P1 finite element matrices
 built here from barycentric gradients, with nothing taken from the solver
-but the quadrature rule."""
+but the quadrature rule and the field sampler ``problems.sample``."""
 
 import numpy as np
 
 from polyvem.mesh import PolyMesh
+from polyvem.problems import sample
 from polyvem.quadrature import map_to_triangle
 
 
@@ -37,23 +38,24 @@ def p1_matrices(mesh: PolyMesh, problem) -> dict:
     for cell in mesh.cells:
         tri = mesh.vertices[cell]
         pts, w = map_to_triangle(12, tri)
-        x, y = pts[:, 0], pts[:, 1]
         coef = np.linalg.inv(np.column_stack([np.ones(3), tri]))  # column i: lambda_i
         phi = np.column_stack([np.ones(len(pts)), pts]) @ coef  # (nq, 3)
         grad = coef[1:].T  # (3, 2), constant on the triangle
-        sigma = problem.gamma(x, y) - 0.5 * problem.div_beta(x, y)
+        mu, eps, beta, gamma, div_beta = (
+            sample(problem, name, pts) for name in ("mu", "eps", "beta", "gamma", "div_beta"))
+        sigma = gamma - 0.5 * div_beta
 
         def mass(c):
             return phi.T @ ((w * c)[:, None] * phi)
 
-        def stiffness(field):
-            return grad @ np.einsum("q,qcd->cd", w, field(x, y)) @ grad.T
+        def stiffness(coeff):
+            return grad @ np.einsum("q,qcd->cd", w, coeff) @ grad.T
 
-        conv = phi.T @ ((w[:, None] * problem.beta(x, y)) @ grad.T)  # (beta . grad phi_j, phi_i)
+        conv = phi.T @ ((w[:, None] * beta) @ grad.T)  # (beta . grad phi_j, phi_i)
         local = {
             "m1": mass(np.ones_like(w)),
-            "m2": stiffness(problem.mu),
-            "a": stiffness(problem.eps) + mass(sigma),
+            "m2": stiffness(mu),
+            "a": stiffness(eps) + mass(sigma),
             "b": 0.5 * (conv - conv.T),
         }
         for name, mat in local.items():

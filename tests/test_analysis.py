@@ -34,7 +34,7 @@ from polyvem.mesh import (
     generate_voronoi_mesh,
     refine_cells,
 )
-from polyvem.problems import get_problem
+from polyvem.problems import get_problem, sample
 from polyvem.quadrature import map_to_triangle
 from polyvem.system import (
     TimeStepperConfig,
@@ -423,9 +423,10 @@ class TestErrorIndicators:
         system, u = perturbed_interpolant(family, 2, problem)
         want = []
         for ci, el in enumerate(system.elements):
-            x, y = el.geom.centroid[:, None]
-            eps_k = 0.5 * np.trace(problem.eps(x, y)[0])
-            sigma_k = max(problem.sigma(x, y)[0], 0.0)
+            eps, gamma, div_beta = (sample(problem, name, el.geom.centroid)
+                                    for name in ("eps", "gamma", "div_beta"))
+            eps_k = 0.5 * np.trace(eps)
+            sigma_k = max(gamma - 0.5 * div_beta, 0.0)
             ud = u[system.dofmap.cell_dofs(ci)]
             diff = el.pi0_star @ ud - el.pi_grad_star @ ud
             q_u = el.stab_q @ ud

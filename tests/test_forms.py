@@ -51,13 +51,14 @@ def cell_stabilizations(el, *scales):
     return [c * base for c in scales]
 
 
-def _poisoned_at(problem, name, x0, y0, value):
-    """``problem`` with field ``name`` replaced by ``value`` exactly at (x0, y0)."""
-    good = getattr(problem, name)
+def _poisoned(problem, name, where, value):
+    """``problem`` with field ``name`` replaced by ``value`` at the points
+    where ``where(x, y)`` holds, and sampled as the package samples it at
+    every other point."""
 
     def field(x, y):
-        out = np.array(good(x, y), dtype=float)
-        out[(x == x0) & (y == y0)] = value
+        out = PR.sample(problem, name, np.column_stack([x, y])).copy()
+        out[where(x, y)] = value
         return out
 
     return dataclasses.replace(problem, **{name: field})
@@ -94,43 +95,36 @@ class TestCoefficientChecks:
         the stabilization, and at no form point is rejected all the same."""
         mesh = generate_distorted_square_mesh(2, 0.0, seed=0)
         assert mesh.cell_geometry(0).centroid.tolist() == [0.25, 0.25]
-        bad = _poisoned_at(PR.get_problem("convection"), name, 0.25, 0.25, value)
+        bad = _poisoned(PR.get_problem("convection"), name,
+                        lambda x, y: (x == 0.25) & (y == 0.25), value)
         with pytest.raises(PR.CoefficientError, match=f"^{re.escape(message)}$"):
             assemble(mesh, 1, bad)
 
     def test_indefinite_diffusion_rejected(self):
         bad = PR.SobolevProblem(
             name="bad",
-            mu=lambda x, y: np.broadcast_to(
-                np.array([[1.0, 0.0], [0.0, -1.0]]), np.shape(x) + (2, 2)
-            ).copy(),
+            mu=lambda x, y: np.array([[1.0, 0.0], [0.0, -1.0]]),
             eps=PR.constant_matrix(1.0),
             beta=PR.constant_vector(0.0, 0.0),
-            div_beta=lambda x, y: np.zeros(np.shape(x)),
-            gamma=lambda x, y: np.ones(np.shape(x)),
-            f=lambda x, y, t: np.zeros(np.shape(x)),
-            dirichlet=lambda x, y, t: np.zeros(np.shape(x)),
-            u0=lambda x, y: np.zeros(np.shape(x)),
+            div_beta=lambda x, y: 0.0,
+            gamma=lambda x, y: 1.0,
+            f=lambda x, y, t: 0.0,
+            dirichlet=lambda x, y, t: 0.0,
+            u0=lambda x, y: 0.0,
         )
         with pytest.raises(PR.CoefficientError, match=r"^mu is not positive definite at"):
             assemble(generate_distorted_square_mesh(2, 0.0, seed=0), 1, bad)
 
     @pytest.mark.parametrize(
-        "field, value, named",
-        [("mu", np.nan, "mu"), ("eps", np.inf, "eps"), ("beta", np.nan, "beta"),
-         ("gamma", np.nan, "sigma")],
+        "field, value",
+        [("mu", np.nan), ("eps", np.inf), ("beta", np.nan), ("gamma", np.nan),
+         ("div_beta", np.nan)],
     )
-    def test_non_finite_coefficient_rejected(self, field, value, named):
-        prob = PR.get_problem("variable")
-        good = getattr(prob, field)
-
-        def poisoned(x, y):
-            out = np.array(good(x, y), dtype=float)
-            out[x > 0.5] = value
-            return out
-
-        bad = dataclasses.replace(prob, **{field: poisoned})
-        with pytest.raises(PR.CoefficientError, match=rf"^{named} is not finite at") as info:
+    def test_non_finite_coefficient_rejected(self, field, value):
+        """A value that is not finite is named with its own field: gamma
+        and div_beta, not the sigma the forms make of them."""
+        bad = _poisoned(PR.get_problem("variable"), field, lambda x, y: x > 0.5, value)
+        with pytest.raises(PR.CoefficientError, match=rf"^{field} is not finite at") as info:
             assemble(generate_distorted_square_mesh(4, 0.0, seed=0), 1, bad)
         x, y = map(float, re.search(r"at \((\S+), (\S+)\)$", str(info.value)).groups())
         assert 0.5 < x < 1.0 and 0.0 < y < 1.0
@@ -145,7 +139,7 @@ class TestCoefficientChecks:
             system = assemble(generate_distorted_square_mesh(4, 0.0, seed=0), 1, prob)
         assert caught == []
         pts = np.concatenate([g.quad_points.reshape(-1, 2) for g in system.groups])
-        sigma = prob.sigma(pts[:, 0], pts[:, 1])
+        sigma = PR.sample(prob, "gamma", pts) - 0.5 * PR.sample(prob, "div_beta", pts)
         low = np.argmin(sigma)
         assert system.coefficient_notes == [
             f"sigma = gamma - div(beta)/2 is negative (min {sigma[low]:.4g} at "
@@ -425,8 +419,10 @@ class TestProblemCatalog:
         xb = np.concatenate([tb, tb, np.zeros(7), np.ones(7)])
         yb = np.concatenate([np.zeros(7), np.ones(7), tb, tb])
         for t in (0.0, 0.3, 1.0):
+            points = np.column_stack([xb, yb])
             np.testing.assert_allclose(
-                prob.dirichlet(xb, yb, t), prob.u_exact(xb, yb, t), atol=1e-14
+                PR.sample(prob, "dirichlet", points, np.array([t]))[:, 0],
+                PR.sample(prob, "u_exact", points, t), atol=1e-14
             )
 
     @pytest.mark.parametrize("name", PR.PROBLEM_NAMES)
@@ -434,16 +430,18 @@ class TestProblemCatalog:
         prob = PR.get_problem(name)
         pts = np.random.default_rng(1).uniform(0, 1, size=(20, 2))
         np.testing.assert_allclose(
-            prob.u0(pts[:, 0], pts[:, 1]),
-            prob.u_exact(pts[:, 0], pts[:, 1], 0.0),
-            atol=1e-14,
+            PR.sample(prob, "u0", pts), PR.sample(prob, "u_exact", pts, 0.0), atol=1e-14
         )
 
     def test_variable_problem_sigma(self):
+        """The sigma the forms make of the variable problem's gamma and
+        div_beta is x + y - 1: so is each group's lowest, at its point."""
         prob = PR.get_problem("variable")
-        x = np.array([0.2, 0.8])
-        y = np.array([0.1, 0.9])
-        np.testing.assert_allclose(prob.sigma(x, y), x + y - 1.0, atol=1e-15)
+        mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=2)
+        lows = [F.build_local_forms(build_element(g, 2), prob).sigma_low for g in mesh.cell_groups]
+        assert len(lows) > 1
+        for value, x, y in lows:
+            assert value == pytest.approx(x + y - 1.0, abs=1e-15)
 
 
 class TestManufacturedSources:

@@ -36,6 +36,15 @@ def total_area(mesh):
     return sum(g.area.sum() for g in mesh.cell_groups)
 
 
+def hanging_and_far():
+    """A distorted 4 x 4 grid with three cells refined (25 cells, hanging
+    vertices at the middles of sides), and the same mesh scaled by 2**-10
+    and moved to (1e3, -1e3), where the rounding of a coordinate is larger
+    than 1e-12 of a side."""
+    mesh = M.refine_cells(M.generate_distorted_square_mesh(4, 0.2, seed=3), [1, 5, 10])
+    return mesh, M.PolyMesh(mesh.vertices * 2.0**-10 + (1e3, -1e3), mesh.cells)
+
+
 @st.composite
 def _grids(draw):
     """Distorted grids with some cells refined in two rounds (hanging nodes,
@@ -508,6 +517,17 @@ class TestRefinement:
         with pytest.raises(M.MeshError, match=r"^cell 2 would split edge \(2, 3\) at a second"):
             M.refine_cells(mesh, [0, 2])
 
+    def test_far_mesh_reuses_rounded_midpoints(self):
+        """Far from the origin, a hanging vertex at a side's middle sits a
+        rounding error off the side parameter 0.5 and is still reused: each
+        of the 25 cells refined alone gives the loops it gives near the
+        origin, where a new vertex beside it would leave a zero-length edge
+        or an extra vertex."""
+        mesh, far = hanging_and_far()
+        for ci in range(mesh.num_cells):
+            want = [c.tolist() for c in M.refine_cells(mesh, [ci]).cells]
+            assert [c.tolist() for c in M.refine_cells(far, [ci]).cells] == want, ci
+
     @pytest.mark.parametrize("scale, shift", [(1e-9, (0.0, 0.0)), (1e-12, (0.0, 0.0)),
                                               (1e3, (700.0, -2500.0))])
     @settings(max_examples=40, deadline=None)
@@ -646,6 +666,20 @@ class TestMeshProperties:
             want = scale * g0.centroid + shift
             bound = 1e-12 * g1.diameter[:, None] + 2 * np.spacing(np.abs(want))
             assert (np.abs(g1.centroid - want) <= bound).all()
+
+    @pytest.mark.xfail(strict=True, reason="FOUND (CHANGES.md): the convexity test of "
+                       "triangulate_polygons uses the flat rule, below the rounding of "
+                       "coordinates far from the origin")
+    def test_far_mesh_keeps_each_cells_group(self):
+        """Each cell keeps its (vertex count, triangle count, convex) group
+        key when the mesh is moved far from the origin."""
+        mesh, far = hanging_and_far()
+
+        def keys(m):
+            geoms = map(m.cell_geometry, range(m.num_cells))
+            return [(len(g.coords), len(g.triangles), bool(g.convex)) for g in geoms]
+
+        assert keys(far) == keys(mesh)
 
     @settings(max_examples=60, deadline=None)
     @given(_meshes())

@@ -61,19 +61,6 @@ def _squared_residual_ratio(a, x, b):
     return sum(r * r for r in res) / sum(Fraction(bi) ** 2 for bi in b)
 
 
-def _zeros3(x, y, t):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _zeros2(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _grad_zero(x, y):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape + (2,))
-
-
 def _laplace_problem(u0, grad_u0, name="custom"):
     """Homogeneous steady data around a prescribed initial state."""
     return SobolevProblem(
@@ -81,16 +68,16 @@ def _laplace_problem(u0, grad_u0, name="custom"):
         mu=constant_matrix(1.0),
         eps=constant_matrix(1.0),
         beta=constant_vector(0.0, 0.0),
-        div_beta=_zeros2,
-        gamma=_zeros2,
-        f=_zeros3,
-        dirichlet=_zeros3,
+        div_beta=lambda x, y: 0.0,
+        gamma=lambda x, y: 0.0,
+        f=lambda x, y, t: 0.0,
+        dirichlet=lambda x, y, t: 0.0,
         u0=u0,
         grad_u0=grad_u0,
     )
 
 
-ZERO_PROBLEM = _laplace_problem(_zeros2, _grad_zero, name="zero")
+ZERO_PROBLEM = _laplace_problem(lambda x, y: 0.0, lambda x, y: np.zeros(2), name="zero")
 
 
 def _wave(x, y):
@@ -261,8 +248,8 @@ class TestAssembly:
 
     def test_coefficients_sampled_once_at_form_points(self, caplog):
         """Each coefficient field is evaluated once per assembly: at every
-        form point of every group, and mu, eps and sigma also at the
-        centroids, which scale the stabilization.  The source reads the
+        form point of every group, and all but beta also at the centroids,
+        which scale the stabilization.  The source reads the
         same points.  The lowest sigma of all groups gives one note, logged
         once at WARNING, and no Python warning."""
         problem = get_problem("variable")
@@ -300,9 +287,9 @@ class TestAssembly:
     def test_only_forms_reads_coefficients(self):
         """Assembly, the initial projection and the error indicators read the
         coefficient fields only through ``polyvem.forms``: the nearest
-        polyvem frame of every call, past the sampler ``problems.sample``
-        and ``SobolevProblem.sigma``, lies in that module."""
-        passed = {("polyvem.problems", "sample"), ("polyvem.problems", "sigma")}
+        polyvem frame of every call, past the sampler ``problems.sample``,
+        lies in that module."""
+        passed = {("polyvem.problems", "sample")}
         callers = {name: [] for name in ("mu", "eps", "beta", "gamma", "div_beta")}
 
         def spy(name):
@@ -332,10 +319,10 @@ class TestAssembly:
             assert seen and {module for module, _ in seen} == {"polyvem.forms"}, (name, seen)
 
     def test_only_the_sampler_calls_fields(self):
-        """All 11 fields of a problem are called by ``problems.sample`` alone,
-        gamma and div_beta through ``SobolevProblem.sigma``: that is the
-        nearest polyvem frame of every call made by assembly, the time loop,
-        the interpolated initial value, the errors and the indicators."""
+        """All 11 fields of a problem are called by ``problems.sample`` alone:
+        that is the nearest polyvem frame of every call made by assembly, the
+        time loop, the interpolated initial value, the errors and the
+        indicators."""
         callers = {f.name: set() for f in dataclasses.fields(SobolevProblem) if f.name != "name"}
 
         def spy(name):
@@ -359,8 +346,7 @@ class TestAssembly:
         error_indicators(system, result.u)
         assert len(callers) == 11
         for name, seen in callers.items():
-            where = "sigma" if name in ("gamma", "div_beta") else "sample"
-            assert seen == {("polyvem.problems", where)}, name
+            assert seen == {("polyvem.problems", "sample")}, name
 
     def test_mass_operator_is_positive_definite(self):
         mesh = generate_voronoi_mesh(16, lloyd_iterations=3, seed=2)
@@ -735,7 +721,7 @@ class TestTimeStepper:
 
 def _per_step_loop(system, config):
     """The time loop one step at a time, sampling f and the Dirichlet data
-    at 1-D points and a scalar time every step."""
+    at one time every step."""
     tau = config.tau
     act, bdry = system.dofmap.active, system.dofmap.boundary
     u = project_initial(system)
@@ -747,8 +733,8 @@ def _per_step_loop(system, config):
     xq, xb = system.quad_points, system.dofmap.dof_points[bdry]
     for step in range(1, config.num_steps() + 1):
         t_n = step * tau
-        f_vals = np.asarray(system.problem.f(xq[:, 0], xq[:, 1], t_n), dtype=float)
-        g_bdry = np.asarray(system.problem.dirichlet(xb[:, 0], xb[:, 1], t_n), dtype=float)
+        f_vals, g_bdry = (sample(system.problem, name, points, np.array([t_n]))[:, 0]
+                          for name, points in (("f", xq), ("dirichlet", xb)))
         u[act] = solver.solve(g_act @ u + tau * (load_act @ f_vals) - coupling @ g_bdry)
         u[bdry] = g_bdry
     return u
@@ -841,6 +827,10 @@ def _ones(*tail):
     return lambda x, y, *t: np.ones(np.shape(x) + tail)
 
 
+def _eyes(x, y):
+    return np.broadcast_to(np.eye(2), np.shape(x) + (2, 2)).copy()
+
+
 _GAUSSIAN = get_problem("gaussian")
 
 
@@ -850,21 +840,23 @@ class TestProblemFieldShapes:
     the shape it gave."""
 
     @pytest.mark.parametrize("field, value, want, got", [
-        ("mu", _ones(), r"\(N, 2, 2\)", r"\(N,\)"),
-        ("eps", _ones(2), r"\(N, 2, 2\)", r"\(N, 2\)"),
-        ("beta", _ones(), r"\(N, 2\)", r"\(N,\)"),
-        ("beta", _ones(2, 2), r"\(N, 2\)", r"\(N, 2, 2\)"),
+        ("mu", _ones(), r"\(N, 2, 2\) or \(2, 2\)", r"\(N,\)"),
+        ("mu", lambda x, y: np.ones(2), r"\(N, 2, 2\) or \(2, 2\)", r"\(2,\)"),
+        ("eps", _ones(2), r"\(N, 2, 2\) or \(2, 2\)", r"\(N, 2\)"),
+        ("beta", _ones(), r"\(N, 2\) or \(2,\)", r"\(N,\)"),
+        ("beta", _ones(2, 2), r"\(N, 2\) or \(2,\)", r"\(N, 2, 2\)"),
+        ("beta", lambda x, y: np.ones(3), r"\(N, 2\) or \(2,\)", r"\(3,\)"),
         ("gamma", _ones(2), r"\(N,\) or \(\)", r"\(N, 2\)"),
         ("div_beta", _ones(1), r"\(N,\) or \(\)", r"\(N, 1\)"),
-        ("grad_u0", _ones(), r"\(N, 2\)", r"\(N,\)"),
-        ("grad_u0", _ones(3), r"\(N, 2\)", r"\(N, 3\)"),
+        ("grad_u0", _ones(), r"\(N, 2\) or \(2,\)", r"\(N,\)"),
+        ("grad_u0", _ones(3), r"\(N, 2\) or \(2,\)", r"\(N, 3\)"),
         ("u0", _ones(1), r"\(N,\) or \(\)", r"\(N, 1\)"),
         ("u_exact", lambda x, y, t: _GAUSSIAN.u_exact(x, y, t)[:, None], r"\(N,\) or \(\)",
          r"\(N, 1\)"),
         ("grad_u_exact", lambda x, y, t: _GAUSSIAN.grad_u_exact(x, y, t)[:, None],
-         r"\(N, 2\)", r"\(N, 1, 2\)"),
-    ], ids=["mu-n", "eps-n2", "beta-n", "beta-n22", "gamma-n2", "div_beta-n1", "grad_u0-n",
-            "grad_u0-n3", "u0-n1", "u_exact-n1", "grad_u_exact-n12"])
+         r"\(N, 2\) or \(2,\)", r"\(N, 1, 2\)"),
+    ], ids=["mu-n", "mu-2", "eps-n2", "beta-n", "beta-n22", "beta-3", "gamma-n2", "div_beta-n1",
+            "grad_u0-n", "grad_u0-n3", "u0-n1", "u_exact-n1", "grad_u_exact-n12"])
     def test_wrong_shape_is_named(self, field, value, want, got):
         problem = dataclasses.replace(_GAUSSIAN, **{field: value})
         n = r"(\d+)"
@@ -910,12 +902,22 @@ class TestProblemFieldShapes:
         with pytest.raises(ValueError, match=message):
             _solve_and_measure(dataclasses.replace(_GAUSSIAN, u0=value, grad_u0=None))
 
-    def test_one_value_of_a_scalar_field_stands_for_all_points(self):
-        plain_u, plain = _solve_and_measure(_GAUSSIAN)
-        scalar = dataclasses.replace(_GAUSSIAN, gamma=lambda x, y: 1.0, u0=lambda x, y: 0.0)
-        u, pair = _solve_and_measure(scalar)
-        assert u.tobytes() == plain_u.tobytes()
-        assert (pair.e0, pair.e1) == (plain.e0, plain.e1)
+    def test_one_value_stands_for_all_points(self):
+        """Constants written as one value for all points give, bit for bit,
+        the results of the same constants written at every point."""
+        one = dataclasses.replace(
+            _GAUSSIAN, mu=lambda x, y: np.eye(2), eps=lambda x, y: np.eye(2),
+            beta=lambda x, y: np.array([1.0, 1.0]), gamma=lambda x, y: 1.0,
+            div_beta=lambda x, y: 0.0, f=lambda x, y, t: 1.0, dirichlet=lambda x, y, t: 0.0,
+            u0=lambda x, y: 0.0, grad_u0=lambda x, y: np.zeros(2))
+        every = dataclasses.replace(
+            _GAUSSIAN, mu=_eyes, eps=_eyes, beta=_ones(2), gamma=_ones(),
+            div_beta=lambda x, y: np.zeros(np.shape(x)), f=lambda x, y, t: np.ones(np.shape(x)),
+            dirichlet=lambda x, y, t: np.zeros(np.shape(x)),
+            u0=lambda x, y: np.zeros(np.shape(x)), grad_u0=lambda x, y: np.zeros(np.shape(x) + (2,)))
+        (one_u, one_pair), (every_u, every_pair) = map(_solve_and_measure, (one, every))
+        assert one_u.tobytes() == every_u.tobytes()
+        assert (one_pair.e0, one_pair.e1) == (every_pair.e0, every_pair.e1)
 
 
 # ---------------------------------------------------------------------------
